@@ -416,7 +416,14 @@ def verify_kuratowski_witness(
 
 
 def is_planar(g) -> PlanarityCertificate:
-    """Planarity with a self-verified certificate either way."""
+    """Planarity with a self-verified certificate either way.
+
+    networkx's planarity test gives the verdict.  A nonplanar graph's witness
+    is the first triple u < v < w with at least three common neighbours,
+    joined to the lowest three of them: a literal K33.  Only a graph without
+    one goes to networkx's counterexample search, which deletes edges one at a
+    time and re-tests planarity after each.
+    """
     adj = adjacency_sets(g)
     n = len(adj)
     graph = nx.Graph()
@@ -432,8 +439,14 @@ def is_planar(g) -> PlanarityCertificate:
             planar=True,
             rotation=tuple(tuple(rotation[v]) for v in range(n)),
         )
-    counter = nx.algorithms.planarity.get_counterexample(graph)
-    witness = sorted((min(u, v), max(u, v)) for u, v in counter.edges())
+    found = _k3b_triple(_bitmasks(adj), 3)
+    if found is None:
+        counter = nx.algorithms.planarity.get_counterexample(graph)
+        witness = sorted((min(u, v), max(u, v)) for u, v in counter.edges())
+    else:
+        *left, common = found
+        right = [x for x in range(n) if common >> x & 1][:3]
+        witness = sorted((min(u, x), max(u, x)) for u in left for x in right)
     verdict = verify_kuratowski_witness(adj, witness)
     if verdict is None:
         raise AssertionError("nonplanarity witness failed subdivision validation")
@@ -469,17 +482,27 @@ def contains_complete_bipartite(g, a: int, b: int) -> bool:
             bin(masks[u] & masks[v]).count("1") >= b
             for u, v in combinations(range(n), 2)
         )
-    return any(
-        bin(masks[u] & masks[v] & masks[w]).count("1") >= b
-        for u, v, w in combinations(range(n), 3)
-    )
+    return _k3b_triple(masks, b) is not None
 
 
-def contains_clique(g, k: int) -> bool:
-    adj = adjacency_sets(g)
-    if len(adj) < k:
-        return False
-    return len(maximum_clique(adj, cap=max(DEFAULT_EXACT_CAP, len(adj)))) >= k
+def _k3b_triple(masks: list[int], b: int) -> tuple[int, int, int, int] | None:
+    """The first triple u < v < w, in lexicographic order, with at least b
+    common neighbours, as (u, v, w, common-neighbour mask); None if none.
+
+    A pair with fewer than b common neighbours is skipped before any third
+    vertex is tried, since a third vertex only shrinks the common set.
+    """
+    n = len(masks)
+    for u in range(n):
+        for v in range(u + 1, n):
+            pair = masks[u] & masks[v]
+            if pair.bit_count() < b:
+                continue
+            for w in range(v + 1, n):
+                common = pair & masks[w]
+                if common.bit_count() >= b:
+                    return u, v, w, common
+    return None
 
 
 def cyclomatic_number(g) -> int:

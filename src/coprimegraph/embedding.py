@@ -10,6 +10,7 @@ maximal independent set iff their labels share a prime.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd, lcm
 
 
@@ -35,14 +36,12 @@ class SimpleGraph:
             norm.add((min(u, v), max(u, v)))
         return SimpleGraph(n_vertices=n_vertices, edges=frozenset(norm))
 
+    @cached_property
+    def _adjacency(self) -> list[set[int]]:
+        return self.adjacency_sets()
+
     def neighbors(self, v: int) -> set[int]:
-        out = set()
-        for a, b in self.edges:
-            if a == v:
-                out.add(b)
-            elif b == v:
-                out.add(a)
-        return out
+        return set(self._adjacency[v])
 
     def adjacency_sets(self) -> list[set[int]]:
         adj: list[set[int]] = [set() for _ in range(self.n_vertices)]

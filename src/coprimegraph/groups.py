@@ -10,8 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-import numpy as np
-
 DEFAULT_MAX_ORDER = 2048
 
 
@@ -62,9 +60,6 @@ class FiniteGroup:
             n += 1
         return n
 
-    def element_orders(self) -> list[int]:
-        return [self.element_order(a) for a in range(self.order)]
-
     def is_abelian(self) -> bool:
         t = self.table
         return all(t[a][b] == t[b][a] for a in range(self.order) for b in range(a))
@@ -77,27 +72,31 @@ def check_group_axioms(group: FiniteGroup, assoc_limit: int = 256) -> None:
     associativity check runs only for order <= assoc_limit.
     """
     n = group.order
-    t = np.asarray(group.table, dtype=np.int64)
-    if t.shape != (n, n):
-        raise GroupConstructionError(f"{group.name}: table shape {t.shape} != ({n},{n})")
-    ident = np.arange(n)
+    t = group.table
+    if len(t) != n or any(len(row) != n for row in t):
+        raise GroupConstructionError(f"{group.name}: table is not {n}x{n}")
+    ident = list(range(n))
     for a in range(n):
-        if not np.array_equal(np.sort(t[a]), ident):
+        if sorted(t[a]) != ident:
             raise GroupConstructionError(f"{group.name}: row {a} is not a permutation")
-        if not np.array_equal(np.sort(t[:, a]), ident):
+        if sorted(row[a] for row in t) != ident:
             raise GroupConstructionError(f"{group.name}: column {a} is not a permutation")
     e = group.identity
-    if not np.array_equal(t[e], ident) or not np.array_equal(t[:, e], ident):
+    if list(t[e]) != ident or [row[e] for row in t] != ident:
         raise GroupConstructionError(f"{group.name}: element {e} is not an identity")
     for a in range(n):
-        row = group.table[a]
-        b = row.index(e)
-        if group.table[b][a] != e:
+        b = t[a].index(e)
+        if t[b][a] != e:
             raise GroupConstructionError(f"{group.name}: element {a} has no two-sided inverse")
     if n <= assoc_limit:
         for a in range(n):
-            if not np.array_equal(t[t[a]], t[a][t]):
-                raise GroupConstructionError(f"{group.name}: associativity fails at element {a}")
+            row_a = t[a]
+            # (a*b)*c == a*(b*c) for every b and c
+            for b in range(n):
+                if tuple(map(row_a.__getitem__, t[b])) != tuple(t[row_a[b]]):
+                    raise GroupConstructionError(
+                        f"{group.name}: associativity fails at element {a}"
+                    )
 
 
 def make_cyclic(n: int) -> FiniteGroup:

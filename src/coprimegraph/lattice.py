@@ -52,9 +52,6 @@ class Subgroup:
     order: int
     parent_order: int
 
-    def prime_set(self) -> frozenset[int]:
-        return pi(self.order)
-
     def is_proper_nontrivial(self) -> bool:
         return 1 < self.order < self.parent_order
 
@@ -85,14 +82,6 @@ def is_closed_subgroup(group: FiniteGroup, elements: frozenset[int]) -> bool:
             if row[b] not in elements:
                 return False
     return True
-
-
-def generated_subgroup(group: FiniteGroup, gens: tuple[int, ...]) -> frozenset[int]:
-    """Elements of the subgroup generated by gens (finite, so products suffice)."""
-    closed = _generate(group.table, group.identity, gens, group.order)
-    if closed is None:
-        return frozenset(range(group.order))
-    return closed
 
 
 def _generate(table, identity: int, gens, order: int) -> frozenset[int] | None:

@@ -1,12 +1,17 @@
 """Exact invariants against exhaustive oracles, plus certificate validation."""
 
 import random
+from itertools import combinations
 
+import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coprimegraph.analysis import (
     INFINITE,
     ExactCapExceeded,
+    adjacency_sets,
     analyze,
     chromatic_number,
     classify_shape,
@@ -22,7 +27,9 @@ from coprimegraph.analysis import (
     verify_rotation_system,
 )
 from coprimegraph.coprime import build, build_cyclic
-from coprimegraph.groups import NAMED_GROUPS, make_dihedral
+from coprimegraph.groups import NAMED_GROUPS, make_dihedral, parse_group_spec
+from coprimegraph.lattice import all_subgroups
+from coprimegraph.theorems import load_catalog
 from helpers import alpha_oracle, chi_oracle, min_vertex_cover_oracle, omega_oracle
 
 
@@ -173,10 +180,15 @@ def test_exact_cap_raises():
 
 
 def test_planar_certificate_z210_is_refused():
-    # four distinct primes force a K33 subdivision through composite orders
-    cert = is_planar(build_cyclic(210))
+    # P(Z_210) contains a literal K33: orders {2, 3, 6} against {5, 7, 35}
+    g = build_cyclic(210)
+    vid = {v.order: v.vid for v in g.vertices}
+    literal = [(vid[a], vid[b]) for a in (2, 3, 6) for b in (5, 7, 35)]
+    assert verify_kuratowski_witness(g, literal)[0] == "K33"
+    cert = is_planar(g)
     assert not cert.planar
-    assert cert.witness_kind in ("K33", "K5")
+    assert cert.witness_kind == "K33"
+    assert len(cert.witness_edges) == 9
 
 
 def test_planar_certificates_verified():
@@ -240,6 +252,117 @@ def test_witness_verifier_rejects_k4():
 )
 def test_cyclic_planarity_verdicts(n, planar):
     assert is_planar(build_cyclic(n)).planar is planar
+
+
+# the nonplanarity witness: a K33 subgraph when there is one, else networkx's
+# counterexample search, which stays here as the slow-path oracle
+
+
+def nx_graph(adj):
+    graph = nx.Graph()
+    graph.add_nodes_from(range(len(adj)))
+    graph.add_edges_from((u, v) for u in range(len(adj)) for v in adj[u] if u < v)
+    return graph
+
+
+def first_k33_subgraph(adj):
+    """Edges from the lexicographically first triple with >= 3 common
+    neighbours to the lowest three of them, or None."""
+    for triple in combinations(range(len(adj)), 3):
+        common = set.intersection(*(adj[v] for v in triple))
+        if len(common) >= 3:
+            right = sorted(common)[:3]
+            return sorted((min(u, x), max(u, x)) for u in triple for x in right)
+    return None
+
+
+@pytest.fixture
+def counterexample_calls(monkeypatch):
+    """Graphs that is_planar hands to networkx's counterexample search."""
+    calls = []
+    search = nx.algorithms.planarity.get_counterexample
+
+    def counting(graph):
+        calls.append(graph)
+        return search(graph)
+
+    monkeypatch.setattr(nx.algorithms.planarity, "get_counterexample", counting)
+    return calls
+
+
+@pytest.fixture(scope="module")
+def nonplanar_catalog_graphs():
+    out = {}
+    for entry in load_catalog():
+        if entry.expect.get("planar") is False:
+            group = parse_group_spec(entry.spec, max_order=420)
+            out[entry.spec] = build(group, all_subgroups(group, max_order=420))
+    return out
+
+
+def test_catalog_witnesses_are_k33_subgraphs(nonplanar_catalog_graphs, counterexample_calls):
+    assert len(nonplanar_catalog_graphs) == 18
+    for spec, graph in nonplanar_catalog_graphs.items():
+        cert = is_planar(graph)
+        assert not cert.planar, spec
+        assert cert.witness_kind == "K33", spec
+        assert len(cert.witness_edges) == 9, spec
+        assert list(cert.witness_edges) == first_k33_subgraph(adjacency_sets(graph)), spec
+        assert verify_kuratowski_witness(graph, list(cert.witness_edges)) == (
+            "K33",
+            cert.witness_branch_vertices,
+        ), spec
+    assert counterexample_calls == []
+
+
+def test_networkx_counterexample_verifies_on_catalog(nonplanar_catalog_graphs):
+    for spec, graph in nonplanar_catalog_graphs.items():
+        counter = nx.algorithms.planarity.get_counterexample(nx_graph(adjacency_sets(graph)))
+        assert verify_kuratowski_witness(graph, list(counter.edges())) is not None, spec
+
+
+def test_k5_witness_comes_from_the_fallback(counterexample_calls):
+    k5 = adj_of(list(combinations(range(5), 2)), 5)
+    cert = is_planar(k5)
+    assert len(counterexample_calls) == 1
+    assert cert.witness_kind == "K5"
+    assert cert.witness_branch_vertices == (0, 1, 2, 3, 4)
+
+
+def test_petersen_witness_is_a_proper_k33_subdivision(counterexample_calls):
+    # girth 5, so no K33 subgraph: the witness must subdivide some edges
+    petersen = adj_of(nx.petersen_graph().edges(), 10)
+    cert = is_planar(petersen)
+    assert len(counterexample_calls) == 1
+    assert cert.witness_kind == "K33"
+    assert len(cert.witness_edges) > 9
+
+
+@st.composite
+def small_graphs(draw):
+    n = draw(st.integers(min_value=1, max_value=10))
+    pairs = list(combinations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return adj_of([p for p, k in zip(pairs, keep) if k], n)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_graphs())
+def test_planarity_matches_networkx_and_witnesses_verify(adj):
+    cert = is_planar(adj)
+    assert cert.planar == nx.check_planarity(nx_graph(adj))[0]
+    k33 = first_k33_subgraph(adj)
+    assert contains_complete_bipartite(adj, 3, 3) == (k33 is not None)
+    if cert.planar:
+        rotation = {v: list(nbrs) for v, nbrs in enumerate(cert.rotation)}
+        assert verify_rotation_system(adj, rotation)
+        return
+    assert verify_kuratowski_witness(adj, list(cert.witness_edges)) == (
+        cert.witness_kind,
+        cert.witness_branch_vertices,
+    )
+    if k33 is not None:
+        assert list(cert.witness_edges) == k33
 
 
 # forbidden subgraphs

@@ -197,6 +197,12 @@ def test_embed_verify_roundtrip_random(args):
     for u in range(n):
         for v in range(u + 1, n):
             assert (gcd(cert.labels[u], cert.labels[v]) == 1) == g.has_edge(u, v)
+    # neighbours against a scan of the edge set; the cached adjacency leaves
+    # equality and hashing to the fields
+    for u in range(n):
+        assert g.neighbors(u) == {b if a == u else a for a, b in g.edges if u in (a, b)}
+    fresh = SimpleGraph.from_edges(n, edges)
+    assert g == fresh and hash(g) == hash(fresh)
 
 
 # edge-list parsing
