@@ -39,6 +39,32 @@ def adjacency_sets(g) -> list[set[int]]:
     return [set(g.neighbors(v)) for v in range(g.n_vertices)]
 
 
+@dataclass(frozen=True)
+class _Adjacency:
+    """One graph's adjacency: neighbour sets and the same rows as bitmasks."""
+
+    sets: tuple[frozenset[int], ...]
+    masks: tuple[int, ...]
+
+
+def _adjacency(g) -> _Adjacency:
+    """The adjacency every public invariant starts from.
+
+    Built once through ``adjacency_sets`` from a CoprimeGraph, a SimpleGraph
+    or a list of neighbour sets; an ``_Adjacency`` is returned unchanged, so
+    ``analyze`` pays for it once however many invariants it computes.
+    """
+    if isinstance(g, _Adjacency):
+        return g
+    sets = tuple(frozenset(s) for s in adjacency_sets(g))
+    return _Adjacency(sets, tuple(sum(1 << w for w in s) for s in sets))
+
+
+def _check_cap(n: int, cap: int) -> None:
+    if n > cap:
+        raise ExactCapExceeded(f"{n} vertices exceed the exact-solver cap {cap}")
+
+
 def edge_list(adj: list[set[int]]) -> list[tuple[int, int]]:
     return [(u, v) for u in range(len(adj)) for v in sorted(adj[u]) if u < v]
 
@@ -92,7 +118,7 @@ def girth(g) -> float:
     shortest cycle through s by dist(u) + dist(w) + 1, and scanning all roots
     makes the minimum exact.
     """
-    adj = adjacency_sets(g)
+    adj = _adjacency(g).sets
     n = len(adj)
     best = INFINITE
     for s in range(n):
@@ -114,8 +140,9 @@ def girth(g) -> float:
     return best
 
 
-def is_bipartite(g) -> bool:
-    adj = adjacency_sets(g)
+def _two_coloring(adj) -> list[int] | None:
+    """A proper 0/1 colouring by BFS from each uncoloured vertex in index
+    order, or None if some edge joins two vertices of one colour."""
     color = [-1] * len(adj)
     for s in range(len(adj)):
         if color[s] >= 0:
@@ -129,18 +156,18 @@ def is_bipartite(g) -> bool:
                     color[w] = 1 - color[u]
                     queue.append(w)
                 elif color[w] == color[u]:
-                    return False
-    return True
+                    return None
+    return color
+
+
+def is_bipartite(g) -> bool:
+    return _two_coloring(_adjacency(g).sets) is not None
 
 
 # Exact solvers on bitmask adjacency.
 
 
-def _bitmasks(adj: list[set[int]]) -> list[int]:
-    return [sum(1 << w for w in s) for s in adj]
-
-
-def _greedy_color_order(masks: list[int], candidates: int) -> tuple[list[int], list[int]]:
+def _greedy_color_order(masks, candidates: int) -> tuple[list[int], list[int]]:
     """Greedy coloring of the candidate set; per-vertex color indices are the
     clique-size upper bounds used by the Tomita-style search below."""
     order: list[int] = []
@@ -160,7 +187,7 @@ def _greedy_color_order(masks: list[int], candidates: int) -> tuple[list[int], l
     return order, bounds
 
 
-def _max_clique_masks(masks: list[int], n: int) -> int:
+def _max_clique_masks(masks, n: int) -> int:
     if n == 0:
         return 0
     best_mask = 0
@@ -189,11 +216,10 @@ def _max_clique_masks(masks: list[int], n: int) -> int:
 
 def maximum_clique(g, cap: int = DEFAULT_EXACT_CAP) -> list[int]:
     """An exact maximum clique, as a sorted vertex list."""
-    adj = adjacency_sets(g)
-    n = len(adj)
-    if n > cap:
-        raise ExactCapExceeded(f"{n} vertices exceed the exact-solver cap {cap}")
-    mask = _max_clique_masks(_bitmasks(adj), n)
+    masks = _adjacency(g).masks
+    n = len(masks)
+    _check_cap(n, cap)
+    mask = _max_clique_masks(masks, n)
     return [v for v in range(n) if mask >> v & 1]
 
 
@@ -203,38 +229,20 @@ def clique_number(g, cap: int = DEFAULT_EXACT_CAP) -> int:
 
 def independence_number(g, cap: int = DEFAULT_EXACT_CAP) -> int:
     """Exact independence number via maximum clique on the complement."""
-    adj = adjacency_sets(g)
-    n = len(adj)
-    if n > cap:
-        raise ExactCapExceeded(f"{n} vertices exceed the exact-solver cap {cap}")
+    masks = _adjacency(g).masks
+    n = len(masks)
+    _check_cap(n, cap)
     full = (1 << n) - 1
-    comp = [full & ~(1 << v) & ~sum(1 << w for w in adj[v]) for v in range(n)]
-    return bin(_max_clique_masks(comp, n)).count("1")
+    comp = [full & ~(1 << v) & ~m for v, m in enumerate(masks)]
+    return _max_clique_masks(comp, n).bit_count()
 
 
-def _dsatur_upper_bound(adj: list[set[int]]) -> int:
-    n = len(adj)
-    if n == 0:
-        return 0
-    colors = [-1] * n
-    for _ in range(n):
-        best_v, best_key = -1, (-1, -1)
-        for v in range(n):
-            if colors[v] >= 0:
-                continue
-            sat = len({colors[u] for u in adj[v] if colors[u] >= 0})
-            key = (sat, len(adj[v]))
-            if key > best_key:
-                best_key, best_v = key, v
-        used = {colors[u] for u in adj[best_v] if colors[u] >= 0}
-        c = 0
-        while c in used:
-            c += 1
-        colors[best_v] = c
-    return max(colors) + 1
-
-
-def _k_colorable(adj: list[set[int]], k: int) -> bool:
+def _k_colorable(adj, k: int) -> bool:
+    """Backtracking k-colouring in DSATUR order: the uncoloured vertex with the
+    most distinct neighbour colours, then the highest degree, then the lowest
+    index, takes the lowest free colour first.  So the first descent is the
+    DSATUR greedy colouring, and it succeeds without backtracking whenever k
+    is at least the greedy colour count."""
     n = len(adj)
     colors = [-1] * n
 
@@ -268,20 +276,16 @@ def _k_colorable(adj: list[set[int]], k: int) -> bool:
 
 
 def chromatic_number(g, cap: int = DEFAULT_EXACT_CAP) -> int:
-    """Exact chromatic number: clique lower bound, DSATUR upper bound, then
-    k-colorability search on the gap."""
-    adj = adjacency_sets(g)
-    n = len(adj)
-    if n > cap:
-        raise ExactCapExceeded(f"{n} vertices exceed the exact-solver cap {cap}")
-    if n == 0:
-        return 0
-    lower = len(maximum_clique(adj, cap))
-    upper = _dsatur_upper_bound(adj)
-    for k in range(lower, upper):
-        if _k_colorable(adj, k):
-            return k
-    return upper
+    """Exact chromatic number: the first k >= omega for which the
+    k-colourability search succeeds.  That search never passes the DSATUR
+    greedy colour count, where its first descent already succeeds."""
+    adj = _adjacency(g)
+    n = len(adj.sets)
+    _check_cap(n, cap)
+    k = _max_clique_masks(adj.masks, n).bit_count()
+    while not _k_colorable(adj.sets, k):
+        k += 1
+    return k
 
 
 # Planarity with verified certificates.
@@ -324,7 +328,7 @@ def verify_rotation_system(g, rotation: dict[int, list[int]]) -> bool:
     graph satisfies V - E + F' = 1 + C once the shared outer face is counted
     only once.
     """
-    adj = adjacency_sets(g)
+    adj = _adjacency(g).sets
     n = len(adj)
     if set(rotation) != set(range(n)):
         return False
@@ -349,7 +353,7 @@ def verify_kuratowski_witness(
     degree-2 chains contract to exactly the simple edge set of K5, or to a
     complete bipartite 3+3 graph.  Returns (kind, branch vertices) or None.
     """
-    host = adjacency_sets(g)
+    host = _adjacency(g).sets
     wadj: dict[int, set[int]] = {}
     for u, v in witness_edges:
         if u == v or v not in host[u]:
@@ -424,11 +428,11 @@ def is_planar(g) -> PlanarityCertificate:
     one goes to networkx's counterexample search, which deletes edges one at a
     time and re-tests planarity after each.
     """
-    adj = adjacency_sets(g)
-    n = len(adj)
+    adj = _adjacency(g)
+    n = len(adj.sets)
     graph = nx.Graph()
     graph.add_nodes_from(range(n))
-    graph.add_edges_from(edge_list(adj))
+    graph.add_edges_from(edge_list(adj.sets))
     ok, embedding = nx.check_planarity(graph, counterexample=False)
     if ok:
         data = embedding.get_data()
@@ -439,7 +443,7 @@ def is_planar(g) -> PlanarityCertificate:
             planar=True,
             rotation=tuple(tuple(rotation[v]) for v in range(n)),
         )
-    found = _k3b_triple(_bitmasks(adj), 3)
+    found = _k3b_triple(adj.masks, 3)
     if found is None:
         counter = nx.algorithms.planarity.get_counterexample(graph)
         witness = sorted((min(u, v), max(u, v)) for u, v in counter.edges())
@@ -472,20 +476,15 @@ def contains_complete_bipartite(g, a: int, b: int) -> bool:
         raise ValueError(f"left part size must be 1, 2 or 3, got {a}")
     if a > b:
         raise ValueError(f"need a <= b, got a={a}, b={b}")
-    adj = adjacency_sets(g)
-    n = len(adj)
+    adj = _adjacency(g)
     if a == 1:
-        return any(len(adj[v]) >= b for v in range(n))
-    masks = _bitmasks(adj)
+        return any(len(s) >= b for s in adj.sets)
     if a == 2:
-        return any(
-            bin(masks[u] & masks[v]).count("1") >= b
-            for u, v in combinations(range(n), 2)
-        )
-    return _k3b_triple(masks, b) is not None
+        return any((mu & mv).bit_count() >= b for mu, mv in combinations(adj.masks, 2))
+    return _k3b_triple(adj.masks, b) is not None
 
 
-def _k3b_triple(masks: list[int], b: int) -> tuple[int, int, int, int] | None:
+def _k3b_triple(masks, b: int) -> tuple[int, int, int, int] | None:
     """The first triple u < v < w, in lexicographic order, with at least b
     common neighbours, as (u, v, w, common-neighbour mask); None if none.
 
@@ -505,15 +504,9 @@ def _k3b_triple(masks: list[int], b: int) -> tuple[int, int, int, int] | None:
     return None
 
 
-def cyclomatic_number(g) -> int:
-    adj = adjacency_sets(g)
-    edges = sum(len(s) for s in adj) // 2
-    return edges - len(adj) + len(connected_components(adj))
-
-
 def is_unicyclic(g) -> bool:
     """Exactly one cycle overall: E - V + C = 1.  Connectivity not required."""
-    return cyclomatic_number(g) == 1
+    return shape_predicates(g)["unicyclic"]
 
 
 @dataclass(frozen=True)
@@ -566,17 +559,11 @@ def _is_cycle(adj: list[set[int]]) -> tuple[bool, int]:
 
 def _complete_bipartite_parts(adj: list[set[int]]) -> tuple[int, int] | None:
     n = len(adj)
-    if n < 2 or len(connected_components(adj)) != 1 or not is_bipartite(adj):
+    if n < 2 or len(connected_components(adj)) != 1:
         return None
-    color = [-1] * n
-    color[0] = 0
-    queue = deque([0])
-    while queue:
-        u = queue.popleft()
-        for w in adj[u]:
-            if color[w] < 0:
-                color[w] = 1 - color[u]
-                queue.append(w)
+    color = _two_coloring(adj)
+    if color is None:
+        return None
     left = [v for v in range(n) if color[v] == 0]
     right = [v for v in range(n) if color[v] == 1]
     if all(len(adj[v]) == len(right) for v in left) and all(
@@ -595,7 +582,7 @@ def classify_shape(g) -> ShapeDescriptor:
     CompleteBipartite is tested before Cycle so that a four-cycle core reads
     as K_{2,2}; it is the only graph matching both patterns.
     """
-    adj = adjacency_sets(g)
+    adj = _adjacency(g).sets
     isolated = sum(1 for s in adj if not s)
     core_vertices = [v for v in range(len(adj)) if adj[v]]
     core = _induced(adj, core_vertices)
@@ -631,7 +618,7 @@ def shape_predicates(g) -> dict[str, bool]:
     A graph with vertices but no edges is the null graph and counts as
     disconnected, so the single-vertex graph is neither complete nor a tree.
     """
-    adj = adjacency_sets(g)
+    adj = _adjacency(g).sets
     n = len(adj)
     edges = sum(len(s) for s in adj) // 2
     comps = connected_components(adj)
@@ -654,8 +641,8 @@ def shape_predicates(g) -> dict[str, bool]:
 
 def small_graph_isomorphic(g1, g2, cap: int = ISO_CAP) -> bool:
     """Exact isomorphism test by backtracking with degree pruning."""
-    a1 = adjacency_sets(g1)
-    a2 = adjacency_sets(g2)
+    a1 = _adjacency(g1).sets
+    a2 = _adjacency(g2).sets
     n = len(a1)
     if n != len(a2):
         return False
@@ -770,12 +757,17 @@ class AnalysisReport:
 
 
 def analyze(g, exact_cap: int = DEFAULT_EXACT_CAP) -> AnalysisReport:
-    """Compute every invariant exactly; no heuristics, caps raise instead."""
-    adj = adjacency_sets(g)
-    n = len(adj)
-    edges = sum(len(s) for s in adj) // 2
-    comps = connected_components(adj)
-    comp_diams = [component_diameter(adj, c) for c in comps]
+    """Compute every invariant exactly; no heuristics, caps raise instead.
+
+    The adjacency is built once and every invariant reads it; the exact-solver
+    cap is checked before any of them runs.
+    """
+    adj = _adjacency(g)
+    n = len(adj.sets)
+    _check_cap(n, exact_cap)
+    edges = sum(len(s) for s in adj.sets) // 2
+    comps = connected_components(adj.sets)
+    comp_diams = [component_diameter(adj.sets, c) for c in comps]
     preds = shape_predicates(adj)
     connected = preds["connected"]
     diam = comp_diams[0] if connected else INFINITE

@@ -19,7 +19,6 @@ from importlib import resources
 from itertools import combinations
 from pathlib import Path
 
-from . import analysis
 from .analysis import INFINITE, AnalysisReport, analyze
 from .coprime import CoprimeGraph, build, build_cyclic, degree_formula
 from .embedding import SimpleGraph, embed, verify_embedding
@@ -167,15 +166,16 @@ def _check_diameter_range(graph: CoprimeGraph, rep: AnalysisReport) -> bool:
 
 def _check_full_support_isolated(graph: CoprimeGraph, rep: AnalysisReport) -> bool:
     """Disconnected shape: every full-support vertex is isolated and the rest
-    is a single connected block (or empty)."""
+    is a single connected block (or empty).
+
+    With the full-support vertices isolated, removing them splits no
+    component, so the rest is one block exactly when at most one component
+    of the report holds a vertex that is not full-support.
+    """
     full = set(_full_support_vertices(graph))
     if any(graph.degree(v) > 0 for v in full):
         return False
-    rest = [v for v in range(graph.n_vertices) if v not in full]
-    if not rest:
-        return True
-    sub = analysis._induced(analysis.adjacency_sets(graph), rest)
-    return len(analysis.connected_components(sub)) == 1
+    return sum(1 for comp in rep.components if not full.issuperset(comp)) <= 1
 
 
 def _check_alpha_prime_class(graph: CoprimeGraph, rep: AnalysisReport) -> bool:
@@ -270,20 +270,37 @@ def default_catalog_path() -> Path:
 
 
 def load_catalog(path: str | Path | None = None) -> list[CatalogEntry]:
-    """Load catalog entries from a JSON file (the shipped one by default)."""
+    """Load catalog entries from a JSON file (the shipped one by default).
+
+    The file is a list of entries or an object whose ``entries`` is one.  An
+    entry is an object with a string ``spec`` and optionally an integer or
+    null ``order``, a string ``note`` and an object ``expect``.  Any other
+    shape raises ValueError naming the entry index.
+    """
     p = Path(path) if path is not None else default_catalog_path()
     data = json.loads(p.read_text())
-    entries = data["entries"] if isinstance(data, dict) else data
+    entries = data.get("entries") if isinstance(data, dict) else data
+    if not isinstance(entries, list):
+        raise ValueError(f"{p}: expected a list of entries or an object with an 'entries' list")
     out = []
-    for raw in entries:
-        out.append(
-            CatalogEntry(
-                spec=raw["spec"],
-                order=raw.get("order"),
-                note=raw.get("note", ""),
-                expect=raw.get("expect", {}),
-            )
+    for i, raw in enumerate(entries):
+        if not isinstance(raw, dict):
+            raise ValueError(f"{p}: catalog entry {i} is not an object")
+        entry = CatalogEntry(
+            spec=raw.get("spec"),
+            order=raw.get("order"),
+            note=raw.get("note", ""),
+            expect=raw.get("expect", {}),
         )
+        if not isinstance(entry.spec, str):
+            raise ValueError(f"{p}: catalog entry {i} needs a string 'spec'")
+        if entry.order is not None and type(entry.order) is not int:
+            raise ValueError(f"{p}: catalog entry {i}: 'order' must be an integer or null")
+        if not isinstance(entry.note, str):
+            raise ValueError(f"{p}: catalog entry {i}: 'note' must be a string")
+        if not isinstance(entry.expect, dict):
+            raise ValueError(f"{p}: catalog entry {i}: 'expect' must be an object")
+        out.append(entry)
     return out
 
 

@@ -125,6 +125,22 @@ def chi_oracle(adj) -> int:
     return chi[full]
 
 
+def dsatur_color_count(adj) -> int:
+    """Colours used by the DSATUR greedy rule: colour next the uncoloured
+    vertex with the most distinct neighbour colours, then the highest degree,
+    then the lowest index, with the lowest colour free at it."""
+    n = len(adj)
+    colors = [-1] * n
+    for _ in range(n):
+        v = max(
+            (u for u in range(n) if colors[u] < 0),
+            key=lambda u: (len({colors[w] for w in adj[u]} - {-1}), len(adj[u]), -u),
+        )
+        used = {colors[w] for w in adj[v]}
+        colors[v] = next(c for c in range(n) if c not in used)
+    return max(colors, default=-1) + 1
+
+
 def has_induced_claw(adj) -> bool:
     """Whether some vertex has three pairwise non-adjacent neighbors, i.e.
     whether the graph contains K_{1,3} as an induced subgraph."""

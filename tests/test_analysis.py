@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coprimegraph import analysis
 from coprimegraph.analysis import (
     INFINITE,
     ExactCapExceeded,
@@ -19,18 +20,27 @@ from coprimegraph.analysis import (
     contains_complete_bipartite,
     girth,
     independence_number,
+    is_bipartite,
     is_planar,
     is_unicyclic,
+    maximum_clique,
     shape_predicates,
     small_graph_isomorphic,
     verify_kuratowski_witness,
     verify_rotation_system,
 )
 from coprimegraph.coprime import build, build_cyclic
+from coprimegraph.embedding import SimpleGraph
 from coprimegraph.groups import NAMED_GROUPS, make_dihedral, parse_group_spec
 from coprimegraph.lattice import all_subgroups
-from coprimegraph.theorems import load_catalog
-from helpers import alpha_oracle, chi_oracle, min_vertex_cover_oracle, omega_oracle
+from coprimegraph.theorems import CatalogEntry, evaluate_entry, load_catalog
+from helpers import (
+    alpha_oracle,
+    chi_oracle,
+    dsatur_color_count,
+    min_vertex_cover_oracle,
+    omega_oracle,
+)
 
 
 def adj_of(edges, n):
@@ -125,6 +135,12 @@ ORACLE_GRAPHS += [
 ]
 for _n in (4, 6, 8, 9, 10, 12, 16, 30, 36, 60):
     ORACLE_GRAPHS.append([set(s) for s in build_cyclic(_n).adj])
+# DSATUR's greedy colouring uses 4 colours here but chi = omega = 3, so the
+# colourability search must succeed below the greedy count
+DSATUR_GAP = adj_of(
+    [(0, 4), (0, 5), (0, 6), (1, 2), (1, 3), (1, 6), (2, 3), (2, 4), (3, 6), (4, 5)], 7
+)
+ORACLE_GRAPHS.append(DSATUR_GAP)
 
 
 @pytest.mark.parametrize("idx", range(len(ORACLE_GRAPHS)))
@@ -153,6 +169,20 @@ def test_report_internal_consistency(idx):
         assert not rep.planarity.planar
 
 
+def test_dsatur_gap_graph_is_colored_below_the_greedy_count(monkeypatch):
+    assert dsatur_color_count(DSATUR_GAP) == 4
+    tried = []
+    search = analysis._k_colorable
+
+    def recording(adj, k):
+        tried.append(k)
+        return search(adj, k)
+
+    monkeypatch.setattr(analysis, "_k_colorable", recording)
+    assert clique_number(DSATUR_GAP) == chromatic_number(DSATUR_GAP) == 3
+    assert tried == [3]
+
+
 def test_null_graph_invariants():
     adj = adj_of([], 4)
     assert independence_number(adj) == 4
@@ -174,6 +204,88 @@ def test_exact_cap_raises():
         independence_number(adj, cap=64)
     with pytest.raises(ExactCapExceeded):
         chromatic_number(adj, cap=64)
+
+
+def test_analyze_checks_the_exact_cap_before_any_work(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("ran before the exact cap was checked")
+
+    monkeypatch.setattr(analysis, "girth", fail)
+    monkeypatch.setattr(analysis, "component_diameter", fail)
+    g = build_cyclic(420)
+    n = g.n_vertices
+    with pytest.raises(ExactCapExceeded, match=f"^{n} vertices exceed the exact-solver cap {n - 1}$"):
+        analyze(g, exact_cap=n - 1)
+
+
+# one adjacency per graph
+
+
+@pytest.fixture
+def adjacency_calls(monkeypatch):
+    """Graphs handed to adjacency_sets, the only builder of an adjacency."""
+    calls = []
+    build_sets = analysis.adjacency_sets
+
+    def counting(g):
+        calls.append(g)
+        return build_sets(g)
+
+    monkeypatch.setattr(analysis, "adjacency_sets", counting)
+    return calls
+
+
+@pytest.mark.parametrize("n", [4, 30, 210])
+def test_analyze_builds_the_adjacency_once(adjacency_calls, n):
+    analyze(build_cyclic(n))
+    assert len(adjacency_calls) == 1
+
+
+def test_catalog_entry_builds_the_adjacency_once(adjacency_calls):
+    rows = evaluate_entry(CatalogEntry(spec="S3xS3", order=36))
+    assert rows and all(r.passed for r in rows)
+    assert len(adjacency_calls) == 1
+
+
+INVARIANTS = {
+    "girth": girth,
+    "is_bipartite": is_bipartite,
+    "maximum_clique": maximum_clique,
+    "clique_number": clique_number,
+    "independence_number": independence_number,
+    "chromatic_number": chromatic_number,
+    "is_planar": is_planar,
+    "is_unicyclic": is_unicyclic,
+    "classify_shape": classify_shape,
+    "shape_predicates": shape_predicates,
+    "contains_complete_bipartite": lambda g: [
+        contains_complete_bipartite(g, a, b)
+        for a, b in ((1, 2), (1, 3), (1, 4), (2, 2), (2, 3), (3, 3), (3, 4))
+    ],
+    "analyze": lambda g: analyze(g).to_json_dict() | {"source": None, "vertex_orders": None},
+}
+
+
+@pytest.mark.parametrize("spec", ["Z:30", "Z:210", "A4", "D:6", "Z:16"])
+def test_invariants_agree_on_every_graph_form(spec):
+    graph = build(parse_group_spec(spec))
+    forms = [
+        graph,
+        adjacency_sets(graph),
+        SimpleGraph.from_edges(graph.n_vertices, graph.edges()),
+    ]
+    for name, invariant in INVARIANTS.items():
+        values = [invariant(form) for form in forms]
+        assert all(value == values[0] for value in values[1:]), (spec, name)
+    assert all(small_graph_isomorphic(f1, f2) for f1 in forms for f2 in forms), spec
+    cert = is_planar(graph)
+    for form in forms:
+        if cert.planar:
+            rotation = {v: list(nbrs) for v, nbrs in enumerate(cert.rotation)}
+            assert verify_rotation_system(form, rotation), spec
+        else:
+            found = verify_kuratowski_witness(form, list(cert.witness_edges))
+            assert found == (cert.witness_kind, cert.witness_branch_vertices), spec
 
 
 # planarity certificates

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from coprimegraph.cli import main
 
 
@@ -129,6 +131,30 @@ def test_verify_empty_catalog_warns_and_exits_0(tmp_path, capsys):
     code, _, err = run(capsys, "verify", "--catalog", str(catalog))
     assert code == 0
     assert "0 entries" in err
+
+
+MALFORMED_CATALOGS = {
+    "entry-without-spec": ('{"entries":[{}]}', "'spec'"),
+    "entries-not-objects": ("[1,2]", "not an object"),
+    "order-not-an-integer": ('{"entries":[{"spec":"Q8","order":"8"}]}', "'order'"),
+}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["verify"], ["verify", "--jobs", "2"], ["catalog"]],
+    ids=["verify", "verify-jobs-2", "catalog"],
+)
+@pytest.mark.parametrize("probe", sorted(MALFORMED_CATALOGS))
+def test_malformed_catalog_exits_2(tmp_path, capsys, argv, probe):
+    text, reason = MALFORMED_CATALOGS[probe]
+    catalog = tmp_path / "malformed.json"
+    catalog.write_text(text)
+    code, out, err = run(capsys, *argv, "--catalog", str(catalog))
+    assert code == 2
+    assert out == ""
+    assert "catalog entry 0" in err and reason in err
+    assert "Traceback" not in err
 
 
 def test_verify_jobs_flag(capsys):

@@ -2,7 +2,13 @@
 
 import json
 
+import networkx as nx
+import pytest
+
+from coprimegraph.analysis import analyze
+from coprimegraph.coprime import CoprimeGraph, GraphVertex, build
 from coprimegraph.groups import make_cyclic, parse_group_spec
+from coprimegraph.lattice import pi
 from coprimegraph.theorems import (
     AUTO_CHECKS,
     CatalogEntry,
@@ -99,6 +105,44 @@ def test_auto_checks_cover_the_structural_statements():
     } <= set(AUTO_CHECKS)
 
 
+def _rest_is_one_block(graph) -> bool:
+    """The slow path: every full-support vertex is isolated and the induced
+    subgraph on the other vertices has at most one component."""
+    full = {v.vid for v in graph.vertices if pi(v.order) == graph.parent_primes()}
+    if any(graph.degree(v) for v in full):
+        return False
+    rest = nx.Graph()
+    rest.add_nodes_from(v for v in range(graph.n_vertices) if v not in full)
+    rest.add_edges_from((u, v) for u, v in graph.edges() if u in rest and v in rest)
+    return nx.number_connected_components(rest) <= 1
+
+
+def _hand_graph(parent_order, orders, edges):
+    adj = [set() for _ in orders]
+    for u, v in edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    vertices = [GraphVertex(vid, order) for vid, order in enumerate(orders)]
+    return CoprimeGraph("hand", parent_order, vertices, [frozenset(s) for s in adj])
+
+
+def test_full_support_isolation_check_matches_induced_subgraph_oracle():
+    graphs = [build(parse_group_spec(spec)) for spec in ("Z:60", "Z:30", "S3xS3", "D:6", "Z:8")]
+    graphs += [
+        _hand_graph(30, [30, 2, 3], []),  # rest {2, 3} is two blocks
+        _hand_graph(30, [30, 2, 3], [(1, 2)]),
+        _hand_graph(30, [30, 2, 3, 6, 5], [(1, 2), (3, 4)]),  # two edges, two blocks
+        _hand_graph(30, [30, 5], [(0, 1)]),  # full-support vertex not isolated
+        _hand_graph(30, [30, 30], []),  # nothing but full-support vertices
+    ]
+    verdicts = []
+    for graph in graphs:
+        got = AUTO_CHECKS["full-support-vertices-isolated"](graph, analyze(graph))
+        assert got == _rest_is_one_block(graph), graph.source
+        verdicts.append(got)
+    assert verdicts == [True] * 5 + [False, True, False, False, True]
+
+
 def test_parallel_jobs_match_serial():
     entries = load_catalog()[:8]
     serial = run_catalog(catalog=entries)
@@ -160,6 +204,34 @@ def test_embedding_theorem_driver_small():
     assert len(report.rows) == 6
     exhaustive = {r.group: r for r in report.rows[:5]}
     assert "all-1024-graphs-on-5-vertices" in exhaustive
+
+
+@pytest.mark.parametrize(
+    "bad,reason",
+    [
+        ({"note": "no spec"}, "'spec'"),
+        ({"spec": 36}, "'spec'"),
+        ({"spec": "Z:36", "order": True}, "'order'"),
+        ({"spec": "Z:36", "note": 1}, "'note'"),
+        ({"spec": "Z:36", "expect": []}, "'expect'"),
+        ("Z:36", "not an object"),
+    ],
+)
+def test_load_catalog_names_the_malformed_entry(tmp_path, bad, reason):
+    path = tmp_path / "catalog.json"
+    good = {"spec": "Z:6", "order": None, "note": "", "expect": {}}
+    path.write_text(json.dumps({"entries": [good, good, bad]}))
+    with pytest.raises(ValueError, match="catalog entry 2") as info:
+        load_catalog(path)
+    assert reason in str(info.value)
+
+
+@pytest.mark.parametrize("payload", [{"entries": {}}, {"specs": []}, "Z:6", 3])
+def test_load_catalog_rejects_a_file_without_an_entry_list(tmp_path, payload):
+    path = tmp_path / "catalog.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match="'entries' list"):
+        load_catalog(path)
 
 
 def test_default_catalog_path_exists():
