@@ -10,7 +10,6 @@ exactly or verify the whole classification catalog::
 
 from .analysis import (
     AnalysisReport,
-    ExactCapExceeded,
     PlanarityCertificate,
     ShapeDescriptor,
     analyze,
@@ -29,7 +28,6 @@ from .analysis import (
 )
 from .coprime import (
     CoprimeGraph,
-    UndefinedCoprimeGraphError,
     build,
     build_cyclic,
     degree_formula,
@@ -38,18 +36,28 @@ from .coprime import (
 )
 from .embedding import (
     EmbeddingCertificate,
-    MisCapExceeded,
     SimpleGraph,
     embed,
     maximal_independent_sets,
     parse_edge_list,
     verify_embedding,
 )
-from .groups import (
-    FiniteGroup,
+from .errors import (
+    CapExceeded,
+    CatalogError,
+    CertificateError,
+    CoprimeGraphError,
+    EdgeListError,
+    ExactCapExceeded,
     GroupConstructionError,
+    InputError,
+    MisCapExceeded,
     OrderCapExceeded,
     SpecParseError,
+    UndefinedCoprimeGraphError,
+)
+from .groups import (
+    FiniteGroup,
     check_group_axioms,
     make_cyclic,
     make_dihedral,
@@ -58,6 +66,7 @@ from .groups import (
     make_permutation_group,
     make_semidirect_cyclic,
     parse_group_spec,
+    spec_order,
 )
 from .lattice import (
     Subgroup,

@@ -16,16 +16,14 @@ from itertools import combinations
 
 import networkx as nx
 
+from .errors import CertificateError, ExactCapExceeded
+
 INFINITE = math.inf
 
 DEFAULT_EXACT_CAP = 64
 ISO_CAP = 16
 
 FORBIDDEN_PATTERNS = ("K12", "K13", "K14", "K22", "K23", "K33", "K5")
-
-
-class ExactCapExceeded(RuntimeError):
-    """The graph is larger than the configured exact-solver cap."""
 
 
 def adjacency_sets(g) -> list[set[int]]:
@@ -438,7 +436,7 @@ def is_planar(g) -> PlanarityCertificate:
         data = embedding.get_data()
         rotation = {v: list(data.get(v, [])) for v in range(n)}
         if not verify_rotation_system(adj, rotation):
-            raise AssertionError("planar embedding failed the Euler face check")
+            raise CertificateError("planar embedding failed the Euler face check")
         return PlanarityCertificate(
             planar=True,
             rotation=tuple(tuple(rotation[v]) for v in range(n)),
@@ -453,7 +451,7 @@ def is_planar(g) -> PlanarityCertificate:
         witness = sorted((min(u, x), max(u, x)) for u in left for x in right)
     verdict = verify_kuratowski_witness(adj, witness)
     if verdict is None:
-        raise AssertionError("nonplanarity witness failed subdivision validation")
+        raise CertificateError("nonplanarity witness failed subdivision validation")
     kind, branch = verdict
     return PlanarityCertificate(
         planar=False,

@@ -1,8 +1,14 @@
 """Command-line front end: analyze groups, export graphs, verify the catalog,
 embed arbitrary graphs.
 
-Exit codes: 0 success, 1 verification failure, 2 parse error, 3 undefined
-coprime graph (trivial or prime-order group), 4 size cap exceeded.
+The spec grammar and its order cap live in ``groups``, the undefined-graph
+rule in ``coprime``, and each error's exit code in ``errors``; this module
+dispatches and prints.  Exit codes: 0 success; 1 a failed verification or a
+certificate that failed its re-check (CertificateError); 2 bad input
+(InputError: spec, group parameters, catalog file, edge list) or an
+unreadable file (OSError); 3 undefined coprime graph, for trivial and
+prime-order groups (UndefinedCoprimeGraphError); 4 a size cap
+(CapExceeded).  Any other exception is a bug and ends in a traceback.
 """
 
 from __future__ import annotations
@@ -14,29 +20,14 @@ import sys
 from pathlib import Path
 
 from . import theorems
-from .analysis import DEFAULT_EXACT_CAP, ExactCapExceeded, analyze
-from .coprime import (
-    CoprimeGraph,
-    UndefinedCoprimeGraphError,
-    build,
-    build_cyclic,
-    graph_json,
-    to_dot,
-)
-from .embedding import MisCapExceeded, embed, parse_edge_list
-from .groups import (
-    DEFAULT_MAX_ORDER,
-    OrderCapExceeded,
-    SpecParseError,
-    parse_group_spec,
-)
-from .lattice import is_prime
+from .analysis import DEFAULT_EXACT_CAP, analyze, is_planar
+from .coprime import CoprimeGraph, build, build_cyclic, graph_json, to_dot
+from .embedding import embed, parse_edge_list
+from .errors import CoprimeGraphError, InputError
+from .groups import DEFAULT_MAX_ORDER, cyclic_spec_order, parse_group_spec
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
-EXIT_PARSE_ERROR = 2
-EXIT_UNDEFINED = 3
-EXIT_CAP_EXCEEDED = 4
 
 def _env_cap(name: str, fallback: int) -> int:
     """Flag defaults honor COPRIMEGRAPH_MAX_ORDER / COPRIMEGRAPH_EXACT_CAP."""
@@ -73,24 +64,10 @@ def _write_output(text: str, out: str | None) -> None:
 
 def _graph_for_spec(spec: str, max_order: int) -> CoprimeGraph:
     """Build P(G); plain cyclic specs take the divisor fast path."""
-    text = spec.strip()
-    if text.startswith("Z:"):
-        try:
-            n = int(text[2:])
-        except ValueError:
-            raise SpecParseError(f"expected integer for cyclic order, got {text!r}") from None
-        if n < 1:
-            raise SpecParseError(f"cyclic order must be positive, got {n}")
-        if n == 1 or is_prime(n):
-            raise UndefinedCoprimeGraphError(
-                f"Z{n}: the coprime graph is undefined for trivial and "
-                f"prime-order groups (order {n})"
-            )
+    n = cyclic_spec_order(spec)
+    if n is not None:
         return build_cyclic(n)
-    group = parse_group_spec(text, max_order)
-    if group.order > max_order:
-        raise OrderCapExceeded(f"group order {group.order} exceeds --max-order {max_order}")
-    return build(group, max_order=max_order)
+    return build(parse_group_spec(spec, max_order), max_order=max_order)
 
 
 def _render_report_table(rep) -> str:
@@ -140,7 +117,7 @@ def cmd_export(args) -> int:
     if args.format == "json":
         text = json.dumps(graph_json(graph), indent=2, sort_keys=True) + "\n"
     else:
-        cert = analyze(graph, exact_cap=max(args.exact_cap, graph.n_vertices)).planarity
+        cert = is_planar(graph)
         if cert.planar:
             comments = ["rotation system (clockwise neighbor order per vertex)"]
             for v, nbrs in enumerate(cert.rotation):
@@ -174,7 +151,7 @@ def cmd_verify(args) -> int:
     _write_output(text, args.out)
     if not report.ok():
         sys.stderr.write(
-            f"verification failed: {report.n_fail} of {len(report.rows)} checks\n"
+            f"error: verification failed: {report.n_fail} of {len(report.rows)} checks\n"
         )
         for row in report.failures()[:20]:
             sys.stderr.write(
@@ -187,10 +164,10 @@ def cmd_verify(args) -> int:
 
 def cmd_embed(args) -> int:
     if args.input == "-":
-        text = sys.stdin.read()
+        data = sys.stdin.buffer.read()
     else:
-        text = Path(args.input).read_text()
-    graph = parse_edge_list(text)
+        data = Path(args.input).read_bytes()
+    graph = parse_edge_list(data)
     cert = embed(graph, cap=args.mis_cap)
     payload = json.dumps(cert.to_json_dict(), indent=2, sort_keys=True) + "\n"
     _write_output(payload, args.out)
@@ -251,7 +228,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("spec")
     common(p, ("dot", "json"), "dot")
     p.add_argument("--max-order", type=int, default=max_order_default)
-    p.add_argument("--exact-cap", type=int, default=exact_cap_default)
     p.set_defaults(func=cmd_export)
 
     p = sub.add_parser("verify", help="run the verification catalog")
@@ -289,18 +265,12 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (SpecParseError, ValueError) as exc:
-        if isinstance(exc, UndefinedCoprimeGraphError):
-            sys.stderr.write(f"error: {exc}\n")
-            return EXIT_UNDEFINED
+    except CoprimeGraphError as exc:
         sys.stderr.write(f"error: {exc}\n")
-        return EXIT_PARSE_ERROR
-    except (OrderCapExceeded, ExactCapExceeded, MisCapExceeded) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_CAP_EXCEEDED
+        return exc.exit_code
     except OSError as exc:
         sys.stderr.write(f"error: {exc}\n")
-        return EXIT_PARSE_ERROR
+        return InputError.exit_code
 
 
 if __name__ == "__main__":

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
+from .errors import UndefinedCoprimeGraphError
 from .groups import DEFAULT_MAX_ORDER, FiniteGroup
 from .lattice import (
     Subgroup,
@@ -22,10 +23,6 @@ from .lattice import (
     pi,
     proper_nontrivial,
 )
-
-
-class UndefinedCoprimeGraphError(ValueError):
-    """The coprime graph is undefined for the trivial group and prime orders."""
 
 
 @dataclass(frozen=True)
@@ -88,6 +85,15 @@ def _graph_from_orders(
     return CoprimeGraph(source, parent_order, vertices, [frozenset(s) for s in adjacency])
 
 
+def _require_defined(name: str, order: int) -> None:
+    """The graph needs a proper nontrivial subgroup: none for order 1 or a prime."""
+    if order < 2 or is_prime(order):
+        raise UndefinedCoprimeGraphError(
+            f"{name}: the coprime graph is undefined for trivial and "
+            f"prime-order groups (order {order})"
+        )
+
+
 def build(
     group: FiniteGroup,
     subgroups: SubgroupList | None = None,
@@ -98,11 +104,7 @@ def build(
     Rejects the trivial group and groups of prime order, whose graphs have no
     vertex set.
     """
-    if group.order == 1 or is_prime(group.order):
-        raise UndefinedCoprimeGraphError(
-            f"{group.name}: the coprime graph is undefined for trivial and "
-            f"prime-order groups (order {group.order})"
-        )
+    _require_defined(group.name, group.order)
     lattice = subgroups if subgroups is not None else all_subgroups(group, max_order)
     verts = proper_nontrivial(lattice)
     return _graph_from_orders(
@@ -116,10 +118,7 @@ def build_cyclic(n: int) -> CoprimeGraph:
     Z_n has exactly one subgroup per divisor, so the proper divisors
     1 < d < n, with coprimality adjacency, are the whole graph.
     """
-    if n < 4 or is_prime(n):
-        raise UndefinedCoprimeGraphError(
-            f"build_cyclic needs composite n >= 4, got {n}"
-        )
+    _require_defined(f"Z{n}", n)
     labels = [d for d in divisors(n) if 1 < d < n]
     return _graph_from_orders(f"Z{n}", n, labels)
 

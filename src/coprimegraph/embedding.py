@@ -13,9 +13,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import gcd, lcm
 
-
-class MisCapExceeded(RuntimeError):
-    """The vertex count exceeds the configured enumeration cap."""
+from .errors import CertificateError, EdgeListError, MisCapExceeded
 
 
 @dataclass(frozen=True)
@@ -30,9 +28,9 @@ class SimpleGraph:
         norm = set()
         for u, v in edges:
             if u == v:
-                raise ValueError(f"loop at vertex {u} is not allowed")
+                raise EdgeListError(f"loop at vertex {u} is not allowed")
             if not (0 <= u < n_vertices and 0 <= v < n_vertices):
-                raise ValueError(f"edge ({u},{v}) out of range 0..{n_vertices - 1}")
+                raise EdgeListError(f"edge ({u},{v}) out of range 0..{n_vertices - 1}")
             norm.add((min(u, v), max(u, v)))
         return SimpleGraph(n_vertices=n_vertices, edges=frozenset(norm))
 
@@ -149,7 +147,7 @@ def embed(g: SimpleGraph, cap: int = DEFAULT_MIS_CAP) -> EmbeddingCertificate:
     for v in range(g.n_vertices):
         sup = tuple(i for i, s in enumerate(mis) if v in s)
         if not sup:
-            raise AssertionError(f"vertex {v} missed by all maximal independent sets")
+            raise CertificateError(f"vertex {v} missed by all maximal independent sets")
         support.append(sup)
     rank: dict[tuple[int, ...], int] = {}
     labels = []
@@ -170,7 +168,7 @@ def embed(g: SimpleGraph, cap: int = DEFAULT_MIS_CAP) -> EmbeddingCertificate:
         modulus=modulus,
     )
     if not verify_embedding(g, cert):
-        raise AssertionError(f"embedding certificate failed self-verification: {cert}")
+        raise CertificateError(f"embedding certificate failed self-verification: {cert}")
     return cert
 
 
@@ -197,12 +195,18 @@ def verify_embedding(g: SimpleGraph, cert: EmbeddingCertificate) -> bool:
     return True
 
 
-def parse_edge_list(text: str) -> SimpleGraph:
+def parse_edge_list(text: str | bytes) -> SimpleGraph:
     """Parse the edge-list format: one "u v" pair per line, 0-indexed.
 
     Blank lines and '#' comments are ignored; an optional header "n <count>"
     fixes the vertex count, which otherwise is inferred as max id + 1.
+    Bytes are read as UTF-8.
     """
+    if isinstance(text, bytes):
+        try:
+            text = text.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise EdgeListError(f"not UTF-8 text: {exc}") from None
     edges = []
     declared = None
     max_id = -1
@@ -212,21 +216,21 @@ def parse_edge_list(text: str) -> SimpleGraph:
             continue
         parts = line.split()
         if parts[0] == "n":
-            if len(parts) != 2 or not parts[1].isdigit():
-                raise ValueError(f"line {lineno}: header must be 'n <count>'")
+            if len(parts) != 2 or not parts[1].isdecimal():
+                raise EdgeListError(f"line {lineno}: header must be 'n <count>'")
             declared = int(parts[1])
             continue
         if len(parts) != 2:
-            raise ValueError(f"line {lineno}: expected 'u v', got {raw!r}")
+            raise EdgeListError(f"line {lineno}: expected 'u v', got {raw!r}")
         try:
             u, v = int(parts[0]), int(parts[1])
         except ValueError:
-            raise ValueError(f"line {lineno}: expected integers, got {raw!r}") from None
+            raise EdgeListError(f"line {lineno}: expected integers, got {raw!r}") from None
         if u < 0 or v < 0:
-            raise ValueError(f"line {lineno}: vertex ids must be nonnegative")
+            raise EdgeListError(f"line {lineno}: vertex ids must be nonnegative")
         edges.append((u, v))
         max_id = max(max_id, u, v)
     n = declared if declared is not None else max_id + 1
     if n < 1:
-        raise ValueError("edge list defines no vertices")
+        raise EdgeListError("edge list defines no vertices")
     return SimpleGraph.from_edges(n, edges)

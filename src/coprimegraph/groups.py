@@ -7,23 +7,13 @@ lists, graph exports) are reproducible.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from math import gcd
 
+from .errors import GroupConstructionError, OrderCapExceeded, SpecParseError
+
 DEFAULT_MAX_ORDER = 2048
-
-
-class GroupConstructionError(ValueError):
-    """Constructor parameters do not define a group."""
-
-
-class OrderCapExceeded(RuntimeError):
-    """A construction or enumeration exceeded its configured size bound."""
-
-
-class SpecParseError(ValueError):
-    """A group spec string does not match the grammar."""
-
 
 @dataclass(frozen=True)
 class FiniteGroup:
@@ -401,6 +391,100 @@ def _parse_perm_gen(text: str, degree: int) -> tuple[int, ...]:
     return tuple(perm)
 
 
+def cyclic_spec_order(text: str) -> int | None:
+    """n for a "Z:n" spec, None for any other spec.
+
+    The parser and the cyclic fast path, which builds P(Z_n) from the
+    divisors of n without a table, both read "Z:n" here.
+    """
+    s = text.strip()
+    if not s.startswith("Z:"):
+        return None
+    n = _parse_int(s[2:], "cyclic order")
+    if n < 1:
+        raise SpecParseError(f"cyclic order must be positive, got {n}")
+    return n
+
+
+def _check_order(order: int | None, text: str, max_order: int) -> None:
+    if order is not None and order > max_order:
+        raise OrderCapExceeded(f"{text}: group order {order} exceeds the bound {max_order}")
+
+
+@dataclass(frozen=True)
+class _Spec:
+    """A parsed spec: the order its text fixes, and how to build its table.
+
+    ``order`` is None where only the construction can tell: named groups,
+    PERM closures and products with one of those as a factor.  ``make``
+    takes the order cap, which a PERM closure enforces as it grows.
+    """
+
+    text: str
+    order: int | None
+    make: Callable[[int], FiniteGroup]
+
+    def build(self, max_order: int) -> FiniteGroup:
+        _check_order(self.order, self.text, max_order)
+        return self.make(max_order)
+
+
+def _parse_product(s: str) -> _Spec:
+    parts = _split_top_level(s[2:-1])
+    # commas inside SD and PERM specs also appear at the top level, so try
+    # each split point and take the first that parses on both sides
+    for cut in range(1, len(parts)):
+        try:
+            left = _parse(",".join(parts[:cut]))
+            right = _parse(",".join(parts[cut:]))
+        except SpecParseError:
+            continue
+        break
+    else:
+        raise SpecParseError(f"X needs exactly two factors, got {s!r}")
+
+    def make(max_order: int) -> FiniteGroup:
+        g, h = left.build(max_order), right.build(max_order)
+        _check_order(g.order * h.order, s, max_order)
+        return make_direct_product(g, h)
+
+    known = left.order is not None and right.order is not None
+    return _Spec(s, left.order * right.order if known else None, make)
+
+
+def _parse(text: str) -> _Spec:
+    """The grammar, without building anything."""
+    s = text.strip()
+    if not s:
+        raise SpecParseError("empty group spec")
+    if s in NAMED_GROUPS:
+        return _Spec(s, None, lambda _cap: NAMED_GROUPS[s]())
+    n = cyclic_spec_order(s)
+    if n is not None:
+        return _Spec(s, n, lambda _cap: make_cyclic(n))
+    if s.startswith("D:"):
+        n = _parse_int(s[2:], "dihedral parameter")
+        return _Spec(s, 2 * n, lambda _cap: make_dihedral(n))
+    if s.startswith("SD:"):
+        args = s[3:].split(",")
+        if len(args) != 3:
+            raise SpecParseError(f"SD needs m,k,i, got {s!r}")
+        m, k, i = (_parse_int(a, "semidirect parameter") for a in args)
+        return _Spec(s, m * k, lambda _cap: make_semidirect_cyclic(m, k, i))
+    if s.startswith("X(") and s.endswith(")"):
+        return _parse_product(s)
+    if s.startswith("PERM:"):
+        head, sep, gen_text = s[5:].partition(":")
+        if not sep:
+            raise SpecParseError(f"PERM needs PERM:degree:gens, got {s!r}")
+        degree = _parse_int(head, "permutation degree")
+        if degree < 1:
+            raise SpecParseError(f"degree must be positive, got {degree}")
+        gens = [_parse_perm_gen(g, degree) for g in _split_top_level(gen_text)]
+        return _Spec(s, None, lambda cap: make_permutation_group(degree, gens, max_order=cap))
+    raise SpecParseError(f"unrecognized group spec {text!r}")
+
+
 def parse_group_spec(text: str, max_order: int = DEFAULT_MAX_ORDER) -> FiniteGroup:
     """Parse the group spec grammar used by the CLI and the catalog.
 
@@ -410,49 +494,22 @@ def parse_group_spec(text: str, max_order: int = DEFAULT_MAX_ORDER) -> FiniteGro
         gen   := cycle ("x" cycle)*     e.g.  [0 1 2]  or  [0 1]x[2 3]
     NAME is one of the registered named groups (A4, Q8, S3xS3, ...).
     "D:n" builds the dihedral group of order 2n.
+
+    A group above ``max_order`` raises OrderCapExceeded before its table is
+    built whenever the text fixes the order (see ``spec_order``); a PERM
+    closure stops as soon as it passes the cap.
     """
-    s = text.strip()
-    if not s:
-        raise SpecParseError("empty group spec")
-    if s in NAMED_GROUPS:
-        return NAMED_GROUPS[s]()
+    spec = _parse(text)
     try:
-        if s.startswith("Z:"):
-            return make_cyclic(_parse_int(s[2:], "cyclic order"))
-        if s.startswith("D:"):
-            return make_dihedral(_parse_int(s[2:], "dihedral parameter"))
-        if s.startswith("SD:"):
-            args = s[3:].split(",")
-            if len(args) != 3:
-                raise SpecParseError(f"SD needs m,k,i, got {s!r}")
-            m, k, i = (_parse_int(a, "semidirect parameter") for a in args)
-            return make_semidirect_cyclic(m, k, i)
-        if s.startswith("X(") and s.endswith(")"):
-            parts = _split_top_level(s[2:-1])
-            if len(parts) < 2:
-                raise SpecParseError(f"X needs exactly two factors, got {s!r}")
-            # commas inside SD specs also appear at the top level, so try each
-            # split point and take the first that parses on both sides
-            for cut in range(1, len(parts)):
-                left_text = ",".join(parts[:cut])
-                right_text = ",".join(parts[cut:])
-                try:
-                    left = parse_group_spec(left_text, max_order)
-                    right = parse_group_spec(right_text, max_order)
-                except SpecParseError:
-                    continue
-                return make_direct_product(left, right)
-            raise SpecParseError(f"X needs exactly two factors, got {s!r}")
-        if s.startswith("PERM:"):
-            rest = s[5:]
-            head, sep, gen_text = rest.partition(":")
-            if not sep:
-                raise SpecParseError(f"PERM needs PERM:degree:gens, got {s!r}")
-            degree = _parse_int(head, "permutation degree")
-            if degree < 1:
-                raise SpecParseError(f"degree must be positive, got {degree}")
-            gens = [_parse_perm_gen(g, degree) for g in _split_top_level(gen_text)]
-            return make_permutation_group(degree, gens, max_order=max_order)
+        return spec.build(max_order)
     except GroupConstructionError as exc:
         raise SpecParseError(str(exc)) from exc
-    raise SpecParseError(f"unrecognized group spec {text!r}")
+
+
+def spec_order(text: str) -> int | None:
+    """The order of the group a spec names, read from the text alone.
+
+    "Z:n" gives n, "D:n" 2n, "SD:m,k,i" mk and "X(a,b)" |a||b|; None where
+    only the construction can tell (named groups and PERM closures).
+    """
+    return _parse(text).order

@@ -5,7 +5,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .groups import DEFAULT_MAX_ORDER, FiniteGroup, OrderCapExceeded
+from .errors import OrderCapExceeded
+from .groups import DEFAULT_MAX_ORDER, FiniteGroup
 
 
 def factorize(n: int) -> list[tuple[int, int]]:
@@ -64,24 +65,6 @@ class SubgroupList:
     parent_order: int
     all: list[Subgroup]
     counts_by_order: dict[int, int]
-
-    def counts_json(self) -> dict[str, int]:
-        return {str(k): v for k, v in sorted(self.counts_by_order.items())}
-
-
-def is_closed_subgroup(group: FiniteGroup, elements: frozenset[int]) -> bool:
-    """Predicate: contains the identity, closed under product and inverse."""
-    if group.identity not in elements:
-        return False
-    table = group.table
-    for a in elements:
-        row = table[a]
-        if row.index(group.identity) not in elements:
-            return False
-        for b in elements:
-            if row[b] not in elements:
-                return False
-    return True
 
 
 def _generate(table, identity: int, gens, order: int) -> frozenset[int] | None:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import concurrent.futures
 import json
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from importlib import resources
 from itertools import combinations
@@ -22,7 +23,8 @@ from pathlib import Path
 from .analysis import INFINITE, AnalysisReport, analyze
 from .coprime import CoprimeGraph, build, build_cyclic, degree_formula
 from .embedding import SimpleGraph, embed, verify_embedding
-from .groups import DEFAULT_MAX_ORDER, parse_group_spec
+from .errors import CatalogError, CoprimeGraphError
+from .groups import DEFAULT_MAX_ORDER, parse_group_spec, spec_order
 from .lattice import all_subgroups, is_prime, pi
 
 DEFAULT_CATALOG_MAX_ORDER = 200
@@ -178,12 +180,52 @@ def _check_full_support_isolated(graph: CoprimeGraph, rep: AnalysisReport) -> bo
     return sum(1 for comp in rep.components if not full.issuperset(comp)) <= 1
 
 
-def _check_alpha_prime_class(graph: CoprimeGraph, rep: AnalysisReport) -> bool:
-    classes = {
-        p: sum(1 for v in graph.vertices if v.order % p == 0)
-        for p in graph.parent_primes()
-    }
-    return rep.alpha == max(classes.values())
+def _max_intersecting_support_weight(orders: list[int]) -> int:
+    """Largest total weight of a pairwise-intersecting family of prime supports.
+
+    A vertex's support is the prime set of its order, and a support's weight
+    is the number of vertices whose order has exactly that support.  The
+    search includes or excludes each support in turn, heaviest first, and
+    cuts a branch once the weight still to come cannot beat the best family
+    found.  It is exponential in the number k of primes, since there are up
+    to 2^k - 1 supports: about 1.9 s at k = 5 (Z_2310, on a 2-vCPU VM).
+    ``verify`` builds groups of order at most 2048 < 2*3*5*7*11, so k <= 4
+    there.
+    """
+    weight = Counter(pi(order) for order in orders)
+    supports = sorted(weight, key=lambda s: (-weight[s], sorted(s)))
+    best = 0
+
+    def extend(i: int, family: tuple, total: int, rest: int) -> None:
+        nonlocal best
+        best = max(best, total)
+        if i == len(supports) or total + rest <= best:
+            return
+        s, w = supports[i], weight[supports[i]]
+        if all(s & t for t in family):
+            extend(i + 1, family + (s,), total + w, rest - w)
+        extend(i + 1, family, total, rest - w)
+
+    extend(0, (), 0, sum(weight.values()))
+    return best
+
+
+def _check_alpha_supports(graph: CoprimeGraph, rep: AnalysisReport) -> bool:
+    """Every prime class is independent, and alpha is the heaviest
+    intersecting family of supports.
+
+    Two vertices are non-adjacent exactly when their supports meet, and
+    vertices with the same support are pairwise non-adjacent, so a maximum
+    independent set is a union of whole support classes whose supports
+    pairwise intersect.  The class of a prime p (every vertex whose order p
+    divides) is one such family, so alpha is at least the largest class.
+    Equality is not a theorem: on Z_900 the 19 proper divisors divisible by
+    two of 2, 3 and 5 are pairwise non-coprime, while each prime class has 17.
+    """
+    largest_class = max(
+        sum(1 for order in graph.orders() if order % p == 0) for p in graph.parent_primes()
+    )
+    return largest_class <= rep.alpha == _max_intersecting_support_weight(graph.orders())
 
 
 def _check_prime_coloring(graph: CoprimeGraph, rep: AnalysisReport) -> bool:
@@ -202,12 +244,22 @@ def _check_prime_coloring(graph: CoprimeGraph, rep: AnalysisReport) -> bool:
     )
 
 
+def _check_core_not_cycle(graph: CoprimeGraph, rep: AnalysisReport) -> bool:
+    """The core (the graph less its isolated vertices) is never labelled a cycle.
+
+    ``classify_shape`` tries complete bipartite before cycle, so a C_4 core,
+    as on Z_36, reads as CompleteBipartite(2,2).  The check holds there by
+    that label precedence, not because the core is not a 4-cycle.
+    """
+    return rep.shape.kind != "Cycle"
+
+
 AUTO_CHECKS = {
     "k33-subgraph-implies-nonplanar": lambda graph, rep: not rep.forbidden["K33"]
     or not rep.planarity.planar,
     "girth-in-3-4-inf": lambda graph, rep: rep.girth in (3, 4, INFINITE),
     "whole-graph-not-a-cycle": lambda graph, rep: not rep.predicates["cycle"],
-    "core-shape-not-cycle": lambda graph, rep: rep.shape.kind != "Cycle",
+    "core-shape-not-cycle": _check_core_not_cycle,
     "clique-eq-prime-count-eq-chromatic": lambda graph, rep: rep.omega
     == len(graph.parent_primes())
     == rep.chi,
@@ -218,7 +270,7 @@ AUTO_CHECKS = {
     "connected-iff-no-full-support-subgroup": _check_connectivity,
     "connected-diameter-in-1-2-3": _check_diameter_range,
     "full-support-vertices-isolated": _check_full_support_isolated,
-    "independence-eq-max-prime-class": _check_alpha_prime_class,
+    "independence-eq-max-intersecting-supports": _check_alpha_supports,
     "smallest-prime-coloring-proper": _check_prime_coloring,
 }
 
@@ -230,8 +282,9 @@ def evaluate_entry(
 ) -> list[CheckRow]:
     """All automatic and data-driven checks for one catalog entry.
 
-    Constructor and cap failures become a single failing row instead of
-    aborting the suite.
+    The package's own errors (a bad spec, a cap, an undefined graph, a
+    failed certificate) become a single failing row instead of aborting the
+    suite; any other exception is a bug and propagates.
     """
     name = entry.spec
     try:
@@ -250,7 +303,7 @@ def evaluate_entry(
         lattice = all_subgroups(group, max_order)
         graph = build(group, lattice)
         rep = analyze(graph, exact_cap)
-    except Exception as exc:
+    except CoprimeGraphError as exc:
         return [CheckRow(name, "build", "ok", f"{type(exc).__name__}: {exc}", False)]
     rows = []
     for check_id, fn in AUTO_CHECKS.items():
@@ -274,18 +327,22 @@ def load_catalog(path: str | Path | None = None) -> list[CatalogEntry]:
 
     The file is a list of entries or an object whose ``entries`` is one.  An
     entry is an object with a string ``spec`` and optionally an integer or
-    null ``order``, a string ``note`` and an object ``expect``.  Any other
-    shape raises ValueError naming the entry index.
+    null ``order``, a string ``note`` and an object ``expect``.  A file that
+    is not UTF-8 JSON, or any other shape, raises CatalogError (a ValueError)
+    naming the file and, for a bad entry, its index.
     """
     p = Path(path) if path is not None else default_catalog_path()
-    data = json.loads(p.read_text())
+    try:
+        data = json.loads(p.read_bytes().decode("utf-8"))
+    except ValueError as exc:
+        raise CatalogError(f"{p}: not a UTF-8 JSON file: {exc}") from None
     entries = data.get("entries") if isinstance(data, dict) else data
     if not isinstance(entries, list):
-        raise ValueError(f"{p}: expected a list of entries or an object with an 'entries' list")
+        raise CatalogError(f"{p}: expected a list of entries or an object with an 'entries' list")
     out = []
     for i, raw in enumerate(entries):
         if not isinstance(raw, dict):
-            raise ValueError(f"{p}: catalog entry {i} is not an object")
+            raise CatalogError(f"{p}: catalog entry {i} is not an object")
         entry = CatalogEntry(
             spec=raw.get("spec"),
             order=raw.get("order"),
@@ -293,23 +350,30 @@ def load_catalog(path: str | Path | None = None) -> list[CatalogEntry]:
             expect=raw.get("expect", {}),
         )
         if not isinstance(entry.spec, str):
-            raise ValueError(f"{p}: catalog entry {i} needs a string 'spec'")
+            raise CatalogError(f"{p}: catalog entry {i} needs a string 'spec'")
         if entry.order is not None and type(entry.order) is not int:
-            raise ValueError(f"{p}: catalog entry {i}: 'order' must be an integer or null")
+            raise CatalogError(f"{p}: catalog entry {i}: 'order' must be an integer or null")
         if not isinstance(entry.note, str):
-            raise ValueError(f"{p}: catalog entry {i}: 'note' must be a string")
+            raise CatalogError(f"{p}: catalog entry {i}: 'note' must be a string")
         if not isinstance(entry.expect, dict):
-            raise ValueError(f"{p}: catalog entry {i}: 'expect' must be an object")
+            raise CatalogError(f"{p}: catalog entry {i}: 'expect' must be an object")
         out.append(entry)
     return out
 
 
 def _entry_order(entry: CatalogEntry, max_order: int) -> int | None:
+    """The declared order, else the one the spec fixes, else the built one.
+
+    Only a spec whose order its text does not fix (a named group or a PERM
+    closure) is built, under ``max_order``; an entry that cannot be built
+    gives None and is left to ``evaluate_entry`` to report.
+    """
     if entry.order is not None:
         return entry.order
     try:
-        return parse_group_spec(entry.spec, max_order).order
-    except Exception:
+        order = spec_order(entry.spec)
+        return order if order is not None else parse_group_spec(entry.spec, max_order).order
+    except CoprimeGraphError:
         return None
 
 

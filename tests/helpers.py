@@ -186,3 +186,23 @@ def element_order_census(group) -> dict[int, int]:
             k += 1
         census[k] = census.get(k, 0) + 1
     return census
+
+
+def is_closed_subgroup(group, elements: frozenset[int]) -> bool:
+    """Predicate: contains the identity, closed under product and inverse."""
+    if group.identity not in elements:
+        return False
+    table = group.table
+    for a in elements:
+        row = table[a]
+        if row.index(group.identity) not in elements:
+            return False
+        for b in elements:
+            if row[b] not in elements:
+                return False
+    return True
+
+
+def counts_json(subgroups) -> dict[str, int]:
+    """A SubgroupList's counts by order, keyed by the order as a string."""
+    return {str(k): v for k, v in sorted(subgroups.counts_by_order.items())}

@@ -249,3 +249,82 @@ def test_env_var_garbage_ignored(capsys, monkeypatch):
     code, _, err = run(capsys, "analyze", "Z:30")
     assert code == 0
     assert "ignoring" in err
+
+
+def _refuse(*_args, **_kwargs):
+    raise AssertionError("a group table was built")
+
+
+def _no_tables(monkeypatch):
+    for name in ("make_cyclic", "make_dihedral", "make_semidirect_cyclic",
+                 "make_direct_product", "make_permutation_group"):
+        monkeypatch.setattr(f"coprimegraph.groups.{name}", _refuse)
+
+
+def _failing_rotation_check(monkeypatch):
+    monkeypatch.setattr("coprimegraph.analysis.verify_rotation_system", lambda *a: False)
+
+
+def _girth_bug(monkeypatch):
+    def girth(_adj):
+        raise ValueError("internal bug")
+
+    monkeypatch.setattr("coprimegraph.analysis.girth", girth)
+
+
+INVALID_UTF8 = b"0 1\n\xff\xfe 2\n"
+
+# id: (argv, input file bytes or None, patch or None, exit code or exception)
+EXIT_CASES = {
+    "ok": (["analyze", "Z:30"], None, None, 0),
+    "prime-order": (["analyze", "Z:7"], None, None, 3),
+    "trivial": (["analyze", "Z:1"], None, None, 3),
+    "unknown-family": (["analyze", "Y:30"], None, None, 2),
+    "non-integer": (["analyze", "Z:abc"], None, None, 2),
+    "bad-action": (["analyze", "SD:7,3,3"], None, None, 2),
+    "one-factor": (["analyze", "X(Z:2)"], None, None, 2),
+    "edge-not-integer": (["embed", "{input}"], b"0 a\n", None, 2),
+    "edge-loop": (["embed", "{input}"], b"0 0\n", None, 2),
+    "edge-out-of-range": (["embed", "{input}"], b"n 2\n0 5\n", None, 2),
+    "edge-list-not-utf8": (["embed", "{input}"], INVALID_UTF8, None, 2),
+    "catalog-truncated": (["verify", "--catalog", "{input}"], b'{"entries": [{"spec"', None, 2),
+    "dihedral-over-cap": (["analyze", "D:1500"], None, _no_tables, 4),
+    "product-over-cap": (["analyze", "X(D:40,D:40)"], None, _no_tables, 4),
+    "catalog-over-cap-skipped": (
+        ["verify", "--catalog", "{input}"], b'{"entries": [{"spec": "D:3000"}]}', _no_tables, 0,
+    ),
+    "catalog-over-cap-declared-small": (
+        ["verify", "--catalog", "{input}"], b'{"entries": [{"spec": "D:3000", "order": 6}]}',
+        _no_tables, 1,
+    ),
+    "failed-certificate": (["analyze", "Z:30"], None, _failing_rotation_check, 1),
+    "internal-bug": (["analyze", "Z:30"], None, _girth_bug, ValueError),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EXIT_CASES))
+def test_exit_codes(tmp_path, capsys, monkeypatch, case):
+    argv, data, patch, want = EXIT_CASES[case]
+    if data is not None:
+        path = tmp_path / "input"
+        path.write_bytes(data)
+        argv = [str(path) if a == "{input}" else a for a in argv]
+    if patch is not None:
+        patch(monkeypatch)
+    if not isinstance(want, int):
+        with pytest.raises(want):
+            main(argv)
+        return
+    code, out, err = run(capsys, *argv)
+    assert code == want, err
+    assert "Traceback" not in err
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(errors) == (1 if want else 0), err
+    if case == "catalog-over-cap-skipped":
+        assert json.loads(out)["summary"] == {
+            "checks": 0, "passed": 0, "failed": 0, "skipped_entries": ["D:3000"],
+        }
+    if case == "catalog-over-cap-declared-small":
+        [row] = json.loads(out)["rows"]
+        assert row["check"] == "build" and not row["passed"]
+        assert row["computed"].startswith("OrderCapExceeded:")

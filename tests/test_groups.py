@@ -15,6 +15,7 @@ from coprimegraph.groups import (
     make_permutation_group,
     make_semidirect_cyclic,
     parse_group_spec,
+    spec_order,
 )
 from helpers import element_order_census
 
@@ -243,3 +244,23 @@ def test_parse_perm_matches_named_a4():
     a = parse_group_spec("PERM:4:[0 1 2],[0 1]x[2 3]")
     b = NAMED_GROUPS["A4"]()
     assert element_order_census(a) == element_order_census(b)
+
+
+@pytest.mark.parametrize(
+    "text, order",
+    [("Z:12", 12), ("D:5", 10), ("SD:7,3,2", 21), ("X(D:40,D:40)", 6400),
+     ("X(SD:7,3,2,Z:3)", 63), ("A4", None), ("PERM:3:[0 1 2]", None), ("X(A4,Z:2)", None)],
+)
+def test_spec_order_reads_the_text(text, order):
+    assert spec_order(text) == order
+
+
+def test_product_with_a_closure_factor_is_capped_before_its_table(monkeypatch):
+    # a PERM factor's order is known only from its closure, so the product's
+    # cap fires after the factors are built but before the product table
+    def refuse(*_args):
+        raise AssertionError("the product table was built")
+
+    monkeypatch.setattr("coprimegraph.groups.make_direct_product", refuse)
+    with pytest.raises(OrderCapExceeded, match="order 240 exceeds the bound 200"):
+        parse_group_spec("X(PERM:5:[0 1 2 3 4],[0 1],Z:2)", max_order=200)

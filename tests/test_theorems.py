@@ -1,6 +1,8 @@
 """The verification suite: auto checks, catalog expectations, theorem drivers."""
 
 import json
+from itertools import combinations
+from math import gcd
 
 import networkx as nx
 import pytest
@@ -100,7 +102,7 @@ def test_auto_checks_cover_the_structural_statements():
         "connected-iff-no-full-support-subgroup",
         "connected-diameter-in-1-2-3",
         "full-support-vertices-isolated",
-        "independence-eq-max-prime-class",
+        "independence-eq-max-intersecting-supports",
         "smallest-prime-coloring-proper",
     } <= set(AUTO_CHECKS)
 
@@ -245,3 +247,19 @@ def test_evaluate_entry_row_shape():
     assert all(r.group == "Z:36" for r in rows)
     girth_row = next(r for r in rows if r.check_id == "girth")
     assert girth_row.passed and girth_row.computed == 4
+
+
+@pytest.mark.parametrize("spec", ["Z:900", "X(Z:4,X(Z:9,Z:25))"])
+def test_alpha_check_holds_where_alpha_exceeds_every_prime_class(spec):
+    # the proper divisors of 900 divisible by at least two of 2, 3, 5 meet
+    # pairwise in a prime, so they are an independent set of P(Z_900)
+    divisors = [d for d in range(2, 900) if 900 % d == 0]
+    witness = [d for d in divisors if sum(d % p == 0 for p in (2, 3, 5)) >= 2]
+    assert len(witness) == 19
+    assert all(gcd(a, b) > 1 for a, b in combinations(witness, 2))
+    graph = build(parse_group_spec(spec))
+    assert sorted(graph.orders()) == divisors
+    assert max(sum(o % p == 0 for o in graph.orders()) for p in (2, 3, 5)) == 17
+    rows = evaluate_entry(CatalogEntry(spec, 900, expect={"alpha": 19}))
+    assert len(rows) == len(AUTO_CHECKS) + 1
+    assert all(r.passed for r in rows), [r for r in rows if not r.passed]
