@@ -4,19 +4,22 @@ Everything here is exact: clique, independence and chromatic numbers come from
 branch-and-bound searches, planarity verdicts carry either a rotation system
 that passes an Euler face count or a Kuratowski subdivision witness that is
 re-validated by degree profile and path contraction before being returned.
-Inputs are small (a few dozen vertices), so clarity wins over asymptotics.
+The independence number of a coprime graph is searched over prime supports,
+of which there are at most 2^k - 1 for k primes, however many vertices share
+them; every other solver works on vertices, and ``--exact-cap`` bounds their
+count before any of them runs.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from itertools import combinations
 
 import networkx as nx
 
-from .errors import CertificateError, ExactCapExceeded
+from .errors import CertificateError, ExactCapExceeded, check_exact_cap
 
 INFINITE = math.inf
 
@@ -39,10 +42,16 @@ def adjacency_sets(g) -> list[set[int]]:
 
 @dataclass(frozen=True)
 class _Adjacency:
-    """One graph's adjacency: neighbour sets and the same rows as bitmasks."""
+    """One graph's adjacency: neighbour sets and the same rows as bitmasks.
+
+    A coprime graph also brings its vertex orders and its parent's primes,
+    from which ``independence_number`` works on prime supports.
+    """
 
     sets: tuple[frozenset[int], ...]
     masks: tuple[int, ...]
+    orders: tuple[int, ...] | None = None
+    primes: tuple[int, ...] = ()
 
 
 def _adjacency(g) -> _Adjacency:
@@ -55,12 +64,10 @@ def _adjacency(g) -> _Adjacency:
     if isinstance(g, _Adjacency):
         return g
     sets = tuple(frozenset(s) for s in adjacency_sets(g))
-    return _Adjacency(sets, tuple(sum(1 << w for w in s) for s in sets))
-
-
-def _check_cap(n: int, cap: int) -> None:
-    if n > cap:
-        raise ExactCapExceeded(f"{n} vertices exceed the exact-solver cap {cap}")
+    masks = tuple(sum(1 << w for w in s) for s in sets)
+    if hasattr(g, "orders"):
+        return _Adjacency(sets, masks, tuple(g.orders()), tuple(sorted(g.parent_primes())))
+    return _Adjacency(sets, masks)
 
 
 def edge_list(adj: list[set[int]]) -> list[tuple[int, int]]:
@@ -216,7 +223,7 @@ def maximum_clique(g, cap: int = DEFAULT_EXACT_CAP) -> list[int]:
     """An exact maximum clique, as a sorted vertex list."""
     masks = _adjacency(g).masks
     n = len(masks)
-    _check_cap(n, cap)
+    check_exact_cap(n, cap)
     mask = _max_clique_masks(masks, n)
     return [v for v in range(n) if mask >> v & 1]
 
@@ -225,14 +232,89 @@ def clique_number(g, cap: int = DEFAULT_EXACT_CAP) -> int:
     return len(maximum_clique(g, cap))
 
 
+def _support_classes(adj: _Adjacency) -> dict[int, int] | None:
+    """The graph's vertices grouped by prime support, as support -> vertex
+    bitmask, or None unless two vertices are adjacent exactly when their
+    supports are disjoint.
+
+    A vertex's support is the bitmask of the parent's primes dividing its
+    order.  A coprime graph built from its orders always passes the
+    comparison; a hand-made one need not.
+    """
+    supports = [
+        sum(1 << i for i, p in enumerate(adj.primes) if order % p == 0) for order in adj.orders
+    ]
+    classes: dict[int, int] = {}
+    for v, s in enumerate(supports):
+        classes[s] = classes.get(s, 0) | 1 << v
+    disjoint = {s: sum(m for t, m in classes.items() if not s & t) for s in classes}
+    if any(adj.masks[v] != disjoint[s] for v, s in enumerate(supports)):
+        return None
+    return classes
+
+
+def _max_support_family(weight: Counter[int], k: int) -> tuple[int, tuple[int, ...]]:
+    """The heaviest pairwise-intersecting family of nonempty subsets of k
+    primes, as its total weight and its members with positive weight.
+
+    With non-negative weights an optimum can be taken maximal, and a maximal
+    intersecting family holds exactly one member of each complementary pair.
+    The full set meets every other and is always taken.  So the search picks
+    one member per pair, heaviest pair first, keeps a pick only if it meets
+    every earlier pick, and cuts a branch once the weight still to come
+    cannot beat the best family.  Some member of a pair always meets every
+    earlier pick: if S missed A and the complement of S missed B, then A and
+    B would be disjoint.
+    """
+    full = (1 << k) - 1
+    pairs = sorted(
+        {tuple(sorted((s, full ^ s), key=lambda t: (-weight[t], t))) for s in weight if s != full},
+        key=lambda pair: (-weight[pair[0]] - weight[pair[1]], pair),
+    )
+    rest = [0] * (len(pairs) + 1)
+    for i in range(len(pairs) - 1, -1, -1):
+        rest[i] = rest[i + 1] + weight[pairs[i][0]]
+    best, best_family = -1, ()
+
+    def extend(i: int, family: tuple[int, ...], total: int) -> None:
+        nonlocal best, best_family
+        if total + rest[i] <= best:
+            return
+        if i == len(pairs):
+            best, best_family = total, family
+            return
+        for s in pairs[i]:
+            if all(s & t for t in family):
+                extend(i + 1, family + (s,), total + weight[s])
+
+    extend(0, (), weight[full])
+    return best, tuple(s for s in (full, *best_family) if weight[s])
+
+
 def independence_number(g, cap: int = DEFAULT_EXACT_CAP) -> int:
-    """Exact independence number via maximum clique on the complement."""
-    masks = _adjacency(g).masks
+    """Exact independence number.
+
+    In a coprime graph an independent set is a union of support classes
+    whose supports pairwise meet, so ``_max_support_family`` finds alpha on
+    the supports; the vertex set it covers is re-checked against the
+    adjacency before its size is returned.  A graph without vertex orders
+    gets maximum clique on the complement.
+    """
+    adj = _adjacency(g)
+    masks = adj.masks
     n = len(masks)
-    _check_cap(n, cap)
-    full = (1 << n) - 1
-    comp = [full & ~(1 << v) & ~m for v, m in enumerate(masks)]
-    return _max_clique_masks(comp, n).bit_count()
+    check_exact_cap(n, cap)
+    classes = None if adj.orders is None else _support_classes(adj)
+    if classes is None:
+        full = (1 << n) - 1
+        comp = [full & ~(1 << v) & ~m for v, m in enumerate(masks)]
+        return _max_clique_masks(comp, n).bit_count()
+    weight = Counter({s: m.bit_count() for s, m in classes.items()})
+    alpha, family = _max_support_family(weight, len(adj.primes))
+    chosen = sum(classes[s] for s in family)
+    if chosen.bit_count() != alpha or any(masks[v] & chosen for v in range(n) if chosen >> v & 1):
+        raise CertificateError("support family does not give an independent set of its weight")
+    return alpha
 
 
 def _k_colorable(adj, k: int) -> bool:
@@ -279,7 +361,7 @@ def chromatic_number(g, cap: int = DEFAULT_EXACT_CAP) -> int:
     greedy colour count, where its first descent already succeeds."""
     adj = _adjacency(g)
     n = len(adj.sets)
-    _check_cap(n, cap)
+    check_exact_cap(n, cap)
     k = _max_clique_masks(adj.masks, n).bit_count()
     while not _k_colorable(adj.sets, k):
         k += 1
@@ -762,7 +844,7 @@ def analyze(g, exact_cap: int = DEFAULT_EXACT_CAP) -> AnalysisReport:
     """
     adj = _adjacency(g)
     n = len(adj.sets)
-    _check_cap(n, exact_cap)
+    check_exact_cap(n, exact_cap)
     edges = sum(len(s) for s in adj.sets) // 2
     comps = connected_components(adj.sets)
     comp_diams = [component_diameter(adj.sets, c) for c in comps]
@@ -781,14 +863,11 @@ def analyze(g, exact_cap: int = DEFAULT_EXACT_CAP) -> AnalysisReport:
             forbidden[pattern] = contains_complete_bipartite(
                 adj, int(pattern[1]), int(pattern[2:])
             )
-    orders = None
-    if hasattr(g, "orders"):
-        orders = g.orders()
     return AnalysisReport(
         source=getattr(g, "source", "graph"),
         n_vertices=n,
         n_edges=edges,
-        vertex_orders=orders,
+        vertex_orders=None if adj.orders is None else list(adj.orders),
         components=comps,
         is_connected=connected,
         diameter=diam,

@@ -62,11 +62,12 @@ def _write_output(text: str, out: str | None) -> None:
         Path(out).write_text(text)
 
 
-def _graph_for_spec(spec: str, max_order: int) -> CoprimeGraph:
-    """Build P(G); plain cyclic specs take the divisor fast path."""
+def _graph_for_spec(spec: str, max_order: int, exact_cap: int | None = None) -> CoprimeGraph:
+    """Build P(G); plain cyclic specs take the divisor fast path, which
+    checks ``exact_cap`` against the divisor count before its gcds."""
     n = cyclic_spec_order(spec)
     if n is not None:
-        return build_cyclic(n)
+        return build_cyclic(n, exact_cap)
     return build(parse_group_spec(spec, max_order), max_order=max_order)
 
 
@@ -102,7 +103,7 @@ def _render_report_table(rep) -> str:
 
 
 def cmd_analyze(args) -> int:
-    graph = _graph_for_spec(args.spec, args.max_order)
+    graph = _graph_for_spec(args.spec, args.max_order, args.exact_cap)
     rep = analyze(graph, exact_cap=args.exact_cap)
     if args.format == "json":
         text = json.dumps(rep.to_json_dict(), indent=2, sort_keys=True) + "\n"

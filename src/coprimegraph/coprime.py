@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .errors import UndefinedCoprimeGraphError
+from .errors import UndefinedCoprimeGraphError, check_exact_cap
 from .groups import DEFAULT_MAX_ORDER, FiniteGroup
 from .lattice import (
     Subgroup,
@@ -112,14 +112,17 @@ def build(
     )
 
 
-def build_cyclic(n: int) -> CoprimeGraph:
+def build_cyclic(n: int, exact_cap: int | None = None) -> CoprimeGraph:
     """Coprime graph of Z_n straight from the divisor lattice, no table.
 
     Z_n has exactly one subgroup per divisor, so the proper divisors
-    1 < d < n, with coprimality adjacency, are the whole graph.
+    1 < d < n, with coprimality adjacency, are the whole graph.  Their count
+    is checked against ``exact_cap``, when given, before the pairwise gcds.
     """
     _require_defined(f"Z{n}", n)
     labels = [d for d in divisors(n) if 1 < d < n]
+    if exact_cap is not None:
+        check_exact_cap(len(labels), exact_cap)
     return _graph_from_orders(f"Z{n}", n, labels)
 
 

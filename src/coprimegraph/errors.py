@@ -59,6 +59,12 @@ class ExactCapExceeded(CapExceeded):
     """The graph is larger than the configured exact-solver cap."""
 
 
+def check_exact_cap(n_vertices: int, cap: int) -> None:
+    """Refuse a graph with more vertices than the exact solvers may take."""
+    if n_vertices > cap:
+        raise ExactCapExceeded(f"{n_vertices} vertices exceed the exact-solver cap {cap}")
+
+
 class MisCapExceeded(CapExceeded):
     """The vertex count exceeds the configured enumeration cap."""
 

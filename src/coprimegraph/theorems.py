@@ -189,8 +189,8 @@ def _max_intersecting_support_weight(orders: list[int]) -> int:
     cuts a branch once the weight still to come cannot beat the best family
     found.  It is exponential in the number k of primes, since there are up
     to 2^k - 1 supports: about 1.9 s at k = 5 (Z_2310, on a 2-vCPU VM).
-    ``verify`` builds groups of order at most 2048 < 2*3*5*7*11, so k <= 4
-    there.
+    ``verify`` builds groups of order at most max(--max-order, 2048); at the
+    default, 2048 < 2*3*5*7*11, so k <= 4 there.
     """
     weight = Counter(pi(order) for order in orders)
     supports = sorted(weight, key=lambda s: (-weight[s], sorted(s)))
@@ -383,15 +383,20 @@ def run_catalog(
     exact_cap: int = DEFAULT_CATALOG_EXACT_CAP,
     jobs: int = 1,
 ) -> VerificationReport:
-    """Verify every catalog entry of order <= max_order."""
+    """Verify every catalog entry of order <= max_order.
+
+    Entries are built under the larger of ``max_order`` and the package's
+    default order bound, the same bound ``_entry_order`` reads orders under.
+    """
     if catalog is None or isinstance(catalog, (str, Path)):
         entries = load_catalog(catalog)
     else:
         entries = list(catalog)
+    build_order = max(max_order, DEFAULT_MAX_ORDER)
     selected: list[CatalogEntry] = []
     skipped: list[str] = []
     for entry in entries:
-        order = _entry_order(entry, max(max_order, DEFAULT_MAX_ORDER))
+        order = _entry_order(entry, build_order)
         if order is not None and order > max_order:
             skipped.append(entry.spec)
         else:
@@ -400,14 +405,14 @@ def run_catalog(
     if jobs > 1 and len(selected) > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
             futures = [
-                pool.submit(evaluate_entry, entry, DEFAULT_MAX_ORDER, exact_cap)
+                pool.submit(evaluate_entry, entry, build_order, exact_cap)
                 for entry in selected
             ]
             for fut in futures:
                 rows.extend(fut.result())
     else:
         for entry in selected:
-            rows.extend(evaluate_entry(entry, DEFAULT_MAX_ORDER, exact_cap))
+            rows.extend(evaluate_entry(entry, build_order, exact_cap))
     return VerificationReport(rows=rows, skipped=skipped)
 
 

@@ -1,5 +1,6 @@
 """Exact invariants against exhaustive oracles, plus certificate validation."""
 
+import math
 import random
 from itertools import combinations
 
@@ -29,8 +30,9 @@ from coprimegraph.analysis import (
     verify_kuratowski_witness,
     verify_rotation_system,
 )
-from coprimegraph.coprime import build, build_cyclic
+from coprimegraph.coprime import CoprimeGraph, GraphVertex, _graph_from_orders, build, build_cyclic
 from coprimegraph.embedding import SimpleGraph
+from coprimegraph.errors import CertificateError
 from coprimegraph.groups import NAMED_GROUPS, make_dihedral, parse_group_spec
 from coprimegraph.lattice import all_subgroups
 from coprimegraph.theorems import CatalogEntry, evaluate_entry, load_catalog
@@ -218,6 +220,95 @@ def test_analyze_checks_the_exact_cap_before_any_work(monkeypatch):
         analyze(g, exact_cap=n - 1)
 
 
+# alpha from prime supports, against the vertex-level search
+
+CYCLIC_EXACT_MODULI = (
+    2310, 4620, 9240, 13860, 30030, 39270, 43890, 46410, 55440, 60060, 90090, 110880, 120120,
+    150150,
+)
+SMALL_PRIMES = (2, 3, 5, 7, 11)
+
+
+@pytest.fixture(scope="module")
+def catalog_graphs():
+    out = {}
+    for entry in load_catalog():
+        group = parse_group_spec(entry.spec, max_order=420)
+        out[entry.spec] = build(group, all_subgroups(group, max_order=420))
+    return out
+
+
+def support_alpha(g):
+    """alpha of a coprime graph, asserting that the support path takes it."""
+    adj = analysis._adjacency(g)
+    assert analysis._support_classes(adj) is not None
+    return independence_number(adj, cap=len(adj.masks))
+
+
+def vertex_alpha(g):
+    """alpha by maximum clique on the complement: a plain list has no orders."""
+    return independence_number(adjacency_sets(g), cap=g.n_vertices)
+
+
+def test_support_alpha_matches_vertex_search_on_the_catalog(catalog_graphs):
+    assert len(catalog_graphs) == 62
+    for spec, g in catalog_graphs.items():
+        assert support_alpha(g) == vertex_alpha(g), spec
+
+
+@pytest.mark.parametrize("n", CYCLIC_EXACT_MODULI + (900, 1800, 44100))
+def test_support_alpha_matches_vertex_search_on_cyclic_moduli(n):
+    g = build_cyclic(n)
+    assert support_alpha(g) == vertex_alpha(g)
+
+
+@st.composite
+def order_multisets(draw):
+    """Orders that are products of powers of 2, 3, 5, 7 and 11, none 1, under
+    a parent order their lcm divides."""
+    exponents = st.tuples(*[st.integers(0, 2)] * len(SMALL_PRIMES)).filter(any)
+    orders = draw(st.lists(
+        exponents.map(lambda e: math.prod(p**a for p, a in zip(SMALL_PRIMES, e))),
+        min_size=1,
+        max_size=18,
+    ))
+    return math.lcm(*orders) * draw(st.sampled_from((1, 2, math.prod(SMALL_PRIMES)))), orders
+
+
+@settings(max_examples=200, deadline=None)
+@given(order_multisets())
+def test_support_alpha_matches_vertex_search_on_order_multisets(case):
+    parent_order, orders = case
+    g = _graph_from_orders("orders", parent_order, orders)
+    assert support_alpha(g) == vertex_alpha(g)
+
+
+@pytest.mark.parametrize("k", range(3, 9))
+def test_squarefree_cyclic_alpha_closed_form(k):
+    # every nonempty subset of the k primes but the full one is a vertex, and
+    # an intersecting family holds at most one of each complementary pair
+    g = build_cyclic(math.prod((2, 3, 5, 7, 11, 13, 17, 19)[:k]))
+    assert g.n_vertices == 2**k - 2
+    assert support_alpha(g) == 2 ** (k - 1) - 1
+
+
+def test_hand_made_coprime_graph_falls_back_to_the_vertex_search():
+    # orders 30, 2 and 3 with no edges: by their supports 2 -- 3 would be one
+    vertices = [GraphVertex(v, order) for v, order in enumerate((30, 2, 3))]
+    g = CoprimeGraph("hand", 30, vertices, [frozenset()] * 3)
+    assert analysis._support_classes(analysis._adjacency(g)) is None
+    assert independence_number(g) == 3
+
+
+@pytest.mark.parametrize("family", [(2, (0b001, 0b010)), (2, (0b001,))])
+def test_support_family_is_rechecked_against_the_adjacency(monkeypatch, family):
+    # in Z_30 the supports {2} and {3} are disjoint, so their vertices are
+    # adjacent; and the class of {2} alone is one vertex, not two
+    monkeypatch.setattr(analysis, "_max_support_family", lambda weight, k: family)
+    with pytest.raises(CertificateError):
+        independence_number(build_cyclic(30))
+
+
 # one adjacency per graph
 
 
@@ -403,13 +494,12 @@ def counterexample_calls(monkeypatch):
 
 
 @pytest.fixture(scope="module")
-def nonplanar_catalog_graphs():
-    out = {}
-    for entry in load_catalog():
-        if entry.expect.get("planar") is False:
-            group = parse_group_spec(entry.spec, max_order=420)
-            out[entry.spec] = build(group, all_subgroups(group, max_order=420))
-    return out
+def nonplanar_catalog_graphs(catalog_graphs):
+    return {
+        entry.spec: catalog_graphs[entry.spec]
+        for entry in load_catalog()
+        if entry.expect.get("planar") is False
+    }
 
 
 def test_catalog_witnesses_are_k33_subgraphs(nonplanar_catalog_graphs, counterexample_calls):

@@ -60,6 +60,18 @@ def test_exact_cap_exceeded_exits_4(capsys):
     assert code == 4
 
 
+def test_cyclic_exact_cap_is_checked_before_the_gcds(capsys, monkeypatch):
+    # Z_963761198400 has 6720 divisors, so P(Z_n) has 6718 vertices
+    def no_gcds(*_args, **_kwargs):
+        raise AssertionError("the pairwise gcds ran before the exact cap was checked")
+
+    monkeypatch.setattr("coprimegraph.coprime._graph_from_orders", no_gcds)
+    code, _, err = run(capsys, "analyze", "Z:963761198400")
+    assert (code, err) == (4, "error: 6718 vertices exceed the exact-solver cap 64\n")
+    code, _, err = run(capsys, "analyze", "Z:7")
+    assert code == 3 and "undefined" in err
+
+
 def test_analyze_byte_identical_runs(capsys):
     _, out1, _ = run(capsys, "analyze", "Z:60", "--format", "json")
     _, out2, _ = run(capsys, "analyze", "Z:60", "--format", "json")

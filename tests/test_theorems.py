@@ -1,5 +1,6 @@
 """The verification suite: auto checks, catalog expectations, theorem drivers."""
 
+import concurrent.futures
 import json
 from itertools import combinations
 from math import gcd
@@ -7,6 +8,7 @@ from math import gcd
 import networkx as nx
 import pytest
 
+from coprimegraph import theorems
 from coprimegraph.analysis import analyze
 from coprimegraph.coprime import CoprimeGraph, GraphVertex, build
 from coprimegraph.groups import make_cyclic, parse_group_spec
@@ -143,6 +145,38 @@ def test_full_support_isolation_check_matches_induced_subgraph_oracle():
         assert got == _rest_is_one_block(graph), graph.source
         verdicts.append(got)
     assert verdicts == [True] * 5 + [False, True, False, False, True]
+
+
+class _InlinePool:
+    """A stand-in for ProcessPoolExecutor that runs each call in process."""
+
+    def __init__(self, max_workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        future = concurrent.futures.Future()
+        future.set_result(fn(*args))
+        return future
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_run_catalog_builds_entries_under_its_max_order(monkeypatch, jobs):
+    seen = []
+    monkeypatch.setattr(theorems, "evaluate_entry", lambda entry, *args: seen.append(args) or [])
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
+    entries = [CatalogEntry("D:1100", order=2200), CatalogEntry("Z:6", order=6)]
+    report = run_catalog(max_order=4096, catalog=entries, exact_cap=80, jobs=jobs)
+    assert report.skipped == []
+    assert seen == [(4096, 80), (4096, 80)]
+    seen.clear()
+    run_catalog(max_order=200, catalog=entries[1:], jobs=jobs)
+    assert seen == [(2048, 96)]
 
 
 def test_parallel_jobs_match_serial():
