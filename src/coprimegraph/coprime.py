@@ -9,7 +9,7 @@ cyclic groups possible.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, prod
 
 from .errors import UndefinedCoprimeGraphError, check_exact_cap
 from .groups import DEFAULT_MAX_ORDER, FiniteGroup
@@ -76,13 +76,24 @@ def _graph_from_orders(
         GraphVertex(vid=i, order=orders[i], subgroup=subgroups[i] if subgroups else None)
         for i in range(n)
     ]
-    adjacency: list[set[int]] = [set() for _ in range(n)]
-    for u in range(n):
-        for v in range(u + 1, n):
-            if gcd(orders[u], orders[v]) == 1:
-                adjacency[u].add(v)
-                adjacency[v].add(u)
-    return CoprimeGraph(source, parent_order, vertices, [frozenset(s) for s in adjacency])
+    # vertices of one order are twins: one gcd per pair of distinct orders
+    classes: dict[int, list[int]] = {}
+    for v, order in enumerate(orders):
+        classes.setdefault(order, []).append(v)
+    distinct, members = list(classes), list(classes.values())
+    near: list[list[int]] = [[] for _ in distinct]
+    for i, a in enumerate(distinct):
+        mine, own = near[i], members[i]
+        for j in [j for j in range(i, len(distinct)) if gcd(a, distinct[j]) == 1]:
+            mine += members[j]
+            near[j] += own
+    adjacency: list[frozenset[int]] = [frozenset()] * n
+    for ids, near_ids in zip(members, near):
+        # through a set, so each frozenset iterates as one built edge by edge
+        shared = frozenset(set(near_ids))
+        for v in ids:
+            adjacency[v] = shared - {v} if v in shared else shared
+    return CoprimeGraph(source, parent_order, vertices, adjacency)
 
 
 def _require_defined(name: str, order: int) -> None:
@@ -117,12 +128,13 @@ def build_cyclic(n: int, exact_cap: int | None = None) -> CoprimeGraph:
 
     Z_n has exactly one subgroup per divisor, so the proper divisors
     1 < d < n, with coprimality adjacency, are the whole graph.  Their count
-    is checked against ``exact_cap``, when given, before the pairwise gcds.
+    is checked against ``exact_cap``, when given, before the divisors are
+    listed: it is tau(n) - 2, with tau(n) the product of the exponents plus one.
     """
     _require_defined(f"Z{n}", n)
-    labels = [d for d in divisors(n) if 1 < d < n]
     if exact_cap is not None:
-        check_exact_cap(len(labels), exact_cap)
+        check_exact_cap(prod(e + 1 for _, e in factorize(n)) - 2, exact_cap)
+    labels = [d for d in divisors(n) if 1 < d < n]
     return _graph_from_orders(f"Z{n}", n, labels)
 
 

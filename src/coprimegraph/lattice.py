@@ -136,11 +136,15 @@ def _generate(table, identity: int, gens, order: int) -> frozenset[int] | None:
 def all_subgroups(group: FiniteGroup, max_order: int = DEFAULT_MAX_ORDER) -> SubgroupList:
     """Enumerate every subgroup of the group.
 
-    Seeds with all cyclic subgroups, then saturates by joining each known
-    subgroup with each cyclic generator until nothing new appears.  Every
-    subgroup is a join of cyclic subgroups, so the fixed point is the full
-    lattice.  Generating sets are carried along so each join closure costs
-    |result| * |gens| table lookups.
+    Cyclic extension (Neubüser): every solvable H != 1 has a normal subgroup
+    K of prime index p, and then H = K<x> = union of x^i K for i < p, for any
+    x in H outside K.  So, from the trivial group up, each found K is
+    extended by every x that normalises K and whose least power in K is a
+    prime p; no closure is needed.  This reaches every solvable subgroup,
+    and so G itself exactly when G is solvable.  Otherwise the join loop
+    completes the lattice: each known subgroup is joined with each cyclic
+    subgroup until nothing new appears, which adds the non-solvable ones.
+    Each subgroup carries the generators that built it.
     """
     n = group.order
     if n > max_order:
@@ -149,41 +153,58 @@ def all_subgroups(group: FiniteGroup, max_order: int = DEFAULT_MAX_ORDER) -> Sub
     identity = group.identity
     whole = frozenset(range(n))
 
-    # cyclic subgroups, deduplicated, keyed by a generating element
-    atoms: dict[frozenset[int], int] = {}
+    # powers[x] = [1, x, x^2, ..., x^(ord x - 1)]; the last one is x^-1
+    powers = []
     for x in range(n):
-        elems = {identity}
+        x_pows = [identity]
         y = x
         while y != identity:
-            elems.add(y)
+            x_pows.append(y)
             y = table[y][x]
-        fs = frozenset(elems)
-        atoms.setdefault(fs, x)
+        powers.append(x_pows)
+    exponents = {o: [d for d in divisors(o) if d > 1] for o in {len(p) for p in powers}}
 
-    found: dict[frozenset[int], tuple[int, ...]] = {}
-    worklist: list[frozenset[int]] = []
-    for fs, gen in sorted(atoms.items(), key=lambda kv: (len(kv[0]), sorted(kv[0]))):
-        if fs not in found:
-            found[fs] = (gen,)
-            worklist.append(fs)
-
-    idx = 0
-    while idx < len(worklist):
-        current = worklist[idx]
-        idx += 1
-        if current == whole:
-            continue
+    trivial = frozenset([identity])
+    found: dict[frozenset[int], tuple[int, ...]] = {trivial: ()}
+    worklist = [trivial]
+    for current in worklist:
         gens = found[current]
-        for atom_fs, atom_gen in atoms.items():
-            if atom_fs <= current:
+        done = set(current)
+        for x in range(n):
+            if x in done:
                 continue
-            joined = _generate(table, identity, gens + (atom_gen,), n)
-            fs = whole if joined is None else joined
-            if fs not in found:
-                found[fs] = gens + (atom_gen,)
-                worklist.append(fs)
+            row_x, x_pows = table[x], powers[x]
+            inv_x = x_pows[-1]
+            if all(table[row_x[g]][inv_x] in current for g in gens):
+                # the least j with x^j in K divides the order of x
+                j = next(d for d in exponents[len(x_pows)] if x_pows[d % len(x_pows)] in current)
+                if is_prime(j):
+                    bigger = frozenset(table[x_pows[i]][k] for i in range(j) for k in current)
+                    done |= bigger
+                    if bigger not in found:
+                        found[bigger] = gens + (x,)
+                        worklist.append(bigger)
+                    continue
+            # every element of the coset xK gets the same answer as x
+            done.update(row_x[k] for k in current)
+
     if whole not in found:
-        found[whole] = tuple(range(n))
+        # cyclic subgroups, deduplicated, keyed by a generating element
+        atoms: dict[frozenset[int], int] = {}
+        for x, x_pows in enumerate(powers):
+            atoms.setdefault(frozenset(x_pows), x)
+        for current in worklist:
+            if current == whole:
+                continue
+            gens = found[current]
+            for atom_gen in atoms.values():
+                if atom_gen in current:
+                    continue
+                joined = _generate(table, identity, gens + (atom_gen,), n)
+                fs = whole if joined is None else joined
+                if fs not in found:
+                    found[fs] = gens + (atom_gen,)
+                    worklist.append(fs)
 
     subs = [
         Subgroup(elements=tuple(sorted(fs)), order=len(fs), parent_order=n)

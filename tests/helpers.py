@@ -6,7 +6,12 @@ closures, dynamic programming) without touching the code paths under test.
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import combinations
+
+from coprimegraph.errors import OrderCapExceeded
+from coprimegraph.groups import DEFAULT_MAX_ORDER
+from coprimegraph.lattice import Subgroup, SubgroupList
 
 
 def naive_closure(table, base, new):
@@ -243,3 +248,92 @@ def is_closed_subgroup(group, elements: frozenset[int]) -> bool:
 def counts_json(subgroups) -> dict[str, int]:
     """A SubgroupList's counts by order, keyed by the order as a string."""
     return {str(k): v for k, v in sorted(subgroups.counts_by_order.items())}
+
+
+def _generate(table, identity: int, gens, order: int) -> frozenset[int] | None:
+    """Right-multiplication closure of the identity; None means the whole group.
+
+    Bails out early once the closure passes order/2: by Lagrange the only
+    larger subgroup is the group itself.
+    """
+    elems = {identity}
+    frontier = [identity]
+    while frontier:
+        new = []
+        for x in frontier:
+            row = table[x]
+            for g in gens:
+                y = row[g]
+                if y not in elems:
+                    elems.add(y)
+                    if 2 * len(elems) > order:
+                        return None
+                    new.append(y)
+        frontier = new
+    return frozenset(elems)
+
+
+def all_subgroups_oracle(group, max_order: int = DEFAULT_MAX_ORDER) -> SubgroupList:
+    """Enumerate every subgroup of the group by join saturation.
+
+    Seeds with all cyclic subgroups, then saturates by joining each known
+    subgroup with each cyclic generator until nothing new appears.  Every
+    subgroup is a join of cyclic subgroups, so the fixed point is the full
+    lattice.  Generating sets are carried along so each join closure costs
+    |result| * |gens| table lookups.
+    """
+    n = group.order
+    if n > max_order:
+        raise OrderCapExceeded(f"group order {n} exceeds the bound {max_order}")
+    table = group.table
+    identity = group.identity
+    whole = frozenset(range(n))
+
+    # cyclic subgroups, deduplicated, keyed by a generating element
+    atoms: dict[frozenset[int], int] = {}
+    for x in range(n):
+        elems = {identity}
+        y = x
+        while y != identity:
+            elems.add(y)
+            y = table[y][x]
+        fs = frozenset(elems)
+        atoms.setdefault(fs, x)
+
+    found: dict[frozenset[int], tuple[int, ...]] = {}
+    worklist: list[frozenset[int]] = []
+    for fs, gen in sorted(atoms.items(), key=lambda kv: (len(kv[0]), sorted(kv[0]))):
+        if fs not in found:
+            found[fs] = (gen,)
+            worklist.append(fs)
+
+    idx = 0
+    while idx < len(worklist):
+        current = worklist[idx]
+        idx += 1
+        if current == whole:
+            continue
+        gens = found[current]
+        for atom_fs, atom_gen in atoms.items():
+            if atom_fs <= current:
+                continue
+            joined = _generate(table, identity, gens + (atom_gen,), n)
+            fs = whole if joined is None else joined
+            if fs not in found:
+                found[fs] = gens + (atom_gen,)
+                worklist.append(fs)
+    if whole not in found:
+        found[whole] = tuple(range(n))
+
+    subs = [
+        Subgroup(elements=tuple(sorted(fs)), order=len(fs), parent_order=n)
+        for fs in found
+    ]
+    subs.sort(key=lambda s: (s.order, s.elements))
+    counts = Counter(s.order for s in subs)
+    return SubgroupList(
+        parent_name=group.name,
+        parent_order=n,
+        all=subs,
+        counts_by_order=dict(sorted(counts.items())),
+    )

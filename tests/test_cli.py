@@ -72,6 +72,16 @@ def test_cyclic_exact_cap_is_checked_before_the_gcds(capsys, monkeypatch):
     assert code == 3 and "undefined" in err
 
 
+def test_cyclic_exact_cap_is_checked_before_the_divisors(capsys, monkeypatch):
+    # the product of the first 18 primes has 2^18 divisors, so 262142 vertices
+    def no_divisors(*_args, **_kwargs):
+        raise AssertionError("the divisors were listed before the exact cap was checked")
+
+    monkeypatch.setattr("coprimegraph.coprime.divisors", no_divisors)
+    code, _, err = run(capsys, "analyze", "Z:117288381359406970983270")
+    assert (code, err) == (4, "error: 262142 vertices exceed the exact-solver cap 64\n")
+
+
 def test_analyze_byte_identical_runs(capsys):
     _, out1, _ = run(capsys, "analyze", "Z:60", "--format", "json")
     _, out2, _ = run(capsys, "analyze", "Z:60", "--format", "json")

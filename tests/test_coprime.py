@@ -7,8 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coprimegraph.analysis import small_graph_isomorphic
+from coprimegraph import coprime
 from coprimegraph.coprime import (
     UndefinedCoprimeGraphError,
+    _graph_from_orders,
     build,
     build_cyclic,
     degree_formula,
@@ -165,3 +167,30 @@ def test_json_export_shape():
         {"id": 3, "order": 6},
     ]
     assert payload["edges"] == [[0, 1], [1, 2]]
+
+
+@given(st.lists(st.integers(min_value=1, max_value=60), max_size=25))
+@settings(max_examples=200, deadline=None)
+def test_twin_classes_give_the_pairwise_gcd_adjacency(orders):
+    g = _graph_from_orders("orders", 1, orders)
+    for u in range(len(orders)):
+        assert g.neighbors(u) == {
+            v for v in range(len(orders)) if v != u and gcd(orders[u], orders[v]) == 1
+        }
+
+
+@pytest.mark.parametrize("spec", ["Z:720", "D:60", "X(S3,S4)"])
+def test_one_gcd_per_pair_of_distinct_orders(monkeypatch, spec):
+    calls = []
+
+    def counting(a, b):
+        calls.append((a, b))
+        return gcd(a, b)
+
+    group = parse_group_spec(spec)
+    lattice = coprime.all_subgroups(group)
+    monkeypatch.setattr(coprime, "gcd", counting)
+    g = build(group, lattice)
+    k = len({v.order for v in g.vertices})
+    assert len(calls) == k * (k + 1) // 2
+    assert len({frozenset(c) for c in calls}) == len(calls)

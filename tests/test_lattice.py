@@ -4,14 +4,16 @@ import json
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from coprimegraph import lattice
 from coprimegraph.groups import (
     NAMED_GROUPS,
     OrderCapExceeded,
     make_cyclic,
     make_dihedral,
+    make_permutation_group,
     make_semidirect_cyclic,
     parse_group_spec,
 )
@@ -23,7 +25,14 @@ from coprimegraph.lattice import (
     pi,
     proper_nontrivial,
 )
-from helpers import brute_force_subgroups, counts_json, factorize_oracle, is_closed_subgroup
+from coprimegraph.theorems import load_catalog
+from helpers import (
+    all_subgroups_oracle,
+    brute_force_subgroups,
+    counts_json,
+    factorize_oracle,
+    is_closed_subgroup,
+)
 
 
 def test_pi_examples():
@@ -188,3 +197,83 @@ def test_semidirect_lattice_orders_divide(m, k):
     assert all(g.order % s.order == 0 for s in sl.all)
     assert sl.counts_by_order[1] == 1
     assert sl.counts_by_order[g.order] == 1
+
+
+CATALOG_SPECS = [entry.spec for entry in load_catalog()]
+LATTICE_EXPORT_SPECS = [
+    "D:64", "D:96", "D:105", "D:120", "D:128", "PERM:5:[0 1 2 3 4],[0 1]",
+    "X(S4,Z:10)", "X(A4,A4)", "X(S3,S4)", "SD:63,6,2", "SD:31,10,2", "X(Q8,Z:15)",
+]
+# A5, S5 and A5 x Z2: not solvable, so the join loop completes their lattices
+NON_SOLVABLE_SPECS = [
+    "PERM:5:[0 1 2],[2 3 4]",
+    "PERM:5:[0 1 2 3 4],[0 1]",
+    "X(PERM:5:[0 1 2],[2 3 4],Z:2)",
+]
+
+
+@pytest.fixture
+def closures(monkeypatch):
+    """Every join closure the enumerator runs, in order."""
+    calls = []
+    real = lattice._generate
+
+    def counting(*args):
+        calls.append(args[2])
+        return real(*args)
+
+    monkeypatch.setattr(lattice, "_generate", counting)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "spec", sorted(set(CATALOG_SPECS + LATTICE_EXPORT_SPECS + NON_SOLVABLE_SPECS))
+)
+def test_cyclic_extension_matches_the_join_saturation_oracle(closures, spec):
+    g = parse_group_spec(spec, 4096)
+    got = all_subgroups(g, 4096)
+    want = all_subgroups_oracle(g, 4096)
+    assert got.all == want.all
+    assert got.counts_by_order == want.counts_by_order
+    # the join loop runs exactly when cyclic extension misses G itself
+    assert bool(closures) == (spec in NON_SOLVABLE_SPECS)
+
+
+def test_a5_has_59_subgroups():
+    sl = all_subgroups(parse_group_spec("PERM:5:[0 1 2],[2 3 4]"))
+    assert len(sl.all) == 59
+    assert sl.counts_by_order == {1: 1, 2: 15, 3: 10, 4: 5, 5: 6, 6: 10, 10: 6, 12: 5, 60: 1}
+
+
+@st.composite
+def small_permutation_groups(draw):
+    degree = draw(st.integers(min_value=1, max_value=5))
+    gens = draw(st.lists(st.permutations(range(degree)), min_size=1, max_size=2))
+    return make_permutation_group(degree, [tuple(p) for p in gens])
+
+
+def test_random_permutation_groups_match_the_oracle(closures):
+    completed = []
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_permutation_groups())
+    @example(make_permutation_group(5, [(1, 2, 3, 4, 0), (1, 0, 2, 3, 4)]))
+    def check(group):
+        closures.clear()
+        got = all_subgroups(group)
+        assert got.all == all_subgroups_oracle(group).all
+        # A5 and S5, of order 60 and 120, are the only subgroups of S5 that
+        # are not solvable; only they need the join loop
+        assert bool(closures) == (group.order >= 60)
+        completed.append(bool(closures))
+
+    check()
+    assert any(completed)
+
+
+@pytest.mark.parametrize("n", [60, 128, 210, 256])
+def test_dihedral_subgroup_count_closed_form(n):
+    # D_n has one cyclic subgroup per divisor of n and, for each divisor d,
+    # n/d dihedral subgroups <r^d, r^i s>: tau(n) + sigma(n) subgroups
+    sl = all_subgroups(make_dihedral(n))
+    assert len(proper_nontrivial(sl)) == len(divisors(n)) + sum(divisors(n)) - 2
