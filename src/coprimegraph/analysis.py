@@ -467,7 +467,6 @@ def verify_kuratowski_witness(
     else:
         cadj = {b: {v for u, v in distinct if u == b} | {u for u, v in distinct if v == b}
                 for b in branch}
-        side = {branch[0]}
         other = cadj[branch[0]]
         if len(other) != 3:
             return None

@@ -2,13 +2,14 @@
 embed arbitrary graphs.
 
 The spec grammar and its order cap live in ``groups``, the undefined-graph
-rule in ``coprime``, and each error's exit code in ``errors``; this module
-dispatches and prints.  Exit codes: 0 success; 1 a failed verification or a
-certificate that failed its re-check (CertificateError); 2 bad input
-(InputError: spec, group parameters, catalog file, edge list) or an
-unreadable file (OSError); 3 undefined coprime graph, for trivial and
-prime-order groups (UndefinedCoprimeGraphError); 4 a size cap
-(CapExceeded).  Any other exception is a bug and ends in a traceback.
+rule and the one way from a spec to P(G) in ``coprime``, and each error's
+exit code in ``errors``; this module dispatches and prints.  Exit codes:
+0 success; 1 a failed verification or a certificate that failed its
+re-check (CertificateError); 2 bad input (InputError: spec, group
+parameters, catalog file, edge list) or an unreadable file (OSError); 3
+undefined coprime graph, for trivial and prime-order groups
+(UndefinedCoprimeGraphError); 4 a size cap (CapExceeded).  Any other
+exception is a bug and ends in a traceback.
 """
 
 from __future__ import annotations
@@ -21,10 +22,10 @@ from pathlib import Path
 
 from . import theorems
 from .analysis import DEFAULT_EXACT_CAP, analyze, is_planar
-from .coprime import CoprimeGraph, build, build_cyclic, graph_json, to_dot
+from .coprime import graph_for_spec, graph_json, to_dot
 from .embedding import embed, parse_edge_list
 from .errors import CoprimeGraphError, InputError
-from .groups import DEFAULT_MAX_ORDER, cyclic_spec_order, parse_group_spec
+from .groups import DEFAULT_MAX_ORDER
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -62,15 +63,6 @@ def _write_output(text: str, out: str | None) -> None:
         Path(out).write_text(text)
 
 
-def _graph_for_spec(spec: str, max_order: int, exact_cap: int | None = None) -> CoprimeGraph:
-    """Build P(G); plain cyclic specs take the divisor fast path, which
-    checks ``exact_cap`` against the divisor count before its gcds."""
-    n = cyclic_spec_order(spec)
-    if n is not None:
-        return build_cyclic(n, exact_cap)
-    return build(parse_group_spec(spec, max_order), max_order=max_order)
-
-
 def _render_report_table(rep) -> str:
     shape = rep.shape
     lines = [
@@ -103,7 +95,7 @@ def _render_report_table(rep) -> str:
 
 
 def cmd_analyze(args) -> int:
-    graph = _graph_for_spec(args.spec, args.max_order, args.exact_cap)
+    graph = graph_for_spec(args.spec, args.max_order, args.exact_cap)
     rep = analyze(graph, exact_cap=args.exact_cap)
     if args.format == "json":
         text = json.dumps(rep.to_json_dict(), indent=2, sort_keys=True) + "\n"
@@ -114,7 +106,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_export(args) -> int:
-    graph = _graph_for_spec(args.spec, args.max_order)
+    graph = graph_for_spec(args.spec, args.max_order)
     if args.format == "json":
         text = json.dumps(graph_json(graph), indent=2, sort_keys=True) + "\n"
     else:

@@ -12,24 +12,14 @@ from dataclasses import dataclass
 from math import gcd, prod
 
 from .errors import UndefinedCoprimeGraphError, check_exact_cap
-from .groups import DEFAULT_MAX_ORDER, FiniteGroup
-from .lattice import (
-    Subgroup,
-    SubgroupList,
-    all_subgroups,
-    divisors,
-    factorize,
-    is_prime,
-    pi,
-    proper_nontrivial,
-)
+from .groups import DEFAULT_MAX_ORDER, FiniteGroup, cyclic_spec_order, parse_group_spec
+from .lattice import all_subgroups, divisors, factorize, is_prime, pi, proper_nontrivial
 
 
 @dataclass(frozen=True)
 class GraphVertex:
     vid: int
     order: int
-    subgroup: Subgroup | None = None
 
 
 class CoprimeGraph:
@@ -65,17 +55,9 @@ class CoprimeGraph:
         return pi(self.parent_order)
 
 
-def _graph_from_orders(
-    source: str,
-    parent_order: int,
-    orders: list[int],
-    subgroups: list[Subgroup] | None = None,
-) -> CoprimeGraph:
+def _graph_from_orders(source: str, parent_order: int, orders: list[int]) -> CoprimeGraph:
     n = len(orders)
-    vertices = [
-        GraphVertex(vid=i, order=orders[i], subgroup=subgroups[i] if subgroups else None)
-        for i in range(n)
-    ]
+    vertices = [GraphVertex(vid=i, order=orders[i]) for i in range(n)]
     # vertices of one order are twins: one gcd per pair of distinct orders
     classes: dict[int, list[int]] = {}
     for v, order in enumerate(orders):
@@ -105,22 +87,15 @@ def _require_defined(name: str, order: int) -> None:
         )
 
 
-def build(
-    group: FiniteGroup,
-    subgroups: SubgroupList | None = None,
-    max_order: int = DEFAULT_MAX_ORDER,
-) -> CoprimeGraph:
+def build(group: FiniteGroup, max_order: int = DEFAULT_MAX_ORDER) -> CoprimeGraph:
     """Coprime graph of a group from its full subgroup inventory.
 
     Rejects the trivial group and groups of prime order, whose graphs have no
     vertex set.
     """
     _require_defined(group.name, group.order)
-    lattice = subgroups if subgroups is not None else all_subgroups(group, max_order)
-    verts = proper_nontrivial(lattice)
-    return _graph_from_orders(
-        group.name, group.order, [s.order for s in verts], verts
-    )
+    verts = proper_nontrivial(all_subgroups(group, max_order))
+    return _graph_from_orders(group.name, group.order, [s.order for s in verts])
 
 
 def build_cyclic(n: int, exact_cap: int | None = None) -> CoprimeGraph:
@@ -136,6 +111,20 @@ def build_cyclic(n: int, exact_cap: int | None = None) -> CoprimeGraph:
         check_exact_cap(prod(e + 1 for _, e in factorize(n)) - 2, exact_cap)
     labels = [d for d in divisors(n) if 1 < d < n]
     return _graph_from_orders(f"Z{n}", n, labels)
+
+
+def graph_for_spec(spec: str, max_order: int, exact_cap: int | None = None) -> CoprimeGraph:
+    """P(G) for a group spec, the one way every command and the catalog take.
+
+    A plain "Z:n" takes the divisor path, which builds no table, is not bound
+    by ``max_order`` and checks ``exact_cap`` against the divisor count before
+    its gcds; any other spec is built under ``max_order`` and its lattice
+    enumerated.
+    """
+    n = cyclic_spec_order(spec)
+    if n is not None:
+        return build_cyclic(n, exact_cap)
+    return build(parse_group_spec(spec, max_order), max_order)
 
 
 def degree_formula(n: int, h_order: int) -> int:

@@ -31,17 +31,6 @@ class FiniteGroup:
     def mul(self, a: int, b: int) -> int:
         return self.table[a][b]
 
-    def inverse(self, a: int) -> int:
-        return self.table[a].index(self.identity)
-
-    def power(self, a: int, k: int) -> int:
-        if k < 0:
-            return self.power(self.inverse(a), -k)
-        acc = self.identity
-        for _ in range(k):
-            acc = self.table[acc][a]
-        return acc
-
     def is_abelian(self) -> bool:
         t = self.table
         return all(t[a][b] == t[b][a] for a in range(self.order) for b in range(a))

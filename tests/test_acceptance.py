@@ -78,7 +78,7 @@ def catalog_reports():
             continue
         group = parse_group_spec(entry.spec)
         lattice = all_subgroups(group)
-        graph = build(group, lattice)
+        graph = build(group)
         out[entry.spec] = (group, lattice, graph, analyze(graph, exact_cap=96))
     return out
 

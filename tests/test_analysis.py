@@ -34,7 +34,6 @@ from coprimegraph.coprime import CoprimeGraph, GraphVertex, _graph_from_orders, 
 from coprimegraph.embedding import SimpleGraph
 from coprimegraph.errors import CertificateError
 from coprimegraph.groups import NAMED_GROUPS, make_dihedral, parse_group_spec
-from coprimegraph.lattice import all_subgroups
 from coprimegraph.theorems import CatalogEntry, evaluate_entry, load_catalog
 from helpers import (
     alpha_oracle,
@@ -235,7 +234,7 @@ def catalog_graphs():
     out = {}
     for entry in load_catalog():
         group = parse_group_spec(entry.spec, max_order=420)
-        out[entry.spec] = build(group, all_subgroups(group, max_order=420))
+        out[entry.spec] = build(group)
     return out
 
 

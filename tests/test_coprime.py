@@ -17,8 +17,15 @@ from coprimegraph.coprime import (
     graph_json,
     to_dot,
 )
-from coprimegraph.groups import NAMED_GROUPS, make_cyclic, make_dihedral, parse_group_spec
+from coprimegraph.groups import (
+    NAMED_GROUPS,
+    cyclic_spec_order,
+    make_cyclic,
+    make_dihedral,
+    parse_group_spec,
+)
 from coprimegraph.lattice import divisors, is_prime
+from coprimegraph.theorems import load_catalog
 from helpers import counted_degrees
 
 
@@ -86,12 +93,14 @@ def test_duplicate_orders_make_distinct_vertices():
 
 def test_fast_path_matches_generic_pipeline():
     """Identity map on order labels between the divisor path and the lattice
-    path, for every composite n up to 300."""
-    for n in range(4, 301):
+    path, for every composite n up to 300 and every cyclic catalog modulus."""
+    catalog_moduli = {cyclic_spec_order(e.spec) for e in load_catalog()} - {None}
+    for n in sorted(set(range(4, 301)) | catalog_moduli):
         if is_prime(n):
             continue
         fast = build_cyclic(n)
         slow = build(make_cyclic(n))
+        assert (fast.source, fast.parent_order) == (slow.source, slow.parent_order)
         assert [v.order for v in fast.vertices] == [v.order for v in slow.vertices]
         assert fast.edges() == slow.edges()
 
@@ -188,9 +197,8 @@ def test_one_gcd_per_pair_of_distinct_orders(monkeypatch, spec):
         return gcd(a, b)
 
     group = parse_group_spec(spec)
-    lattice = coprime.all_subgroups(group)
     monkeypatch.setattr(coprime, "gcd", counting)
-    g = build(group, lattice)
+    g = build(group)
     k = len({v.order for v in g.vertices})
     assert len(calls) == k * (k + 1) // 2
     assert len({frozenset(c) for c in calls}) == len(calls)

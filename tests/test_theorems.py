@@ -8,7 +8,7 @@ from math import gcd
 import networkx as nx
 import pytest
 
-from coprimegraph import theorems
+from coprimegraph import coprime, groups, theorems
 from coprimegraph.analysis import analyze
 from coprimegraph.coprime import CoprimeGraph, GraphVertex, build
 from coprimegraph.groups import make_cyclic, parse_group_spec
@@ -204,7 +204,7 @@ def test_planarity_matches_sylow_inspection_for_cube_times_square_orders():
             lattice.counts_by_order.get(q * q, 0) == 1
             and lattice.counts_by_order.get(q, 0) == 1
         )
-        planar = analyze(build(group, lattice)).planarity.planar
+        planar = analyze(build(group)).planarity.planar
         assert planar == unique_cyclic_sylow, spec
 
 
@@ -296,4 +296,25 @@ def test_alpha_check_holds_where_alpha_exceeds_every_prime_class(spec):
     assert max(sum(o % p == 0 for o in graph.orders()) for p in (2, 3, 5)) == 17
     rows = evaluate_entry(CatalogEntry(spec, 900, expect={"alpha": 19}))
     assert len(rows) == len(AUTO_CHECKS) + 1
+    assert all(r.passed for r in rows), [r for r in rows if not r.passed]
+
+
+@pytest.mark.parametrize("spec,declared,built", [("A4", 13, 12), ("Z:7", 8, 7)])
+def test_declared_order_mismatch_is_one_catalog_order_row(spec, declared, built):
+    # Z:7 has prime order: the order is compared before the undefined-graph rule
+    rows = evaluate_entry(CatalogEntry(spec, declared))
+    assert [(r.check_id, r.expected, r.computed, r.passed) for r in rows] == [
+        ("catalog-order", declared, built, False)
+    ]
+
+
+def test_cyclic_entry_builds_no_table_and_no_lattice(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("Z:n left the divisor path")
+
+    monkeypatch.setattr(groups, "make_cyclic", refuse)
+    monkeypatch.setattr(coprime, "all_subgroups", refuse)
+    shipped = next(e for e in load_catalog() if e.spec == "Z:420")
+    rows = evaluate_entry(CatalogEntry("Z:420", 420, expect=shipped.expect))
+    assert len(rows) == len(AUTO_CHECKS) + len(shipped.expect) == len(AUTO_CHECKS) + 28
     assert all(r.passed for r in rows), [r for r in rows if not r.passed]

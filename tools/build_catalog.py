@@ -15,10 +15,9 @@ import sys
 sys.path.insert(0, "src")
 
 from coprimegraph.analysis import analyze
-from coprimegraph.coprime import build
-from coprimegraph.groups import parse_group_spec
-from coprimegraph.lattice import all_subgroups
-from coprimegraph.theorems import EXPECTATION_KEYS
+from coprimegraph.coprime import graph_for_spec
+from coprimegraph.groups import DEFAULT_MAX_ORDER
+from coprimegraph.theorems import expectation_values
 
 # (spec, note) rows; ordering is the shipped catalog ordering
 ENTRIES = [
@@ -97,12 +96,11 @@ ENTRIES = [
 def main() -> None:
     out = []
     for spec, note in ENTRIES:
-        group = parse_group_spec(spec)
-        graph = build(group, all_subgroups(group))
+        graph = graph_for_spec(spec, DEFAULT_MAX_ORDER, exact_cap=96)
         rep = analyze(graph, exact_cap=96)
-        expect = {key: fn(rep) for key, fn in EXPECTATION_KEYS.items()}
+        expect = expectation_values(rep)
         out.append(
-            {"spec": spec, "order": group.order, "note": note, "expect": expect}
+            {"spec": spec, "order": graph.parent_order, "note": note, "expect": expect}
         )
         print(f"{spec:18s} done", file=sys.stderr)
     print(json.dumps({"entries": out}, indent=1))
