@@ -25,6 +25,7 @@ from .analysis import (
     small_graph_isomorphic,
     verify_kuratowski_witness,
     verify_rotation_system,
+    vertex_report,
 )
 from .coprime import (
     CoprimeGraph,

@@ -6,17 +6,22 @@ that passes an Euler face count or a Kuratowski subdivision witness that is
 re-validated by degree profile and path contraction before being returned.
 The independence number of a coprime graph is searched over prime supports,
 of which there are at most 2^k - 1 for k primes, however many vertices share
-them; every other solver works on vertices, and ``--exact-cap`` bounds their
-count before any of them runs.
+them.  ``analyze`` reads every other invariant of P(G) but planarity off the
+support weights too, with the paper's theorems as closed forms;
+``vertex_report`` runs the vertex-level solvers instead, for any other graph
+and as the oracle.  ``--exact-cap`` bounds the vertex count before either
+runs.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
+from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import combinations
+from operator import or_
 
 import networkx as nx
 
@@ -46,18 +51,24 @@ class _Adjacency:
     """One graph's adjacency: neighbour sets and the same rows as bitmasks.
 
     A coprime graph also brings its vertex orders and its parent's primes,
-    from which ``independence_number`` works on prime supports.  The
-    ``structure`` sweep runs on first use and is kept with the adjacency.
+    from which ``independence_number`` and ``analyze`` work on prime
+    supports, and a graph its name.  The ``structure`` sweep and the support
+    ``classes`` are computed on first use and kept with the adjacency.
     """
 
     sets: tuple[frozenset[int], ...]
     masks: tuple[int, ...]
     orders: tuple[int, ...] | None = None
     primes: tuple[int, ...] = ()
+    source: str = "graph"
 
     @cached_property
     def structure(self) -> _Structure:
         return _structure(self)
+
+    @cached_property
+    def classes(self) -> dict[int, int] | None:
+        return None if self.orders is None else _support_classes(self)
 
 
 @dataclass(frozen=True)
@@ -129,9 +140,21 @@ def _adjacency(g) -> _Adjacency:
         return g
     sets = tuple(frozenset(s) for s in adjacency_sets(g))
     masks = tuple(sum(1 << w for w in s) for s in sets)
+    source = getattr(g, "source", "graph")
     if hasattr(g, "orders"):
-        return _Adjacency(sets, masks, tuple(g.orders()), tuple(sorted(g.parent_primes())))
-    return _Adjacency(sets, masks)
+        primes = tuple(sorted(g.parent_primes()))
+        return _Adjacency(sets, masks, tuple(g.orders()), primes, source)
+    return _Adjacency(sets, masks, source=source)
+
+
+def _members(mask: int) -> list[int]:
+    """The vertices of a bitmask, lowest first."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 def edge_list(adj: list[set[int]]) -> list[tuple[int, int]]:
@@ -221,8 +244,10 @@ def _support_classes(adj: _Adjacency) -> dict[int, int] | None:
     supports are disjoint.
 
     A vertex's support is the bitmask of the parent's primes dividing its
-    order.  A coprime graph built from its orders always passes the
-    comparison; a hand-made one need not.
+    order.  The vertices whose support misses S are those outside the
+    classes of S's primes, so the comparison takes k unions per support.  A
+    coprime graph built from its orders always passes it; a hand-made one
+    need not.
     """
     supports = [
         sum(1 << i for i, p in enumerate(adj.primes) if order % p == 0) for order in adj.orders
@@ -230,7 +255,13 @@ def _support_classes(adj: _Adjacency) -> dict[int, int] | None:
     classes: dict[int, int] = {}
     for v, s in enumerate(supports):
         classes[s] = classes.get(s, 0) | 1 << v
-    disjoint = {s: sum(m for t, m in classes.items() if not s & t) for s in classes}
+    divisible = [reduce(or_, (m for s, m in classes.items() if s >> i & 1), 0)
+                 for i in range(len(adj.primes))]
+    everyone = (1 << len(supports)) - 1
+    disjoint = {
+        s: everyone & ~reduce(or_, (m for i, m in enumerate(divisible) if s >> i & 1), 0)
+        for s in classes
+    }
     if any(adj.masks[v] != disjoint[s] for v, s in enumerate(supports)):
         return None
     return classes
@@ -247,7 +278,8 @@ def _max_support_family(weight: Counter[int], k: int) -> tuple[int, tuple[int, .
     every earlier pick, and cuts a branch once the weight still to come
     cannot beat the best family.  Some member of a pair always meets every
     earlier pick: if S missed A and the complement of S missed B, then A and
-    B would be disjoint.
+    B would be disjoint.  The search keeps its own stack, one entry per pick
+    still to try, so a thousand pairs need no thousand-deep recursion.
     """
     full = (1 << k) - 1
     pairs = sorted(
@@ -258,19 +290,18 @@ def _max_support_family(weight: Counter[int], k: int) -> tuple[int, tuple[int, .
     for i in range(len(pairs) - 1, -1, -1):
         rest[i] = rest[i + 1] + weight[pairs[i][0]]
     best, best_family = -1, ()
-
-    def extend(i: int, family: tuple[int, ...], total: int) -> None:
-        nonlocal best, best_family
+    stack = [(0, (), weight[full])]
+    while stack:
+        i, family, total = stack.pop()
         if total + rest[i] <= best:
-            return
+            continue
         if i == len(pairs):
             best, best_family = total, family
-            return
-        for s in pairs[i]:
+            continue
+        # pushed in reverse, so the pair's first member is tried first
+        for s in reversed(pairs[i]):
             if all(s & t for t in family):
-                extend(i + 1, family + (s,), total + weight[s])
-
-    extend(0, (), weight[full])
+                stack.append((i + 1, family + (s,), total + weight[s]))
     return best, tuple(s for s in (full, *best_family) if weight[s])
 
 
@@ -287,7 +318,7 @@ def independence_number(g, cap: int = DEFAULT_EXACT_CAP) -> int:
     masks = adj.masks
     n = len(masks)
     check_exact_cap(n, cap)
-    classes = None if adj.orders is None else _support_classes(adj)
+    classes = adj.classes
     if classes is None:
         full = (1 << n) - 1
         comp = [full & ~(1 << v) & ~m for v, m in enumerate(masks)]
@@ -305,8 +336,12 @@ def _k_colorable(adj, k: int) -> bool:
     most distinct neighbour colours, then the highest degree, then the lowest
     index, takes the lowest free colour first.  So the first descent is the
     DSATUR greedy colouring, and it succeeds without backtracking whenever k
-    is at least the greedy colour count."""
+    is at least the greedy colour count.  The search keeps its own stack of
+    (vertex, colours still to try, colours used before it), one per coloured
+    vertex, so its depth is not bounded by Python's recursion limit."""
     n = len(adj)
+    if n == 0:
+        return True
     colors = [-1] * n
 
     def pick() -> int:
@@ -320,22 +355,26 @@ def _k_colorable(adj, k: int) -> bool:
                 best_key, best_v = key, v
         return best_v
 
-    def rec(assigned: int, max_used: int) -> bool:
-        if assigned == n:
-            return True
+    def frame(max_used: int) -> tuple[int, Iterator[int], int]:
         v = pick()
         taken = {colors[u] for u in adj[v] if colors[u] >= 0}
         # allowing at most one fresh color breaks color-permutation symmetry
-        for c in range(min(max_used + 1, k - 1) + 1):
-            if c in taken:
-                continue
-            colors[v] = c
-            if rec(assigned + 1, max(max_used, c)):
-                return True
-            colors[v] = -1
-        return False
+        free = [c for c in range(min(max_used + 1, k - 1) + 1) if c not in taken]
+        return v, iter(free), max_used
 
-    return rec(0, -1)
+    stack = [frame(-1)]
+    while stack:
+        v, free, max_used = stack[-1]
+        colors[v] = -1
+        c = next(free, None)
+        if c is None:
+            stack.pop()
+            continue
+        colors[v] = c
+        if len(stack) == n:
+            return True
+        stack.append(frame(max(max_used, c)))
+    return False
 
 
 def chromatic_number(g, cap: int = DEFAULT_EXACT_CAP) -> int:
@@ -387,24 +426,39 @@ def _count_faces(rotation: dict[int, list[int]], comp: list[int]) -> int:
 def verify_rotation_system(g, rotation: dict[int, list[int]]) -> bool:
     """Euler check V - E + F = 2 on every component of the rotation system.
 
-    Components without edges count a single face.  Equivalently the whole
-    graph satisfies V - E + F' = 1 + C once the shared outer face is counted
-    only once.
+    Components without edges count a single face.  No component's count
+    exceeds 2, since a rotation system of genus g gives 2 - 2g, so the check
+    is that the counts summed over the C components reach 2C.
     """
-    adj = _adjacency(g)
-    sets = adj.sets
+    sets = _adjacency(g).sets
     n = len(sets)
     if set(rotation) != set(range(n)):
         return False
     for v in range(n):
         if sorted(rotation[v]) != sorted(sets[v]):
             return False
-    for comp in adj.structure.components:
-        edges = sum(len(sets[v]) for v in comp) // 2
-        faces = 1 if edges == 0 else _count_faces(rotation, comp)
-        if len(comp) - edges + faces != 2:
-            return False
-    return True
+    edges = sum(len(s) for s in sets) // 2
+    isolated = sum(1 for s in sets if not s)
+    faces = _count_faces(rotation, [v for v in range(n) if sets[v]]) + isolated
+    return n - edges + faces == 2 * _component_count(sets)
+
+
+def _component_count(sets) -> int:
+    """The number of components, by one search from each unseen vertex."""
+    seen = [False] * len(sets)
+    count = 0
+    for root in range(len(sets)):
+        if seen[root]:
+            continue
+        count += 1
+        seen[root] = True
+        stack = [root]
+        while stack:
+            for w in sets[stack.pop()]:
+                if not seen[w]:
+                    seen[w] = True
+                    stack.append(w)
+    return count
 
 
 def verify_kuratowski_witness(
@@ -485,34 +539,35 @@ def verify_kuratowski_witness(
 def is_planar(g) -> PlanarityCertificate:
     """Planarity with a self-verified certificate either way.
 
-    networkx's planarity test gives the verdict.  A nonplanar graph's witness
-    is the first triple u < v < w with at least three common neighbours,
-    joined to the lowest three of them: a literal K33.  Only a graph without
-    one goes to networkx's counterexample search, which deletes edges one at a
-    time and re-tests planarity after each.
+    The first triple u < v < w with at least three common neighbours, joined
+    to the lowest three of them, is a literal K33: it settles nonplanarity
+    and is the witness.  Only a graph without such a triple goes to
+    networkx's planarity test and, if nonplanar, to its counterexample
+    search, which deletes edges one at a time and re-tests planarity after
+    each.
     """
     adj = _adjacency(g)
     n = len(adj.sets)
-    graph = nx.Graph()
-    graph.add_nodes_from(range(n))
-    graph.add_edges_from(edge_list(adj.sets))
-    ok, embedding = nx.check_planarity(graph, counterexample=False)
-    if ok:
-        data = embedding.get_data()
-        rotation = {v: list(data.get(v, [])) for v in range(n)}
-        if not verify_rotation_system(adj, rotation):
-            raise CertificateError("planar embedding failed the Euler face check")
-        return PlanarityCertificate(
-            planar=True,
-            rotation=tuple(tuple(rotation[v]) for v in range(n)),
-        )
     found = _k3b_triple(adj.masks, 3)
     if found is None:
+        graph = nx.Graph()
+        graph.add_nodes_from(range(n))
+        graph.add_edges_from(edge_list(adj.sets))
+        ok, embedding = nx.check_planarity(graph, counterexample=False)
+        if ok:
+            data = embedding.get_data()
+            rotation = {v: list(data.get(v, [])) for v in range(n)}
+            if not verify_rotation_system(adj, rotation):
+                raise CertificateError("planar embedding failed the Euler face check")
+            return PlanarityCertificate(
+                planar=True,
+                rotation=tuple(tuple(rotation[v]) for v in range(n)),
+            )
         counter = nx.algorithms.planarity.get_counterexample(graph)
         witness = sorted((min(u, v), max(u, v)) for u, v in counter.edges())
     else:
         *left, common = found
-        right = [x for x in range(n) if common >> x & 1][:3]
+        right = _members(common)[:3]
         witness = sorted((min(u, x), max(u, x)) for u in left for x in right)
     verdict = verify_kuratowski_witness(adj, witness)
     if verdict is None:
@@ -551,16 +606,18 @@ def _k3b_triple(masks, b: int) -> tuple[int, int, int, int] | None:
     """The first triple u < v < w, in lexicographic order, with at least b
     common neighbours, as (u, v, w, common-neighbour mask); None if none.
 
-    A pair with fewer than b common neighbours is skipped before any third
-    vertex is tried, since a third vertex only shrinks the common set.
+    Only vertices of degree at least b are tried, and a pair with fewer than
+    b common neighbours is skipped before any third vertex is, since a third
+    vertex only shrinks the common set.
     """
-    n = len(masks)
-    for u in range(n):
-        for v in range(u + 1, n):
+    heavy = [v for v, m in enumerate(masks) if m.bit_count() >= b]
+    for i, u in enumerate(heavy):
+        for j in range(i + 1, len(heavy)):
+            v = heavy[j]
             pair = masks[u] & masks[v]
             if pair.bit_count() < b:
                 continue
-            for w in range(v + 1, n):
+            for w in heavy[j + 1:]:
                 common = pair & masks[w]
                 if common.bit_count() >= b:
                     return u, v, w, common
@@ -608,29 +665,28 @@ def _patterns(degrees: list[int], n_components: int, coloring) -> dict[str, tupl
     return out
 
 
-def _summary(adj: _Adjacency, core: bool) -> tuple[int, int, int, dict[str, tuple[int, ...]]]:
-    """Vertex, edge and component counts and named patterns of the graph, or
-    of its core: the graph without its isolated vertices, each of which is a
-    component of its own."""
+def _summary(
+    degrees: list[int], n_components: int, coloring, core: bool
+) -> tuple[int, int, int, dict[str, tuple[int, ...]]]:
+    """Vertex, edge and component counts and named patterns of the graph with
+    these degrees, component count and 2-colouring, or of its core: the graph
+    without its isolated vertices, each of which is a component of its own."""
+    keep = [v for v, d in enumerate(degrees) if d or not core]
+    kept = [degrees[v] for v in keep]
+    n_components -= len(degrees) - len(keep)
+    colours = None if coloring is None else [coloring[v] for v in keep]
+    return len(keep), sum(kept) // 2, n_components, _patterns(kept, n_components, colours)
+
+
+def _profile(adj: _Adjacency) -> tuple[list[int], int, tuple[int, ...] | None]:
+    """The degrees, component count and 2-colouring, from the sweep."""
     structure = adj.structure
-    keep = [v for v, s in enumerate(adj.sets) if s or not core]
-    degrees = [len(adj.sets[v]) for v in keep]
-    n_components = len(structure.components) - (len(adj.sets) - len(keep))
-    coloring = None if structure.coloring is None else [structure.coloring[v] for v in keep]
-    return len(keep), sum(degrees) // 2, n_components, _patterns(degrees, n_components, coloring)
+    return [len(s) for s in adj.sets], len(structure.components), structure.coloring
 
 
-def classify_shape(g) -> ShapeDescriptor:
-    """Classify the non-isolated core by the fixed precedence
-    Null > Complete > Star > Path > CompleteBipartite > Cycle > Tree >
-    Unicyclic > Other.
-
-    CompleteBipartite is tested before Cycle so that a four-cycle core reads
-    as K_{2,2}; it is the only graph matching both patterns.
-    """
-    adj = _adjacency(g)
-    n, edges, n_components, patterns = _summary(adj, core=True)
-    isolated = len(adj.sets) - n
+def _core_shape(degrees: list[int], n_components: int, coloring) -> ShapeDescriptor:
+    n, edges, n_components, patterns = _summary(degrees, n_components, coloring, core=True)
+    isolated = len(degrees) - n
     if n == 0:
         return ShapeDescriptor("Null", (), isolated)
     for kind, args in patterns.items():
@@ -642,13 +698,19 @@ def classify_shape(g) -> ShapeDescriptor:
     return ShapeDescriptor("Other", (), isolated)
 
 
-def shape_predicates(g) -> dict[str, bool]:
-    """Whole-graph named-shape booleans, independent of the core precedence.
+def classify_shape(g) -> ShapeDescriptor:
+    """Classify the non-isolated core by the fixed precedence
+    Null > Complete > Star > Path > CompleteBipartite > Cycle > Tree >
+    Unicyclic > Other.
 
-    A graph with vertices but no edges is the null graph and counts as
-    disconnected, so the single-vertex graph is neither complete nor a tree.
+    CompleteBipartite is tested before Cycle so that a four-cycle core reads
+    as K_{2,2}; it is the only graph matching both patterns.
     """
-    n, edges, n_components, patterns = _summary(_adjacency(g), core=False)
+    return _core_shape(*_profile(_adjacency(g)))
+
+
+def _predicates(degrees: list[int], n_components: int, coloring) -> dict[str, bool]:
+    n, edges, n_components, patterns = _summary(degrees, n_components, coloring, core=False)
     connected = n_components == 1 and edges >= 1
     acyclic = edges - n + n_components == 0
     return {
@@ -663,6 +725,15 @@ def shape_predicates(g) -> dict[str, bool]:
         "unicyclic": edges - n + n_components == 1,
         "connected": connected,
     }
+
+
+def shape_predicates(g) -> dict[str, bool]:
+    """Whole-graph named-shape booleans, independent of the core precedence.
+
+    A graph with vertices but no edges is the null graph and counts as
+    disconnected, so the single-vertex graph is neither complete nor a tree.
+    """
+    return _predicates(*_profile(_adjacency(g)))
 
 
 def small_graph_isomorphic(g1, g2, cap: int = ISO_CAP) -> bool:
@@ -782,12 +853,23 @@ class AnalysisReport:
         }
 
 
-def analyze(g, exact_cap: int = DEFAULT_EXACT_CAP) -> AnalysisReport:
-    """Compute every invariant exactly; no heuristics, caps raise instead.
+def _forbidden(omega: int, contains) -> dict[str, bool]:
+    """The forbidden-subgraph flags: K5 from the clique number, each K_{a,b}
+    from ``contains(a, b)``."""
+    return {
+        pattern: omega >= 5 if pattern == "K5" else contains(int(pattern[1]), int(pattern[2:]))
+        for pattern in FORBIDDEN_PATTERNS
+    }
+
+
+def vertex_report(g, exact_cap: int = DEFAULT_EXACT_CAP) -> AnalysisReport:
+    """Every invariant from the vertex-level solvers, for any graph.
 
     The adjacency and its structure sweep are built once and every invariant
     reads them; the exact-solver cap is checked before the sweep or any
-    solver runs.
+    solver runs.  This is the report for graphs ``analyze`` cannot read off
+    supports, the one ``verify`` checks the paper's theorems against, and
+    the oracle for ``analyze``.
     """
     adj = _adjacency(g)
     n = len(adj.sets)
@@ -800,16 +882,8 @@ def analyze(g, exact_cap: int = DEFAULT_EXACT_CAP) -> AnalysisReport:
     alpha = independence_number(adj, exact_cap)
     omega = clique_number(adj, exact_cap)
     chi = chromatic_number(adj, exact_cap)
-    forbidden = {}
-    for pattern in FORBIDDEN_PATTERNS:
-        if pattern == "K5":
-            forbidden[pattern] = omega >= 5
-        else:
-            forbidden[pattern] = contains_complete_bipartite(
-                adj, int(pattern[1]), int(pattern[2:])
-            )
     return AnalysisReport(
-        source=getattr(g, "source", "graph"),
+        source=adj.source,
         n_vertices=n,
         n_edges=edges,
         vertex_orders=None if adj.orders is None else list(adj.orders),
@@ -823,7 +897,133 @@ def analyze(g, exact_cap: int = DEFAULT_EXACT_CAP) -> AnalysisReport:
         chi=chi,
         is_bipartite=is_bipartite(adj),
         planarity=is_planar(adj),
-        forbidden=forbidden,
+        forbidden=_forbidden(omega, lambda a, b: contains_complete_bipartite(adj, a, b)),
         shape=classify_shape(adj),
         predicates=preds,
     )
+
+
+def _subset_sums(values: list[int], k: int) -> list[int]:
+    """The zeta transform over subsets of k primes: entry X becomes the sum
+    of the entries of every subset of X."""
+    sums = list(values)
+    for i in range(k):
+        bit = 1 << i
+        for x in range(len(sums)):
+            if x & bit:
+                sums[x] += sums[x ^ bit]
+    return sums
+
+
+def _order_report(adj: _Adjacency, classes: dict[int, int], exact_cap: int) -> AnalysisReport:
+    """The report of a coprime graph with a vertex of support {p} for each of
+    its k primes, read off the support weights.
+
+    w[S] counts the vertices of support S and W[X], their subset sums, those
+    whose support lies in X, so a vertex of support S has W[~S] neighbours.
+    - A full-support vertex is isolated.  Every other one is joined to the
+      {p} vertices of the primes p it lacks, which are pairwise joined, so
+      for k >= 2 they form one component.
+    - Two distinct vertices of supports S and T are adjacent if S and T are
+      disjoint, else at distance 2 through a {p} vertex with p outside both,
+      else, when S and T meet and cover every prime, at distance 3.  So the
+      component's diameter is 1 if it is a clique, 3 if such S and T are
+      supports, and 2 otherwise.
+    - The {p} vertices of three primes are a triangle.  For k = 2 the edges
+      are those of K_{w[p], w[q]}, with a 4-cycle if both sides have two.
+    - The {p} vertices are a clique of k, and colouring by the smallest prime
+      of the support is proper with k colours, so omega = chi = k; both are
+      re-checked on the adjacency.  The graph is bipartite iff k <= 2.
+    - Vertices whose supports lie in X are joined to all W[~X] vertices
+      whose supports lie in ~X, so K_{a,b} is a subgraph iff W[X] >= a and
+      W[~X] >= b for some X, such as the union of the a supports.
+    The shapes follow from the degrees, the component count and, for k <= 2,
+    the colouring by distance parity.  Alpha and planarity are computed as
+    for any graph.
+    """
+    masks = adj.masks
+    n = len(masks)
+    k = len(adj.primes)
+    full = (1 << k) - 1
+    weight = [0] * (full + 1)
+    support = [0] * n
+    for s, m in classes.items():
+        weight[s] = m.bit_count()
+        for v in _members(m):
+            support[v] = s
+    inside = _subset_sums(weight, k)
+    degrees = [inside[full ^ s] for s in support]
+    edges = sum(degrees) // 2
+
+    clique = [_members(classes[1 << i])[0] for i in range(k)]
+    by_colour: dict[int, int] = {}
+    for s, m in classes.items():
+        by_colour[s & -s] = by_colour.get(s & -s, 0) | m
+    if not all(masks[u] >> v & 1 for u, v in combinations(clique, 2)) or any(
+        masks[v] & c for c in by_colour.values() for v in _members(c)
+    ):
+        raise CertificateError("prime clique or smallest-prime colouring failed its re-check")
+
+    isolated = classes.get(full, 0)
+    core = [v for v in range(n) if not isolated >> v & 1]
+    # far[S] counts the non-full supports T containing ~S: ~S itself, or a T
+    # that meets S and with it covers every prime
+    far = _subset_sums([int(s != 0 and (full ^ s) in classes) for s in range(full + 1)], k)
+    if 2 * edges == len(core) * (len(core) - 1):
+        core_diameter = 1
+    elif any(far[s] > ((full ^ s) in classes) for s in classes if s != full):
+        core_diameter = 3
+    else:
+        core_diameter = 2
+    components, diameters = [], []
+    for v in range(n):
+        if isolated >> v & 1:
+            components.append([v])
+            diameters.append(0)
+        elif v == core[0]:
+            components.append(core)
+            diameters.append(core_diameter)
+    first = support[core[0]] if core else full
+    coloring = [int(s not in (full, first)) for s in support] if k <= 2 else None
+    preds = _predicates(degrees, len(components), coloring)
+    return AnalysisReport(
+        source=adj.source,
+        n_vertices=n,
+        n_edges=edges,
+        vertex_orders=list(adj.orders),
+        components=components,
+        is_connected=preds["connected"],
+        diameter=diameters[0] if preds["connected"] else INFINITE,
+        component_diameters=diameters,
+        girth=3 if k >= 3 else 4 if k == 2 and min(weight[1], weight[2]) >= 2 else INFINITE,
+        alpha=independence_number(adj, exact_cap),
+        omega=k,
+        chi=k,
+        is_bipartite=k <= 2,
+        planarity=is_planar(adj),
+        forbidden=_forbidden(k, lambda a, b: any(
+            inside[x] >= a and inside[full ^ x] >= b for x in range(full + 1)
+        )),
+        shape=_core_shape(degrees, len(components), coloring),
+        predicates=preds,
+    )
+
+
+def analyze(g, exact_cap: int = DEFAULT_EXACT_CAP) -> AnalysisReport:
+    """Compute every invariant exactly; no heuristics, caps raise instead.
+
+    The exact-solver cap is checked first.  A coprime graph whose edges are
+    those of its orders, with a vertex of support {p} for each of its k
+    primes and at most 4n subsets of them for n vertices, gets
+    ``_order_report``.  P(G) has the vertices of order p by Cauchy's
+    theorem, and for a solvable G a Hall subgroup for every proper set of
+    its primes, so n >= 2^k - 2.  Any other graph gets ``vertex_report``.
+    """
+    adj = _adjacency(g)
+    n = len(adj.sets)
+    check_exact_cap(n, exact_cap)
+    classes = adj.classes
+    k = len(adj.primes)
+    if classes is None or 1 << k > 4 * n or any(1 << i not in classes for i in range(k)):
+        return vertex_report(adj, exact_cap)
+    return _order_report(adj, classes, exact_cap)

@@ -22,7 +22,7 @@ from itertools import combinations
 from operator import getitem
 from pathlib import Path
 
-from .analysis import INFINITE, AnalysisReport, analyze
+from .analysis import INFINITE, AnalysisReport, vertex_report
 from .coprime import CoprimeGraph, build, build_cyclic, degree_formula, graph_for_spec
 from .embedding import SimpleGraph, embed, verify_embedding
 from .errors import CatalogError, CoprimeGraphError
@@ -281,9 +281,12 @@ def evaluate_entry(
 ) -> list[CheckRow]:
     """All automatic and data-driven checks for one catalog entry.
 
-    The package's own errors (a bad spec, a cap, an undefined graph, a
-    failed certificate) become a single failing row instead of aborting the
-    suite; any other exception is a bug and propagates.
+    The report is ``vertex_report``'s, from the vertex-level solvers, so the
+    checks test the paper's theorems rather than the closed forms
+    ``analyze`` reads off prime supports.  The package's own errors (a bad
+    spec, a cap, an undefined graph, a failed certificate) become a single
+    failing row instead of aborting the suite; any other exception is a bug
+    and propagates.
     """
     name = entry.spec
     try:
@@ -304,7 +307,7 @@ def evaluate_entry(
                     "declared order mismatch",
                 )
             ]
-        rep = analyze(graph, exact_cap)
+        rep = vertex_report(graph, exact_cap)
     except CoprimeGraphError as exc:
         return [CheckRow(name, "build", "ok", f"{type(exc).__name__}: {exc}", False)]
     rows = []
@@ -422,7 +425,7 @@ def check_connectivity_criterion(group) -> bool:
     """Connectivity iff no proper nontrivial subgroup has the full prime set,
     with diameter in {1, 2, 3} whenever connected."""
     graph = build(group)
-    rep = analyze(graph)
+    rep = vertex_report(graph)
     return _check_connectivity(graph, rep) and _check_diameter_range(graph, rep)
 
 

@@ -2,7 +2,10 @@
 
 import math
 import random
+import sys
+from collections import Counter
 from itertools import combinations
+from unittest import mock
 
 import networkx as nx
 import pytest
@@ -29,8 +32,16 @@ from coprimegraph.analysis import (
     small_graph_isomorphic,
     verify_kuratowski_witness,
     verify_rotation_system,
+    vertex_report,
 )
-from coprimegraph.coprime import CoprimeGraph, GraphVertex, _graph_from_orders, build, build_cyclic
+from coprimegraph.coprime import (
+    CoprimeGraph,
+    GraphVertex,
+    _graph_from_orders,
+    build,
+    build_cyclic,
+    graph_for_spec,
+)
 from coprimegraph.embedding import SimpleGraph
 from coprimegraph.errors import CertificateError
 from coprimegraph.groups import NAMED_GROUPS, make_dihedral, parse_group_spec
@@ -309,6 +320,84 @@ def test_support_family_is_rechecked_against_the_adjacency(monkeypatch, family):
         independence_number(build_cyclic(30))
 
 
+def test_support_family_search_is_not_bounded_by_the_recursion_limit():
+    # every nonempty proper subset of k primes, once: more complementary
+    # pairs than the recursion limit, and alpha is one of each pair
+    k = sys.getrecursionlimit().bit_length() + 1
+    weight = Counter({s: 1 for s in range(1, (1 << k) - 1)})
+    alpha, family = analysis._max_support_family(weight, k)
+    assert alpha == len(family) == 2 ** (k - 1) - 1 > sys.getrecursionlimit()
+    assert all(s & t for s, t in combinations(family, 2))
+
+
+def test_k_colorable_search_is_not_bounded_by_the_recursion_limit():
+    n = sys.getrecursionlimit() + 100
+    path = SimpleGraph.from_edges(n, [(v, v + 1) for v in range(n - 1)])
+    assert chromatic_number(path, cap=n) == 2
+
+
+# the order-level report against vertex_report, its oracle
+
+LATTICE_EXPORT_SPECS = (
+    "D:64", "D:96", "D:105", "D:120", "D:128", "PERM:5:[0 1 2 3 4],[0 1]", "X(S4,Z:10)",
+    "X(A4,A4)", "X(S3,S4)", "SD:63,6,2", "SD:31,10,2", "X(Q8,Z:15)",
+)
+
+
+def both_reports(g):
+    """analyze's and vertex_report's JSON, and how many structure sweeps
+    analyze ran: none on the order-level path, one on the vertex-level."""
+    cap = max(g.n_vertices, 1)
+    with mock.patch.object(analysis, "_structure", wraps=analysis._structure) as sweep:
+        fast = analyze(g, cap).to_json_dict()
+    return fast, vertex_report(g, cap).to_json_dict(), sweep.call_count
+
+
+def test_order_report_matches_vertex_report_on_the_catalog(catalog_graphs):
+    for spec, g in catalog_graphs.items():
+        fast, slow, sweeps = both_reports(g)
+        assert fast == slow, spec
+        assert sweeps == 0, spec
+
+
+@pytest.mark.parametrize("n", CYCLIC_EXACT_MODULI + (900, 44100))
+def test_order_report_matches_vertex_report_on_cyclic_moduli(n):
+    fast, slow, sweeps = both_reports(build_cyclic(n))
+    assert fast == slow
+    assert sweeps == 0
+
+
+@pytest.mark.parametrize("spec", LATTICE_EXPORT_SPECS)
+def test_order_report_matches_vertex_report_on_lattice_groups(spec):
+    fast, slow, sweeps = both_reports(graph_for_spec(spec, max_order=4096))
+    assert fast == slow
+    assert sweeps == 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(order_multisets(), st.one_of(st.none(), st.sampled_from(SMALL_PRIMES)))
+def test_order_report_matches_vertex_report_on_order_multisets(case, left_out):
+    # a vertex of order p joins for every prime p of the parent but one
+    parent_order, orders = case
+    primes = [p for p in SMALL_PRIMES if parent_order % p == 0]
+    orders = orders + [p for p in primes if p != left_out]
+    fast, slow, sweeps = both_reports(_graph_from_orders("orders", parent_order, orders))
+    assert fast == slow
+    # the order-level path needs a prime-power vertex for every prime, and
+    # at most 4n sets of primes for n vertices
+    supports = [{q for q in primes if order % q == 0} for order in orders]
+    order_level = all({p} in supports for p in primes) and 2 ** len(primes) <= 4 * len(orders)
+    assert sweeps == (0 if order_level else 1)
+
+
+def test_hand_made_coprime_graph_takes_the_vertex_level_report():
+    # orders 30, 2 and 3 with no edges: by their supports 2 -- 3 would be one
+    vertices = [GraphVertex(v, order) for v, order in enumerate((30, 2, 3))]
+    fast, slow, sweeps = both_reports(CoprimeGraph("hand", 30, vertices, [frozenset()] * 3))
+    assert fast == slow
+    assert sweeps == 1
+
+
 # one adjacency per graph
 
 
@@ -354,7 +443,11 @@ def structure_calls(monkeypatch):
 
 @pytest.mark.parametrize("n", [4, 30, 210])
 def test_analyze_runs_the_structure_sweep_once(structure_calls, n):
+    # at most once: the order-level report of P(Z_n) runs no sweep at all,
+    # the vertex-level one exactly one
     analyze(build_cyclic(n))
+    assert structure_calls == []
+    vertex_report(build_cyclic(n))
     assert len(structure_calls) == 1
 
 
@@ -564,6 +657,36 @@ def test_petersen_witness_is_a_proper_k33_subdivision(counterexample_calls):
     assert len(counterexample_calls) == 1
     assert cert.witness_kind == "K33"
     assert len(cert.witness_edges) > 9
+
+
+@pytest.fixture
+def planarity_tests(monkeypatch):
+    """Graphs that is_planar hands to networkx's planarity test."""
+    calls = []
+    test = nx.check_planarity
+
+    def counting(graph, counterexample=False):
+        calls.append(graph)
+        return test(graph, counterexample)
+
+    monkeypatch.setattr(nx, "check_planarity", counting)
+    return calls
+
+
+def test_a_k33_triple_settles_nonplanarity_without_networkx(
+    nonplanar_catalog_graphs, planarity_tests
+):
+    for g in (build_cyclic(210), build_cyclic(150150), *nonplanar_catalog_graphs.values()):
+        cert = is_planar(g)
+        assert (cert.planar, cert.witness_kind, len(cert.witness_edges)) == (False, "K33", 9)
+    assert planarity_tests == []
+
+
+def test_k5_and_petersen_still_take_the_networkx_planarity_test(planarity_tests):
+    k5 = adj_of(list(combinations(range(5), 2)), 5)
+    petersen = adj_of(nx.petersen_graph().edges(), 10)
+    assert [is_planar(g).witness_kind for g in (k5, petersen)] == ["K5", "K33"]
+    assert len(planarity_tests) == 2
 
 
 @st.composite

@@ -287,11 +287,11 @@ def _failing_rotation_check(monkeypatch):
     monkeypatch.setattr("coprimegraph.analysis.verify_rotation_system", lambda *a: False)
 
 
-def _girth_bug(monkeypatch):
-    def girth(_adj):
+def _alpha_bug(monkeypatch):
+    def independence_number(_adj, _cap):
         raise ValueError("internal bug")
 
-    monkeypatch.setattr("coprimegraph.analysis.girth", girth)
+    monkeypatch.setattr("coprimegraph.analysis.independence_number", independence_number)
 
 
 INVALID_UTF8 = b"0 1\n\xff\xfe 2\n"
@@ -323,7 +323,10 @@ EXIT_CASES = {
         _no_tables, 1,
     ),
     "failed-certificate": (["analyze", "Z:30"], None, _failing_rotation_check, 1),
-    "internal-bug": (["analyze", "Z:30"], None, _girth_bug, ValueError),
+    "internal-bug": (["analyze", "Z:30"], None, _alpha_bug, ValueError),
+    "eleven-primes-raised-cap": (
+        ["analyze", "Z:200560490130", "--exact-cap", "3000"], None, None, 0,
+    ),
 }
 
 
