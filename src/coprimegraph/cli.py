@@ -15,6 +15,7 @@ exception is a bug and ends in a traceback.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -23,7 +24,7 @@ from pathlib import Path
 from . import theorems
 from .analysis import DEFAULT_EXACT_CAP, analyze, is_planar
 from .coprime import graph_for_spec, graph_json, to_dot
-from .embedding import embed, parse_edge_list
+from .embedding import DEFAULT_MIS_CAP, embed, parse_edge_list
 from .errors import CoprimeGraphError, InputError
 from .groups import DEFAULT_MAX_ORDER
 
@@ -31,7 +32,7 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 
 def _env_cap(name: str, fallback: int) -> int:
-    """Flag defaults honor COPRIMEGRAPH_MAX_ORDER / COPRIMEGRAPH_EXACT_CAP."""
+    """An unset cap flag reads COPRIMEGRAPH_MAX_ORDER / COPRIMEGRAPH_EXACT_CAP."""
     raw = os.environ.get(name)
     if raw is None:
         return fallback
@@ -193,7 +194,13 @@ def cmd_catalog(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process.
+
+    Cap flags default to None, so the environment is read per call in ``main``
+    rather than frozen into the cached parser.
+    """
     parser = argparse.ArgumentParser(
         prog="coprimegraph",
         description="Coprime graphs of subgroup lattices: exact analysis, "
@@ -207,34 +214,30 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=formats, default=default_format)
         p.add_argument("--out", default=None, help="output path (default stdout)")
 
-    max_order_default = _env_cap("COPRIMEGRAPH_MAX_ORDER", DEFAULT_MAX_ORDER)
-    exact_cap_default = _env_cap("COPRIMEGRAPH_EXACT_CAP", DEFAULT_EXACT_CAP)
+    def caps(p, **fallbacks):
+        for dest in fallbacks:
+            p.add_argument("--" + dest.replace("_", "-"), type=int, default=None)
+        p.set_defaults(cap_fallbacks=fallbacks)
 
     p = sub.add_parser("analyze", help="full invariant report for P(G)")
     p.add_argument("spec", help="group spec, e.g. Z:30 or A4")
     common(p, ("table", "json"), "table")
-    p.add_argument("--max-order", type=int, default=max_order_default)
-    p.add_argument("--exact-cap", type=int, default=exact_cap_default)
+    caps(p, max_order=DEFAULT_MAX_ORDER, exact_cap=DEFAULT_EXACT_CAP)
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("export", help="DOT or JSON rendering of P(G)")
     p.add_argument("spec")
     common(p, ("dot", "json"), "dot")
-    p.add_argument("--max-order", type=int, default=max_order_default)
+    caps(p, max_order=DEFAULT_MAX_ORDER)
     p.set_defaults(func=cmd_export)
 
     p = sub.add_parser("verify", help="run the verification catalog")
     common(p, ("json", "table"), "json")
     p.add_argument("--catalog", default=None, help="catalog JSON path (default: shipped)")
-    p.add_argument(
-        "--max-order",
-        type=int,
-        default=_env_cap("COPRIMEGRAPH_MAX_ORDER", theorems.DEFAULT_CATALOG_MAX_ORDER),
-    )
-    p.add_argument(
-        "--exact-cap",
-        type=int,
-        default=_env_cap("COPRIMEGRAPH_EXACT_CAP", theorems.DEFAULT_CATALOG_EXACT_CAP),
+    caps(
+        p,
+        max_order=theorems.DEFAULT_CATALOG_MAX_ORDER,
+        exact_cap=theorems.DEFAULT_CATALOG_EXACT_CAP,
     )
     p.add_argument("--jobs", type=int, default=1, help="parallel workers")
     p.set_defaults(func=cmd_verify)
@@ -242,20 +245,22 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("embed", help="embed an edge-list graph into a cyclic coprime graph")
     p.add_argument("input", help="edge-list path, or - for stdin")
     p.add_argument("--out", default=None)
-    p.add_argument("--mis-cap", type=int, default=20)
-    p.set_defaults(func=cmd_embed)
+    p.add_argument("--mis-cap", type=int, default=DEFAULT_MIS_CAP)
+    p.set_defaults(func=cmd_embed, cap_fallbacks={})
 
     p = sub.add_parser("catalog", help="list the catalog entries")
     common(p, ("table", "json"), "table")
     p.add_argument("--catalog", default=None)
-    p.set_defaults(func=cmd_catalog)
+    p.set_defaults(func=cmd_catalog, cap_fallbacks={})
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    for dest, fallback in args.cap_fallbacks.items():
+        if getattr(args, dest) is None:
+            setattr(args, dest, _env_cap(f"COPRIMEGRAPH_{dest.upper()}", fallback))
     try:
         return args.func(args)
     except CoprimeGraphError as exc:

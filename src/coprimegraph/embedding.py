@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import takewhile
 from math import gcd, lcm
 
 from .errors import CertificateError, EdgeListError, MisCapExceeded
@@ -76,14 +77,17 @@ class EmbeddingCertificate:
         }
 
 
+_PRIMES = [2, 3]
+
+
 def first_primes(k: int) -> list[int]:
-    primes: list[int] = []
-    cand = 2
-    while len(primes) < k:
-        if all(cand % p for p in primes):
-            primes.append(cand)
-        cand += 1
-    return primes
+    """The first k primes, from one list that grows by trial division."""
+    cand = _PRIMES[-1]
+    while len(_PRIMES) < k:
+        cand += 2
+        if all(cand % p for p in takewhile(lambda p: p * p <= cand, _PRIMES)):
+            _PRIMES.append(cand)
+    return _PRIMES[:k]
 
 
 DEFAULT_MIS_CAP = 20
@@ -100,31 +104,36 @@ def maximal_independent_sets(g: SimpleGraph, cap: int = DEFAULT_MIS_CAP) -> list
         raise MisCapExceeded(f"{n} vertices exceed the enumeration cap {cap}")
     if n == 0:
         return []
-    adj = g.adjacency_sets()
+    adj = g._adjacency
     full = (1 << n) - 1
     # non-adjacency masks: cliques there are independent sets here
     non = [full & ~(1 << v) & ~sum(1 << w for w in adj[v]) for v in range(n)]
     out: list[int] = []
-
-    def expand(r: int, p: int, x: int) -> None:
+    stack = [(0, full, 0)]
+    while stack:
+        r, p, x = stack.pop()
         if p == 0 and x == 0:
             out.append(r)
-            return
+            continue
+        # the first vertex of p | x with the most candidates among its
+        # non-neighbours
         pool = p | x
-        pivot = max(
-            (v for v in range(n) if pool >> v & 1),
-            key=lambda v: bin(p & non[v]).count("1"),
-        )
+        best = -1
+        while pool:
+            low = pool & -pool
+            v = low.bit_length() - 1
+            count = (p & non[v]).bit_count()
+            if count > best:
+                best, pivot = count, v
+            pool ^= low
         cand = p & ~non[pivot]
         while cand:
-            v = (cand & -cand).bit_length() - 1
-            bit = 1 << v
-            expand(r | bit, p & non[v], x & non[v])
+            bit = cand & -cand
+            v = bit.bit_length() - 1
+            stack.append((r | bit, p & non[v], x & non[v]))
             p &= ~bit
             x |= bit
-            cand &= cand - 1
-
-    expand(0, full, 0)
+            cand ^= bit
     sets = [tuple(v for v in range(n) if m >> v & 1) for m in out]
     return sorted(sets)
 
@@ -143,19 +152,20 @@ def embed(g: SimpleGraph, cap: int = DEFAULT_MIS_CAP) -> EmbeddingCertificate:
         raise ValueError("embedding needs at least one vertex")
     mis = maximal_independent_sets(g, cap)
     primes = first_primes(len(mis))
-    support: list[tuple[int, ...]] = []
-    for v in range(g.n_vertices):
-        sup = tuple(i for i, s in enumerate(mis) if v in s)
-        if not sup:
-            raise CertificateError(f"vertex {v} missed by all maximal independent sets")
-        support.append(sup)
+    members: list[list[int]] = [[] for _ in range(g.n_vertices)]
+    for i, s in enumerate(mis):
+        for v in s:
+            members[v].append(i)
     rank: dict[tuple[int, ...], int] = {}
     labels = []
-    for v in range(g.n_vertices):
-        r = rank.get(support[v], 0)
-        rank[support[v]] = r + 1
+    for v, sets in enumerate(members):
+        if not sets:
+            raise CertificateError(f"vertex {v} missed by all maximal independent sets")
+        support = tuple(sets)
+        r = rank.get(support, 0)
+        rank[support] = r + 1
         label = 1
-        for i in support[v]:
+        for i in support:
             label *= primes[i] ** (r + 1)
         labels.append(label)
     modulus = lcm(*labels)
@@ -187,10 +197,10 @@ def verify_embedding(g: SimpleGraph, cert: EmbeddingCertificate) -> bool:
     for label in labels:
         if not (1 < label < cert.modulus) or cert.modulus % label != 0:
             return False
-    for u in range(g.n_vertices):
+    for u, nbrs in enumerate(g._adjacency):
+        label = labels[u]
         for v in range(u + 1, g.n_vertices):
-            coprime = gcd(labels[u], labels[v]) == 1
-            if coprime != g.has_edge(u, v):
+            if (gcd(label, labels[v]) == 1) != (v in nbrs):
                 return False
     return True
 

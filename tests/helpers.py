@@ -8,8 +8,10 @@ from __future__ import annotations
 
 from collections import Counter
 from itertools import combinations
+from math import lcm
 
-from coprimegraph.errors import OrderCapExceeded
+from coprimegraph.embedding import EmbeddingCertificate, SimpleGraph
+from coprimegraph.errors import CertificateError, MisCapExceeded, OrderCapExceeded
 from coprimegraph.groups import DEFAULT_MAX_ORDER
 from coprimegraph.lattice import Subgroup, SubgroupList
 
@@ -336,4 +338,107 @@ def all_subgroups_oracle(group, max_order: int = DEFAULT_MAX_ORDER) -> SubgroupL
         parent_order=n,
         all=subs,
         counts_by_order=dict(sorted(counts.items())),
+    )
+
+
+def brute_force_maximal_independent_sets(g: SimpleGraph) -> list[tuple[int, ...]]:
+    """Every maximal independent set, by scanning all 2^n vertex subsets."""
+    n = g.n_vertices
+    if n > 12:
+        raise ValueError("brute-force MIS oracle is limited to n <= 12")
+    adj = [sum(1 << w for w in g.neighbors(v)) for v in range(n)]
+    independent = [
+        bits
+        for bits in range(1 << n)
+        if all(not (bits >> v & 1) or not (adj[v] & bits) for v in range(n))
+    ]
+    found = []
+    for bits in independent:
+        outside = [v for v in range(n) if not bits >> v & 1]
+        if all(adj[v] & bits for v in outside):
+            found.append(tuple(v for v in range(n) if bits >> v & 1))
+    return sorted(found)
+
+
+# The recursive Bron-Kerbosch, trial-division primes and label loop the
+# embedding module used before its explicit stack, kept as the kernel's oracle.
+
+
+def trial_division_primes(k: int) -> list[int]:
+    primes: list[int] = []
+    cand = 2
+    while len(primes) < k:
+        if all(cand % p for p in primes):
+            primes.append(cand)
+        cand += 1
+    return primes
+
+
+def recursive_maximal_independent_sets(g: SimpleGraph, cap: int = 20) -> list[tuple[int, ...]]:
+    """All maximal independent sets, sorted lexicographically.
+
+    Bron-Kerbosch with pivoting on the complement graph; the count can be
+    exponential, hence the vertex cap.
+    """
+    n = g.n_vertices
+    if n > cap:
+        raise MisCapExceeded(f"{n} vertices exceed the enumeration cap {cap}")
+    if n == 0:
+        return []
+    adj = g.adjacency_sets()
+    full = (1 << n) - 1
+    # non-adjacency masks: cliques there are independent sets here
+    non = [full & ~(1 << v) & ~sum(1 << w for w in adj[v]) for v in range(n)]
+    out: list[int] = []
+
+    def expand(r: int, p: int, x: int) -> None:
+        if p == 0 and x == 0:
+            out.append(r)
+            return
+        pool = p | x
+        pivot = max(
+            (v for v in range(n) if pool >> v & 1),
+            key=lambda v: bin(p & non[v]).count("1"),
+        )
+        cand = p & ~non[pivot]
+        while cand:
+            v = (cand & -cand).bit_length() - 1
+            bit = 1 << v
+            expand(r | bit, p & non[v], x & non[v])
+            p &= ~bit
+            x |= bit
+            cand &= cand - 1
+
+    expand(0, full, 0)
+    sets = [tuple(v for v in range(n) if m >> v & 1) for m in out]
+    return sorted(sets)
+
+
+def embed_oracle(g: SimpleGraph, cap: int = 20) -> EmbeddingCertificate:
+    """The certificate ``embed`` returned before its kernel was trimmed."""
+    mis = recursive_maximal_independent_sets(g, cap)
+    primes = trial_division_primes(len(mis))
+    support: list[tuple[int, ...]] = []
+    for v in range(g.n_vertices):
+        sup = tuple(i for i, s in enumerate(mis) if v in s)
+        if not sup:
+            raise CertificateError(f"vertex {v} missed by all maximal independent sets")
+        support.append(sup)
+    rank: dict[tuple[int, ...], int] = {}
+    labels = []
+    for v in range(g.n_vertices):
+        r = rank.get(support[v], 0)
+        rank[support[v]] = r + 1
+        label = 1
+        for i in support[v]:
+            label *= primes[i] ** (r + 1)
+        labels.append(label)
+    modulus = lcm(*labels)
+    if max(labels) == modulus:
+        modulus *= primes[0]
+    return EmbeddingCertificate(
+        mis=tuple(mis),
+        prime_assignment=tuple(primes),
+        labels=tuple(labels),
+        modulus=modulus,
     )

@@ -1,10 +1,14 @@
 """CLI behaviour: exit codes, formats, determinism."""
 
+import argparse
 import json
 
 import pytest
 
+from coprimegraph import theorems
 from coprimegraph.cli import main
+from coprimegraph.errors import InputError
+from coprimegraph.groups import DEFAULT_MAX_ORDER
 
 
 def run(capsys, *argv):
@@ -273,6 +277,89 @@ def test_env_var_garbage_ignored(capsys, monkeypatch):
     assert "ignoring" in err
 
 
+def _ignored_warnings(err):
+    return [line for line in err.splitlines() if line.startswith("warning: ignoring")]
+
+
+@pytest.mark.parametrize("var", ["COPRIMEGRAPH_MAX_ORDER", "COPRIMEGRAPH_EXACT_CAP"])
+@pytest.mark.parametrize(
+    "argv, warnings",
+    [
+        (["analyze", "Z:30"], 1),
+        (["verify", "--catalog", "{empty}"], 1),
+        (["embed", "{edge}"], 0),
+        (["catalog"], 0),
+    ],
+    ids=["analyze", "verify", "embed", "catalog"],
+)
+def test_bad_env_cap_is_warned_about_once_where_it_is_read(
+    tmp_path, capsys, monkeypatch, var, argv, warnings
+):
+    (tmp_path / "empty.json").write_text('{"entries": []}')
+    (tmp_path / "edge.txt").write_text("0 1\n")
+    argv = [a.format(empty=tmp_path / "empty.json", edge=tmp_path / "edge.txt") for a in argv]
+    monkeypatch.setenv(var, "lots")
+    code, _, err = run(capsys, *argv)
+    assert code == 0, err
+    assert len(_ignored_warnings(err)) == warnings, err
+
+
+def test_an_explicit_flag_reads_no_env_var(capsys, monkeypatch):
+    monkeypatch.setenv("COPRIMEGRAPH_EXACT_CAP", "x")
+    code, _, err = run(capsys, "analyze", "Z:30", "--exact-cap", "64")
+    assert code == 0
+    assert _ignored_warnings(err) == []
+
+
+def test_later_calls_build_no_parser(capsys, monkeypatch, tmp_path):
+    run(capsys, "analyze", "Z:30")
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    path = tmp_path / "edge.txt"
+    path.write_text("0 1\n")
+    for argv in (["analyze", "Z:30"], ["export", "Z:12"], ["embed", str(path)], ["catalog"]):
+        code, _, _ = run(capsys, *argv)
+        assert code == 0
+    assert built == []
+
+
+def test_flags_do_not_leak_between_calls(capsys, monkeypatch):
+    code, _, _ = run(capsys, "analyze", "S3xS3", "--exact-cap", "64")
+    assert code == 0
+    monkeypatch.setenv("COPRIMEGRAPH_EXACT_CAP", "10")
+    code, _, err = run(capsys, "analyze", "S3xS3")
+    assert code == 4, err
+
+
+def test_unset_caps_take_each_commands_defaults(capsys, monkeypatch):
+    seen = {}
+
+    def graph_for_spec(spec, max_order, exact_cap=None):
+        seen["analyze"] = (max_order, exact_cap)
+        raise InputError("stop")
+
+    def run_catalog(**kwargs):
+        seen["verify"] = (kwargs["max_order"], kwargs["exact_cap"])
+        raise InputError("stop")
+
+    monkeypatch.delenv("COPRIMEGRAPH_MAX_ORDER", raising=False)
+    monkeypatch.delenv("COPRIMEGRAPH_EXACT_CAP", raising=False)
+    monkeypatch.setattr("coprimegraph.cli.graph_for_spec", graph_for_spec)
+    monkeypatch.setattr("coprimegraph.theorems.run_catalog", run_catalog)
+    assert run(capsys, "analyze", "Z:30")[0] == 2
+    assert run(capsys, "verify")[0] == 2
+    assert seen == {
+        "analyze": (DEFAULT_MAX_ORDER, 64),
+        "verify": (theorems.DEFAULT_CATALOG_MAX_ORDER, theorems.DEFAULT_CATALOG_EXACT_CAP),
+    }
+
+
 def _refuse(*_args, **_kwargs):
     raise AssertionError("a group table was built")
 
@@ -326,6 +413,9 @@ EXIT_CASES = {
     "internal-bug": (["analyze", "Z:30"], None, _alpha_bug, ValueError),
     "eleven-primes-raised-cap": (
         ["analyze", "Z:200560490130", "--exact-cap", "3000"], None, None, 0,
+    ),
+    "edgeless-1500-raised-mis-cap": (
+        ["embed", "{input}", "--mis-cap", "5000"], b"n 1500\n", None, 0,
     ),
 }
 

@@ -1,5 +1,8 @@
 """Induced-embedding construction: maximal independent sets, labels, verifier."""
 
+import json
+import random
+import sys
 from itertools import combinations
 from math import gcd
 
@@ -19,12 +22,27 @@ from coprimegraph.embedding import (
     verify_embedding,
 )
 
+from helpers import (
+    brute_force_maximal_independent_sets,
+    embed_oracle,
+    recursive_maximal_independent_sets,
+    trial_division_primes,
+)
+
 
 def complete_graph(n):
     return SimpleGraph.from_edges(n, combinations(range(n), 2))
 
 
 def test_first_primes():
+    assert first_primes(6) == [2, 3, 5, 7, 11, 13]
+
+
+def test_first_primes_prefixes_are_fresh_copies():
+    assert first_primes(0) == [] and first_primes(1) == [2]
+    assert first_primes(200) == trial_division_primes(200)
+    short = first_primes(5)
+    short.append(4)
     assert first_primes(6) == [2, 3, 5, 7, 11, 13]
 
 
@@ -49,6 +67,11 @@ def test_mis_every_vertex_covered():
     sets = maximal_independent_sets(g)
     covered = {v for s in sets for v in s}
     assert covered == set(range(6))
+
+
+def test_mis_of_edgeless_graph_deeper_than_the_recursion_limit():
+    n = sys.getrecursionlimit() + 100
+    assert maximal_independent_sets(SimpleGraph.from_edges(n, []), cap=n) == [tuple(range(n))]
 
 
 def test_mis_cap():
@@ -203,6 +226,47 @@ def test_embed_verify_roundtrip_random(args):
         assert g.neighbors(u) == {b if a == u else a for a, b in g.edges if u in (a, b)}
     fresh = SimpleGraph.from_edges(n, edges)
     assert g == fresh and hash(g) == hash(fresh)
+
+
+def _graph(n, density, seed):
+    rng = random.Random(seed)
+    return SimpleGraph.from_edges(
+        n, [pair for pair in combinations(range(n), 2) if rng.random() < density]
+    )
+
+
+GRAPHS = st.builds(
+    _graph,
+    st.integers(1, 20),
+    st.sampled_from([0.0, 0.1, 0.3, 0.5, 0.7, 0.9, 1.0]),
+    st.integers(0, 2**32),
+)
+
+
+@given(GRAPHS)
+@settings(max_examples=150, deadline=None)
+def test_mis_matches_the_recursive_and_brute_force_oracles(g):
+    sets = maximal_independent_sets(g)
+    assert sets == recursive_maximal_independent_sets(g)
+    if g.n_vertices <= 12:
+        assert sets == brute_force_maximal_independent_sets(g)
+
+
+@given(GRAPHS)
+@settings(max_examples=150, deadline=None)
+def test_embed_json_is_byte_equal_to_the_oracle(g):
+    def dump(cert):
+        return json.dumps(cert.to_json_dict(), indent=2, sort_keys=True)
+
+    assert dump(embed(g)) == dump(embed_oracle(g))
+
+
+def test_verify_embedding_reads_every_pair():
+    # one wrong pair, the last one checked, is enough to reject
+    g = SimpleGraph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+    cert = embed(g)
+    assert verify_embedding(g, cert)
+    assert not verify_embedding(SimpleGraph.from_edges(4, [(0, 1), (1, 2)]), cert)
 
 
 # edge-list parsing
