@@ -87,15 +87,10 @@ def make_dihedral(n: int) -> FiniteGroup:
     if n < 2:
         raise GroupConstructionError(f"dihedral parameter must be >= 2, got {n}")
     order = 2 * n
-    table = []
-    for x in range(order):
-        i, e = x % n, x // n
-        row = []
-        for y in range(order):
-            j, f = y % n, y // n
-            k = (i + j) % n if e == 0 else (i - j) % n
-            row.append(k + n * (e ^ f))
-        table.append(tuple(row))
+    rot, refl = list(range(n)), list(range(n, order))
+    # r^i * r^j s^f = r^(i+j) s^f and r^i s * r^j s^f = r^(i-j) s^(1-f)
+    table = [tuple(rot[i:] + rot[:i] + refl[i:] + refl[:i]) for i in range(n)]
+    table += [tuple(refl[i::-1] + refl[:i:-1] + rot[i::-1] + rot[:i:-1]) for i in range(n)]
     return FiniteGroup(name=f"D{order}", order=order, table=tuple(table))
 
 
@@ -115,15 +110,15 @@ def make_semidirect_cyclic(m: int, k: int, i: int) -> FiniteGroup:
         raise GroupConstructionError(f"i^k = {pow(i, k, m)} != 1 mod {m}: action not well defined")
     powers = [pow(i, b, m) for b in range(k)]
     order = m * k
+    cyc = list(range(k))
     table = []
     for x in range(order):
         a1, b1 = divmod(x, k)
         twist = powers[b1]
-        row = []
-        for y in range(order):
-            a2, b2 = divmod(y, k)
-            row.append(((a1 + a2 * twist) % m) * k + (b1 + b2) % k)
-        table.append(tuple(row))
+        b_row = cyc[b1:] + cyc[:b1]
+        table.append(tuple(
+            a + b for a in [(a1 + a2 * twist) % m * k for a2 in range(m)] for b in b_row
+        ))
     return FiniteGroup(name=f"Z{m}:Z{k}(i={i})", order=order, table=tuple(table))
 
 
@@ -131,16 +126,11 @@ def make_direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
     """Componentwise product on pairs, encoded as a*|h| + b."""
     hn = h.order
     order = g.order * hn
-    table = []
-    for x in range(order):
-        a1, b1 = divmod(x, hn)
-        grow, hrow = g.table[a1], h.table[b1]
-        row = []
-        for y in range(order):
-            a2, b2 = divmod(y, hn)
-            row.append(grow[a2] * hn + hrow[b2])
-        table.append(tuple(row))
-    return FiniteGroup(name=f"{g.name}x{h.name}", order=order, table=tuple(table))
+    scaled = [[c * hn for c in grow] for grow in g.table]
+    table = tuple(
+        tuple(a + b for a in g_row for b in h_row) for g_row in scaled for h_row in h.table
+    )
+    return FiniteGroup(name=f"{g.name}x{h.name}", order=order, table=table)
 
 
 def _compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:

@@ -134,17 +134,25 @@ def _generate(table, identity: int, gens, order: int) -> frozenset[int] | None:
 
 
 def all_subgroups(group: FiniteGroup, max_order: int = DEFAULT_MAX_ORDER) -> SubgroupList:
-    """Enumerate every subgroup of the group.
+    """Enumerate every subgroup of the group, one conjugacy class at a time.
+
+    Only one representative K per class is searched from; the rest of its
+    class is written down as gKg^-1, one g per coset of the normaliser
+    N_G(K), and every member is recorded so that a later search landing on
+    any conjugate is recognised.
 
     Cyclic extension (Neubüser): every solvable H != 1 has a normal subgroup
-    K of prime index p, and then H = K<x> = union of x^i K for i < p, for any
-    x in H outside K.  So, from the trivial group up, each found K is
-    extended by every x that normalises K and whose least power in K is a
-    prime p; no closure is needed.  This reaches every solvable subgroup,
-    and so G itself exactly when G is solvable.  Otherwise the join loop
-    completes the lattice: each known subgroup is joined with each cyclic
-    subgroup until nothing new appears, which adds the non-solvable ones.
-    Each subgroup carries the generators that built it.
+    K' of prime index p, and then H = K'<x> = union of x^i K' for i < p, for
+    any x in H outside K'.  If K' = g^-1 K g for the representative K, then
+    gHg^-1 extends K the same way.  So each representative K is extended by
+    every x in N_G(K) whose least power in K is a prime p; no closure is
+    needed.  This reaches every solvable subgroup's class, and so G itself
+    exactly when G is solvable.  Otherwise the join loop completes the
+    lattice: each representative is joined with each cyclic subgroup until
+    nothing new appears.  That adds the non-solvable classes, since any
+    H = <M, a> for a maximal subgroup M of H, so a conjugate of H is
+    <rep(M), a conjugate of a>.  Each representative carries the generators
+    that built it.
     """
     n = group.order
     if n > max_order:
@@ -164,51 +172,75 @@ def all_subgroups(group: FiniteGroup, max_order: int = DEFAULT_MAX_ORDER) -> Sub
         powers.append(x_pows)
     exponents = {o: [d for d in divisors(o) if d > 1] for o in {len(p) for p in powers}}
 
-    trivial = frozenset([identity])
-    found: dict[frozenset[int], tuple[int, ...]] = {trivial: ()}
-    worklist = [trivial]
-    for current in worklist:
-        gens = found[current]
-        done = set(current)
+    seen: set[frozenset[int]] = set()
+    # (K, generators of K, one x per coset xK in N_G(K)) per class
+    reps: list[tuple[frozenset[int], tuple[int, ...], list[int]]] = []
+
+    def add_class(rep: frozenset[int], gens: tuple[int, ...]) -> None:
+        """Record the class of a new representative K and queue K for search."""
+        # x normalises K iff x g x^-1 is in K for each generator g of K
+        normal = []
+        done: set[int] = set()
         for x in range(n):
             if x in done:
                 continue
-            row_x, x_pows = table[x], powers[x]
-            inv_x = x_pows[-1]
-            if all(table[row_x[g]][inv_x] in current for g in gens):
-                # the least j with x^j in K divides the order of x
-                j = next(d for d in exponents[len(x_pows)] if x_pows[d % len(x_pows)] in current)
-                if is_prime(j):
-                    bigger = frozenset(table[x_pows[i]][k] for i in range(j) for k in current)
-                    done |= bigger
-                    if bigger not in found:
-                        found[bigger] = gens + (x,)
-                        worklist.append(bigger)
-                    continue
+            row_x = table[x]
+            inv_x = powers[x][-1]
+            if all(table[row_x[g]][inv_x] in rep for g in gens):
+                normal.append(x)
             # every element of the coset xK gets the same answer as x
-            done.update(row_x[k] for k in current)
+            done.update(map(row_x.__getitem__, rep))
+        reps.append((rep, gens, normal))
+        if len(normal) * len(rep) == n:
+            seen.add(rep)
+            return
+        # one conjugate gKg^-1 per coset gN_G(K)
+        normaliser = [table[x][k] for x in normal for k in rep]
+        done = set()
+        for g in range(n):
+            if g in done:
+                continue
+            row_g = table[g]
+            inv_g = powers[g][-1]
+            seen.add(frozenset(table[y][inv_g] for y in map(row_g.__getitem__, rep)))
+            done.update(map(row_g.__getitem__, normaliser))
 
-    if whole not in found:
+    add_class(frozenset([identity]), ())
+    for current, gens, normal in reps:
+        done = set(current)
+        for x in normal:
+            if x in done:
+                continue
+            x_pows = powers[x]
+            # the least j with x^j in K divides the order of x
+            j = next(d for d in exponents[len(x_pows)] if x_pows[d % len(x_pows)] in current)
+            if is_prime(j):
+                bigger = frozenset(table[x_pows[i]][k] for i in range(j) for k in current)
+                done |= bigger
+                if bigger not in seen:
+                    add_class(bigger, gens + (x,))
+            else:
+                done.update(map(table[x].__getitem__, current))
+
+    if whole not in seen:
         # cyclic subgroups, deduplicated, keyed by a generating element
         atoms: dict[frozenset[int], int] = {}
         for x, x_pows in enumerate(powers):
             atoms.setdefault(frozenset(x_pows), x)
-        for current in worklist:
+        for current, gens, _ in reps:
             if current == whole:
                 continue
-            gens = found[current]
             for atom_gen in atoms.values():
                 if atom_gen in current:
                     continue
                 joined = _generate(table, identity, gens + (atom_gen,), n)
                 fs = whole if joined is None else joined
-                if fs not in found:
-                    found[fs] = gens + (atom_gen,)
-                    worklist.append(fs)
+                if fs not in seen:
+                    add_class(fs, gens + (atom_gen,))
 
     subs = [
         Subgroup(elements=tuple(sorted(fs)), order=len(fs), parent_order=n)
-        for fs in found
+        for fs in seen
     ]
     subs.sort(key=lambda s: (s.order, s.elements))
     counts = Counter(s.order for s in subs)

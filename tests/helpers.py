@@ -8,12 +8,23 @@ from __future__ import annotations
 
 from collections import Counter
 from itertools import combinations
-from math import lcm
+from math import gcd, lcm
 
 from coprimegraph.embedding import EmbeddingCertificate, SimpleGraph
-from coprimegraph.errors import CertificateError, MisCapExceeded, OrderCapExceeded
-from coprimegraph.groups import DEFAULT_MAX_ORDER
-from coprimegraph.lattice import Subgroup, SubgroupList
+from coprimegraph.errors import (
+    CertificateError,
+    GroupConstructionError,
+    MisCapExceeded,
+    OrderCapExceeded,
+)
+from coprimegraph.groups import DEFAULT_MAX_ORDER, FiniteGroup
+from coprimegraph.lattice import Subgroup, SubgroupList, divisors, is_prime
+
+# the groups of the benchmark's lattice-export workload
+LATTICE_EXPORT_SPECS = [
+    "D:64", "D:96", "D:105", "D:120", "D:128", "PERM:5:[0 1 2 3 4],[0 1]",
+    "X(S4,Z:10)", "X(A4,A4)", "X(S3,S4)", "SD:63,6,2", "SD:31,10,2", "X(Q8,Z:15)",
+]
 
 
 def naive_closure(table, base, new):
@@ -173,8 +184,6 @@ def min_vertex_cover_oracle(adj) -> int:
 
 def counted_degrees(graph) -> dict[int, int]:
     """Vertex order -> degree, recounted edge by edge from gcds."""
-    from math import gcd
-
     orders = [v.order for v in graph.vertices]
     out = {}
     for i, o in enumerate(orders):
@@ -341,6 +350,99 @@ def all_subgroups_oracle(group, max_order: int = DEFAULT_MAX_ORDER) -> SubgroupL
     )
 
 
+# The enumerator the lattice module used before it searched one subgroup per
+# conjugacy class: cyclic extension and the join loop run from every subgroup.
+
+
+def all_subgroups_by_extension(
+    group: FiniteGroup, max_order: int = DEFAULT_MAX_ORDER
+) -> SubgroupList:
+    """Enumerate every subgroup of the group.
+
+    Cyclic extension (Neubüser): every solvable H != 1 has a normal subgroup
+    K of prime index p, and then H = K<x> = union of x^i K for i < p, for any
+    x in H outside K.  So, from the trivial group up, each found K is
+    extended by every x that normalises K and whose least power in K is a
+    prime p; no closure is needed.  This reaches every solvable subgroup,
+    and so G itself exactly when G is solvable.  Otherwise the join loop
+    completes the lattice: each known subgroup is joined with each cyclic
+    subgroup until nothing new appears, which adds the non-solvable ones.
+    Each subgroup carries the generators that built it.
+    """
+    n = group.order
+    if n > max_order:
+        raise OrderCapExceeded(f"group order {n} exceeds the bound {max_order}")
+    table = group.table
+    identity = group.identity
+    whole = frozenset(range(n))
+
+    # powers[x] = [1, x, x^2, ..., x^(ord x - 1)]; the last one is x^-1
+    powers = []
+    for x in range(n):
+        x_pows = [identity]
+        y = x
+        while y != identity:
+            x_pows.append(y)
+            y = table[y][x]
+        powers.append(x_pows)
+    exponents = {o: [d for d in divisors(o) if d > 1] for o in {len(p) for p in powers}}
+
+    trivial = frozenset([identity])
+    found: dict[frozenset[int], tuple[int, ...]] = {trivial: ()}
+    worklist = [trivial]
+    for current in worklist:
+        gens = found[current]
+        done = set(current)
+        for x in range(n):
+            if x in done:
+                continue
+            row_x, x_pows = table[x], powers[x]
+            inv_x = x_pows[-1]
+            if all(table[row_x[g]][inv_x] in current for g in gens):
+                # the least j with x^j in K divides the order of x
+                j = next(d for d in exponents[len(x_pows)] if x_pows[d % len(x_pows)] in current)
+                if is_prime(j):
+                    bigger = frozenset(table[x_pows[i]][k] for i in range(j) for k in current)
+                    done |= bigger
+                    if bigger not in found:
+                        found[bigger] = gens + (x,)
+                        worklist.append(bigger)
+                    continue
+            # every element of the coset xK gets the same answer as x
+            done.update(row_x[k] for k in current)
+
+    if whole not in found:
+        # cyclic subgroups, deduplicated, keyed by a generating element
+        atoms: dict[frozenset[int], int] = {}
+        for x, x_pows in enumerate(powers):
+            atoms.setdefault(frozenset(x_pows), x)
+        for current in worklist:
+            if current == whole:
+                continue
+            gens = found[current]
+            for atom_gen in atoms.values():
+                if atom_gen in current:
+                    continue
+                joined = _generate(table, identity, gens + (atom_gen,), n)
+                fs = whole if joined is None else joined
+                if fs not in found:
+                    found[fs] = gens + (atom_gen,)
+                    worklist.append(fs)
+
+    subs = [
+        Subgroup(elements=tuple(sorted(fs)), order=len(fs), parent_order=n)
+        for fs in found
+    ]
+    subs.sort(key=lambda s: (s.order, s.elements))
+    counts = Counter(s.order for s in subs)
+    return SubgroupList(
+        parent_name=group.name,
+        parent_order=n,
+        all=subs,
+        counts_by_order=dict(sorted(counts.items())),
+    )
+
+
 def brute_force_maximal_independent_sets(g: SimpleGraph) -> list[tuple[int, ...]]:
     """Every maximal independent set, by scanning all 2^n vertex subsets."""
     n = g.n_vertices
@@ -442,3 +544,71 @@ def embed_oracle(g: SimpleGraph, cap: int = 20) -> EmbeddingCertificate:
         labels=tuple(labels),
         modulus=modulus,
     )
+
+
+# The cell-by-cell table builders the groups module used before it built
+# each row from list slices, kept verbatim as the oracle for its tables.
+
+
+def cell_by_cell_dihedral(n: int) -> FiniteGroup:
+    """Dihedral group of order 2n: r^n = s^2 = 1, s r s = r^-1.
+
+    Ids 0..n-1 are the rotations r^k, ids n..2n-1 are the reflections r^k s.
+    """
+    if n < 2:
+        raise GroupConstructionError(f"dihedral parameter must be >= 2, got {n}")
+    order = 2 * n
+    table = []
+    for x in range(order):
+        i, e = x % n, x // n
+        row = []
+        for y in range(order):
+            j, f = y % n, y // n
+            k = (i + j) % n if e == 0 else (i - j) % n
+            row.append(k + n * (e ^ f))
+        table.append(tuple(row))
+    return FiniteGroup(name=f"D{order}", order=order, table=tuple(table))
+
+
+def cell_by_cell_semidirect_cyclic(m: int, k: int, i: int) -> FiniteGroup:
+    """Z_m semidirect Z_k where the generator of Z_k acts by a -> a*i mod m.
+
+    Pairs (a, b) are encoded as a*k + b, multiplied by
+    (a1, b1)*(a2, b2) = (a1 + a2*i^b1 mod m, b1 + b2 mod k).
+    Requires gcd(i, m) = 1 and i^k = 1 mod m, else the action is ill-defined.
+    """
+    if m < 2 or k < 2:
+        raise GroupConstructionError(f"semidirect factors must be >= 2, got m={m}, k={k}")
+    i %= m
+    if gcd(i, m) != 1:
+        raise GroupConstructionError(f"action parameter i={i} is not a unit mod {m}")
+    if pow(i, k, m) != 1:
+        raise GroupConstructionError(f"i^k = {pow(i, k, m)} != 1 mod {m}: action not well defined")
+    powers = [pow(i, b, m) for b in range(k)]
+    order = m * k
+    table = []
+    for x in range(order):
+        a1, b1 = divmod(x, k)
+        twist = powers[b1]
+        row = []
+        for y in range(order):
+            a2, b2 = divmod(y, k)
+            row.append(((a1 + a2 * twist) % m) * k + (b1 + b2) % k)
+        table.append(tuple(row))
+    return FiniteGroup(name=f"Z{m}:Z{k}(i={i})", order=order, table=tuple(table))
+
+
+def cell_by_cell_direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
+    """Componentwise product on pairs, encoded as a*|h| + b."""
+    hn = h.order
+    order = g.order * hn
+    table = []
+    for x in range(order):
+        a1, b1 = divmod(x, hn)
+        grow, hrow = g.table[a1], h.table[b1]
+        row = []
+        for y in range(order):
+            a2, b2 = divmod(y, hn)
+            row.append(grow[a2] * hn + hrow[b2])
+        table.append(tuple(row))
+    return FiniteGroup(name=f"{g.name}x{h.name}", order=order, table=tuple(table))

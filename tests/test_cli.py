@@ -417,6 +417,10 @@ EXIT_CASES = {
     "edgeless-1500-raised-mis-cap": (
         ["embed", "{input}", "--mis-cap", "5000"], b"n 1500\n", None, 0,
     ),
+    "s6-export": (["export", "PERM:6:[0 1 2 3 4 5],[0 1]", "--format", "json"], None, None, 0),
+    "d1000-export-raised-cap": (
+        ["export", "D:1000", "--format", "json", "--max-order", "4096"], None, None, 0,
+    ),
 }
 
 

@@ -4,6 +4,7 @@ import tracemalloc
 
 import pytest
 
+from coprimegraph import groups
 from coprimegraph.groups import (
     FiniteGroup,
     GroupConstructionError,
@@ -19,7 +20,14 @@ from coprimegraph.groups import (
     parse_group_spec,
     spec_order,
 )
-from helpers import element_order_census
+from coprimegraph.theorems import load_catalog
+from helpers import (
+    LATTICE_EXPORT_SPECS,
+    cell_by_cell_dihedral,
+    cell_by_cell_direct_product,
+    cell_by_cell_semidirect_cyclic,
+    element_order_census,
+)
 
 
 def test_cyclic_identity_case():
@@ -279,3 +287,19 @@ def test_product_with_a_closure_factor_is_capped_before_its_table(monkeypatch):
     monkeypatch.setattr("coprimegraph.groups.make_direct_product", refuse)
     with pytest.raises(OrderCapExceeded, match="order 240 exceeds the bound 200"):
         parse_group_spec("X(PERM:5:[0 1 2 3 4],[0 1],Z:2)", max_order=200)
+
+
+TABLE_SPECS = sorted(
+    spec
+    for spec in {entry.spec for entry in load_catalog()} | set(LATTICE_EXPORT_SPECS)
+    if spec.startswith(("D:", "SD:", "X("))
+)
+
+
+@pytest.mark.parametrize("spec", TABLE_SPECS + ["D:2", "SD:3,2,2", "X(Z:1,S3)"])
+def test_row_builders_match_the_cell_by_cell_tables(monkeypatch, spec):
+    fast = parse_group_spec(spec, 4096)
+    monkeypatch.setattr(groups, "make_dihedral", cell_by_cell_dihedral)
+    monkeypatch.setattr(groups, "make_semidirect_cyclic", cell_by_cell_semidirect_cyclic)
+    monkeypatch.setattr(groups, "make_direct_product", cell_by_cell_direct_product)
+    assert parse_group_spec(spec, 4096) == fast

@@ -27,6 +27,8 @@ from coprimegraph.lattice import (
 )
 from coprimegraph.theorems import load_catalog
 from helpers import (
+    LATTICE_EXPORT_SPECS,
+    all_subgroups_by_extension,
     all_subgroups_oracle,
     brute_force_subgroups,
     counts_json,
@@ -200,10 +202,6 @@ def test_semidirect_lattice_orders_divide(m, k):
 
 
 CATALOG_SPECS = [entry.spec for entry in load_catalog()]
-LATTICE_EXPORT_SPECS = [
-    "D:64", "D:96", "D:105", "D:120", "D:128", "PERM:5:[0 1 2 3 4],[0 1]",
-    "X(S4,Z:10)", "X(A4,A4)", "X(S3,S4)", "SD:63,6,2", "SD:31,10,2", "X(Q8,Z:15)",
-]
 # A5, S5 and A5 x Z2: not solvable, so the join loop completes their lattices
 NON_SOLVABLE_SPECS = [
     "PERM:5:[0 1 2],[2 3 4]",
@@ -239,6 +237,37 @@ def test_cyclic_extension_matches_the_join_saturation_oracle(closures, spec):
     assert bool(closures) == (spec in NON_SOLVABLE_SPECS)
 
 
+@pytest.mark.parametrize(
+    "spec", sorted(set(CATALOG_SPECS + LATTICE_EXPORT_SPECS + NON_SOLVABLE_SPECS + ["D:256"]))
+)
+def test_class_expansion_matches_the_per_subgroup_enumerator(closures, spec):
+    g = parse_group_spec(spec, 4096)
+    got = all_subgroups(g, 4096)
+    want = all_subgroups_by_extension(g, 4096)
+    assert got.all == want.all
+    assert got.counts_by_order == want.counts_by_order
+    assert bool(closures) == (spec in NON_SOLVABLE_SPECS)
+
+
+def test_s5_joins_one_representative_per_class(closures):
+    # S5 has 156 subgroups in 19 conjugacy classes; joining each subgroup with
+    # each cyclic subgroup ran 9561 closures, one representative per class 1079
+    sl = all_subgroups(parse_group_spec("PERM:5:[0 1 2 3 4],[0 1]"))
+    assert len(sl.all) == 156
+    assert len(closures) == 1079
+
+
+def test_s6_has_1455_subgroups():
+    # OEIS A005432; the counts agree with the join-saturation oracle
+    sl = all_subgroups(parse_group_spec("PERM:6:[0 1 2 3 4 5],[0 1]"))
+    assert len(sl.all) == 1455
+    assert sl.counts_by_order == {
+        1: 1, 2: 75, 3: 40, 4: 255, 5: 36, 6: 280, 8: 255, 9: 10, 10: 36, 12: 150,
+        16: 45, 18: 50, 20: 36, 24: 90, 36: 30, 48: 30, 60: 12, 72: 10, 120: 12,
+        360: 1, 720: 1,
+    }
+
+
 def test_a5_has_59_subgroups():
     sl = all_subgroups(parse_group_spec("PERM:5:[0 1 2],[2 3 4]"))
     assert len(sl.all) == 59
@@ -262,6 +291,9 @@ def test_random_permutation_groups_match_the_oracle(closures):
         closures.clear()
         got = all_subgroups(group)
         assert got.all == all_subgroups_oracle(group).all
+        by_extension = all_subgroups_by_extension(group)
+        assert got.all == by_extension.all
+        assert got.counts_by_order == by_extension.counts_by_order
         # A5 and S5, of order 60 and 120, are the only subgroups of S5 that
         # are not solvable; only they need the join loop
         assert bool(closures) == (group.order >= 60)
@@ -271,7 +303,7 @@ def test_random_permutation_groups_match_the_oracle(closures):
     assert any(completed)
 
 
-@pytest.mark.parametrize("n", [60, 128, 210, 256])
+@pytest.mark.parametrize("n", [60, 128, 210, 256, 1000])
 def test_dihedral_subgroup_count_closed_form(n):
     # D_n has one cyclic subgroup per divisor of n and, for each divisor d,
     # n/d dihedral subgroups <r^d, r^i s>: tau(n) + sigma(n) subgroups
