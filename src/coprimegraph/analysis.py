@@ -338,26 +338,47 @@ def _k_colorable(adj, k: int) -> bool:
     DSATUR greedy colouring, and it succeeds without backtracking whenever k
     is at least the greedy colour count.  The search keeps its own stack of
     (vertex, colours still to try, colours used before it), one per coloured
-    vertex, so its depth is not bounded by Python's recursion limit."""
+    vertex, so its depth is not bounded by Python's recursion limit.
+
+    Each vertex keeps a count of its coloured neighbours per colour, updated
+    when a neighbour is coloured or uncoloured, so its saturation is the size
+    of that count.  ``key[v]`` is saturation * n + degree, or -1 once v is
+    coloured, and the first maximal key is the vertex DSATUR picks."""
     n = len(adj)
     if n == 0:
         return True
     colors = [-1] * n
+    colour_counts: list[dict[int, int]] = [{} for _ in range(n)]
+    key = [len(nbrs) for nbrs in adj]
 
-    def pick() -> int:
-        best_v, best_key = -1, (-1, -1)
-        for v in range(n):
-            if colors[v] >= 0:
-                continue
-            sat = len({colors[u] for u in adj[v] if colors[u] >= 0})
-            key = (sat, len(adj[v]))
-            if key > best_key:
-                best_key, best_v = key, v
-        return best_v
+    def paint(v: int, c: int) -> None:
+        colors[v] = c
+        key[v] = -1
+        for u in adj[v]:
+            counts = colour_counts[u]
+            if c in counts:
+                counts[c] += 1
+            else:
+                counts[c] = 1
+                if colors[u] < 0:
+                    key[u] += n
+
+    def erase(v: int) -> None:
+        c = colors[v]
+        colors[v] = -1
+        key[v] = len(colour_counts[v]) * n + len(adj[v])
+        for u in adj[v]:
+            counts = colour_counts[u]
+            if counts[c] > 1:
+                counts[c] -= 1
+            else:
+                del counts[c]
+                if colors[u] < 0:
+                    key[u] -= n
 
     def frame(max_used: int) -> tuple[int, Iterator[int], int]:
-        v = pick()
-        taken = {colors[u] for u in adj[v] if colors[u] >= 0}
+        v = key.index(max(key))
+        taken = colour_counts[v]
         # allowing at most one fresh color breaks color-permutation symmetry
         free = [c for c in range(min(max_used + 1, k - 1) + 1) if c not in taken]
         return v, iter(free), max_used
@@ -365,12 +386,13 @@ def _k_colorable(adj, k: int) -> bool:
     stack = [frame(-1)]
     while stack:
         v, free, max_used = stack[-1]
-        colors[v] = -1
+        if colors[v] >= 0:
+            erase(v)
         c = next(free, None)
         if c is None:
             stack.pop()
             continue
-        colors[v] = c
+        paint(v, c)
         if len(stack) == n:
             return True
         stack.append(frame(max(max_used, c)))

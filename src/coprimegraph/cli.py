@@ -16,9 +16,10 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
+from json import JSONEncoder
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from pathlib import Path
 
 from . import theorems
@@ -55,6 +56,60 @@ group spec grammar:
   names              A4 S4 S3 Q8 D12 S3xS3 Z3xA4 Z6xS3 Z9sZ4 Z3Z3sZ4 Z5Z5sZ3
                      Z5Z5sZ2 D10xZ5 Z2Z2sZ9 Z2xZ3Z3sZ2
 """
+
+
+_is_scalar = frozenset({str, int, float, bool, type(None)}).__contains__
+
+
+@functools.cache
+def _level(depth: int):
+    """For a container at ``depth``: a C encoder whose item separator is the
+    newline and indent of its items, the text that opens its items, the item
+    separator and the text before its closing bracket."""
+    inner = "  " * (depth + 1)
+    encoder = c_make_encoder(
+        None, JSONEncoder().default, encode_basestring_ascii, None,
+        ": ", ",\n" + inner, True, False, True,
+    )
+    return encoder, "\n" + inner, ",\n" + inner, "\n" + "  " * depth
+
+
+def _encode(value, depth: int) -> str:
+    # flatness is tested by exact type, so a dict or list subclass (a Counter,
+    # say) takes the recursive path and never reaches the C encoder as a scalar
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        encoder, head, sep, tail = _level(depth)
+        if type(value) is dict and all(map(_is_scalar, map(type, value.values()))):
+            body = "".join(encoder(value, 0))[1:-1]
+        else:
+            body = sep.join([
+                encode_basestring_ascii(k) + ": " + _encode(v, depth + 1)
+                for k, v in sorted(value.items())
+            ])
+        return "{" + head + body + tail + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        encoder, head, sep, tail = _level(depth)
+        if type(value) in (list, tuple) and all(map(_is_scalar, map(type, value))):
+            body = "".join(encoder(value, 0))[1:-1]
+        else:
+            body = sep.join([_encode(v, depth + 1) for v in value])
+        return "[" + head + body + tail + "]"
+    return "".join(_level(depth)[0](value, 0))
+
+
+def _json_text(payload) -> str:
+    """``json.dumps(payload, indent=2, sort_keys=True) + "\\n"``, byte for byte,
+    for payloads whose dict keys are all str.
+
+    CPython's C encoder runs only when ``indent`` is None, so this writer
+    recurses over the containers itself and hands each container of scalars
+    to the C encoder of its depth in one call.
+    """
+    return _encode(payload, 0) + "\n"
 
 
 def _write_output(text: str, out: str | None) -> None:
@@ -99,7 +154,7 @@ def cmd_analyze(args) -> int:
     graph = graph_for_spec(args.spec, args.max_order, args.exact_cap)
     rep = analyze(graph, exact_cap=args.exact_cap)
     if args.format == "json":
-        text = json.dumps(rep.to_json_dict(), indent=2, sort_keys=True) + "\n"
+        text = _json_text(rep.to_json_dict())
     else:
         text = _render_report_table(rep)
     _write_output(text, args.out)
@@ -109,7 +164,7 @@ def cmd_analyze(args) -> int:
 def cmd_export(args) -> int:
     graph = graph_for_spec(args.spec, args.max_order)
     if args.format == "json":
-        text = json.dumps(graph_json(graph), indent=2, sort_keys=True) + "\n"
+        text = _json_text(graph_json(graph))
     else:
         cert = is_planar(graph)
         if cert.planar:
@@ -141,7 +196,7 @@ def cmd_verify(args) -> int:
     if args.format == "table":
         text = report.render_table()
     else:
-        text = json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n"
+        text = _json_text(report.to_json_dict())
     _write_output(text, args.out)
     if not report.ok():
         sys.stderr.write(
@@ -163,7 +218,7 @@ def cmd_embed(args) -> int:
         data = Path(args.input).read_bytes()
     graph = parse_edge_list(data)
     cert = embed(graph, cap=args.mis_cap)
-    payload = json.dumps(cert.to_json_dict(), indent=2, sort_keys=True) + "\n"
+    payload = _json_text(cert.to_json_dict())
     _write_output(payload, args.out)
     return EXIT_OK
 
@@ -180,7 +235,7 @@ def cmd_catalog(args) -> int:
             }
             for e in entries
         ]
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        text = _json_text(payload)
     else:
         width = max((len(e.spec) for e in entries), default=4)
         lines = [f"{'spec':<{width}}  order  expectations  note"]

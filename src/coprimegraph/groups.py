@@ -148,7 +148,10 @@ def make_permutation_group(
 
     Element 0 is the identity; the remaining elements appear in breadth-first
     discovery order, which makes the table deterministic for a fixed generator
-    list.
+    list.  The closure records ``right[i][x]``, the id of element x composed
+    with generator i, and the element and generator that first reached each
+    element.  If b was first reached as p o g, then a o b = (a o p) o g, so
+    the column of b is the column of p mapped through ``right[g]``.
     """
     identity = tuple(range(degree))
     norm_gens = []
@@ -159,26 +162,35 @@ def make_permutation_group(
         norm_gens.append(perm)
     elements = [identity]
     index = {identity: 0}
-    frontier = [identity]
+    right: list[list[int]] = [[] for _ in norm_gens]
+    parent = [0]
+    via = [0]
+    frontier = [0]
     while frontier:
         new = []
-        for p in frontier:
-            for g in norm_gens:
+        for x in frontier:
+            p = elements[x]
+            for i, g in enumerate(norm_gens):
                 q = _compose(p, g)
-                if q not in index:
-                    index[q] = len(elements)
+                y = index.get(q)
+                if y is None:
+                    y = index[q] = len(elements)
                     elements.append(q)
-                    new.append(q)
+                    parent.append(x)
+                    via.append(i)
+                    new.append(y)
                     if len(elements) > max_order:
                         raise OrderCapExceeded(
                             f"permutation closure exceeded {max_order} elements"
                         )
+                # the frontiers visit the ids in order, so this is right[i][x]
+                right[i].append(y)
         frontier = new
     order = len(elements)
-    table = tuple(
-        tuple(index[_compose(elements[a], elements[b])] for b in range(order))
-        for a in range(order)
-    )
+    cols = [list(range(order))]
+    for y in range(1, order):
+        cols.append(list(map(right[via[y]].__getitem__, cols[parent[y]])))
+    table = tuple(zip(*cols))
     return FiniteGroup(name=name or f"Perm{degree}<{order}>", order=order, table=table)
 
 

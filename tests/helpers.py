@@ -7,6 +7,7 @@ closures, dynamic programming) without touching the code paths under test.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Iterator
 from itertools import combinations
 from math import gcd, lcm
 
@@ -17,7 +18,7 @@ from coprimegraph.errors import (
     MisCapExceeded,
     OrderCapExceeded,
 )
-from coprimegraph.groups import DEFAULT_MAX_ORDER, FiniteGroup
+from coprimegraph.groups import DEFAULT_MAX_ORDER, FiniteGroup, _compose
 from coprimegraph.lattice import Subgroup, SubgroupList, divisors, is_prime
 
 # the groups of the benchmark's lattice-export workload
@@ -612,3 +613,103 @@ def cell_by_cell_direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
             row.append(grow[a2] * hn + hrow[b2])
         table.append(tuple(row))
     return FiniteGroup(name=f"{g.name}x{h.name}", order=order, table=tuple(table))
+
+
+# The permutation-group builder the groups module used before it read each
+# column off the closure's generator maps, kept verbatim as the oracle for
+# its tables.
+
+
+def cell_by_cell_permutation_group(
+    degree: int,
+    gens: list[tuple[int, ...]],
+    max_order: int = DEFAULT_MAX_ORDER,
+    name: str | None = None,
+) -> FiniteGroup:
+    """Closure of permutation generators under composition, as a table.
+
+    Element 0 is the identity; the remaining elements appear in breadth-first
+    discovery order, which makes the table deterministic for a fixed generator
+    list.
+    """
+    identity = tuple(range(degree))
+    norm_gens = []
+    for g in gens:
+        perm = tuple(g)
+        if sorted(perm) != list(range(degree)):
+            raise GroupConstructionError(f"{perm} is not a permutation of 0..{degree - 1}")
+        norm_gens.append(perm)
+    elements = [identity]
+    index = {identity: 0}
+    frontier = [identity]
+    while frontier:
+        new = []
+        for p in frontier:
+            for g in norm_gens:
+                q = _compose(p, g)
+                if q not in index:
+                    index[q] = len(elements)
+                    elements.append(q)
+                    new.append(q)
+                    if len(elements) > max_order:
+                        raise OrderCapExceeded(
+                            f"permutation closure exceeded {max_order} elements"
+                        )
+        frontier = new
+    order = len(elements)
+    table = tuple(
+        tuple(index[_compose(elements[a], elements[b])] for b in range(order))
+        for a in range(order)
+    )
+    return FiniteGroup(name=name or f"Perm{degree}<{order}>", order=order, table=table)
+
+
+# The k-colourability search analysis used before it kept per-vertex colour
+# counts: its pick() rebuilds every uncoloured vertex's neighbour-colour set
+# at every step.  Kept verbatim as the oracle for the verdicts.
+
+
+def rescanning_k_colorable(adj, k: int) -> bool:
+    """Backtracking k-colouring in DSATUR order: the uncoloured vertex with the
+    most distinct neighbour colours, then the highest degree, then the lowest
+    index, takes the lowest free colour first.  So the first descent is the
+    DSATUR greedy colouring, and it succeeds without backtracking whenever k
+    is at least the greedy colour count.  The search keeps its own stack of
+    (vertex, colours still to try, colours used before it), one per coloured
+    vertex, so its depth is not bounded by Python's recursion limit."""
+    n = len(adj)
+    if n == 0:
+        return True
+    colors = [-1] * n
+
+    def pick() -> int:
+        best_v, best_key = -1, (-1, -1)
+        for v in range(n):
+            if colors[v] >= 0:
+                continue
+            sat = len({colors[u] for u in adj[v] if colors[u] >= 0})
+            key = (sat, len(adj[v]))
+            if key > best_key:
+                best_key, best_v = key, v
+        return best_v
+
+    def frame(max_used: int) -> tuple[int, Iterator[int], int]:
+        v = pick()
+        taken = {colors[u] for u in adj[v] if colors[u] >= 0}
+        # allowing at most one fresh color breaks color-permutation symmetry
+        free = [c for c in range(min(max_used + 1, k - 1) + 1) if c not in taken]
+        return v, iter(free), max_used
+
+    stack = [frame(-1)]
+    while stack:
+        v, free, max_used = stack[-1]
+        colors[v] = -1
+        c = next(free, None)
+        if c is None:
+            stack.pop()
+            continue
+        colors[v] = c
+        if len(stack) == n:
+            return True
+        stack.append(frame(max(max_used, c)))
+    return False

@@ -53,6 +53,7 @@ from helpers import (
     girth_oracle,
     min_vertex_cover_oracle,
     omega_oracle,
+    rescanning_k_colorable,
 )
 
 
@@ -328,6 +329,36 @@ def test_support_family_search_is_not_bounded_by_the_recursion_limit():
     alpha, family = analysis._max_support_family(weight, k)
     assert alpha == len(family) == 2 ** (k - 1) - 1 > sys.getrecursionlimit()
     assert all(s & t for s, t in combinations(family, 2))
+
+
+def assert_k_colorable_matches_the_rescanning_search(g):
+    adj = analysis._adjacency(g)
+    omega = analysis._max_clique_masks(adj.masks, len(adj.sets)).bit_count()
+    for k in range(omega, dsatur_color_count(adj.sets) + 1):
+        assert analysis._k_colorable(adj.sets, k) == rescanning_k_colorable(adj.sets, k), k
+
+
+def test_k_colorable_matches_the_rescanning_search_on_the_catalog(catalog_graphs):
+    for spec, g in catalog_graphs.items():
+        assert_k_colorable_matches_the_rescanning_search(g)
+
+
+@pytest.mark.parametrize("n", CYCLIC_EXACT_MODULI)
+def test_k_colorable_matches_the_rescanning_search_on_cyclic_moduli(n):
+    assert_k_colorable_matches_the_rescanning_search(build_cyclic(n))
+
+
+@st.composite
+def simple_graphs(draw):
+    n = draw(st.integers(min_value=1, max_value=14))
+    pairs = draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))))
+    return SimpleGraph.from_edges(n, [(u, v) for u, v in pairs if u != v])
+
+
+@settings(max_examples=150, deadline=None)
+@given(simple_graphs())
+def test_k_colorable_matches_the_rescanning_search_on_random_graphs(graph):
+    assert_k_colorable_matches_the_rescanning_search(graph)
 
 
 def test_k_colorable_search_is_not_bounded_by_the_recursion_limit():

@@ -2,11 +2,15 @@
 
 import argparse
 import json
+import math
+from collections import Counter
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from coprimegraph import theorems
-from coprimegraph.cli import main
+from coprimegraph import cli, theorems
+from coprimegraph.cli import _json_text, main
 from coprimegraph.errors import InputError
 from coprimegraph.groups import DEFAULT_MAX_ORDER
 
@@ -450,3 +454,80 @@ def test_exit_codes(tmp_path, capsys, monkeypatch, case):
         [row] = json.loads(out)["rows"]
         assert row["check"] == "build" and not row["passed"]
         assert row["computed"].startswith("OrderCapExceeded:")
+
+
+# the indented-JSON writer against json.dumps
+
+# JSON's structural characters, escapes, control characters and non-ASCII
+KEYS = st.text(st.sampled_from('[]{},:"\\ \n\t\x00\x1f\x7fé€😀') | st.characters(), max_size=6)
+SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-(10**40), max_value=10**40)
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.sampled_from([-0.0, math.inf, -math.inf, math.nan])
+    | KEYS
+)
+JSON_VALUES = st.recursive(
+    SCALARS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(KEYS, inner, max_size=4)
+    | st.dictionaries(KEYS, inner, max_size=4).map(Counter),
+    max_leaves=24,
+)
+
+
+def dumps(value):
+    return json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(JSON_VALUES)
+@example({})
+@example([[], {}, ()])
+@example({"b": Counter({"y": 2, "x": 1}), "a": [1, "é\x00", None, True, -0.0]})
+@example([Counter(), {"z": [1.5, math.nan, -math.inf]}, (10**30, -(10**30))])
+@example({'[]{},:"\\': {"": [{"k": "v"}, [[]]]}})
+def test_json_text_is_json_dumps_with_indent_2(value):
+    assert _json_text(value) == dumps(value)
+
+
+@pytest.fixture
+def payloads(monkeypatch):
+    """Payloads handed to the JSON writer."""
+    seen = []
+    write = cli._json_text
+
+    def recording(payload):
+        seen.append(payload)
+        return write(payload)
+
+    monkeypatch.setattr(cli, "_json_text", recording)
+    return seen
+
+
+@pytest.mark.parametrize(
+    "argv, want",
+    [
+        (["analyze", "Z:30", "--format", "json"], 0),
+        (["analyze", "S4", "--format", "json"], 0),
+        (["export", "Z:30", "--format", "json"], 0),
+        (["export", "D:12", "--format", "json"], 0),
+        (["verify", "--max-order", "60"], 0),
+        (["verify", "--catalog", "WRONG"], 1),
+        (["embed", "PATH4"], 0),
+        (["catalog", "--format", "json"], 0),
+    ],
+)
+def test_cli_json_is_json_dumps_of_its_payload(tmp_path, capsys, payloads, argv, want):
+    wrong = tmp_path / "wrong.json"
+    wrong.write_text(json.dumps({"entries": [{"spec": "Z:6", "expect": {"girth": 3}}]}))
+    path4 = tmp_path / "path4.txt"
+    path4.write_text("n 4\n0 1\n1 2\n2 3\n")
+    argv = [{"WRONG": str(wrong), "PATH4": str(path4)}.get(a, a) for a in argv]
+    code, out, _ = run(capsys, *argv)
+    assert code == want
+    assert len(payloads) == 1
+    assert out == dumps(payloads[0])

@@ -3,6 +3,8 @@
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coprimegraph import groups
 from coprimegraph.groups import (
@@ -25,6 +27,7 @@ from helpers import (
     LATTICE_EXPORT_SPECS,
     cell_by_cell_dihedral,
     cell_by_cell_direct_product,
+    cell_by_cell_permutation_group,
     cell_by_cell_semidirect_cyclic,
     element_order_census,
 )
@@ -303,3 +306,38 @@ def test_row_builders_match_the_cell_by_cell_tables(monkeypatch, spec):
     monkeypatch.setattr(groups, "make_semidirect_cyclic", cell_by_cell_semidirect_cyclic)
     monkeypatch.setattr(groups, "make_direct_product", cell_by_cell_direct_product)
     assert parse_group_spec(spec, 4096) == fast
+
+
+# the named groups built from permutations, alone or as a factor
+PERMUTATION_NAMES = ("Q8", "A4", "S4", "Z3Z3sZ4", "Z5Z5sZ3", "Z5Z5sZ2", "Z2Z2sZ9", "Z2xZ3Z3sZ2")
+PERMUTATION_SPECS = sorted(
+    spec
+    for spec in {e.spec for e in load_catalog()} | set(LATTICE_EXPORT_SPECS) | set(NAMED_GROUPS)
+    if spec.startswith("PERM:") or any(name in spec for name in PERMUTATION_NAMES)
+)
+
+
+@pytest.mark.parametrize("spec", PERMUTATION_SPECS + ["PERM:6:[0 1 2 3 4 5],[0 1]"])
+def test_permutation_tables_match_the_cell_by_cell_builder(monkeypatch, spec):
+    fast = parse_group_spec(spec, 4096)
+    calls = []
+
+    def recording(*args, **kwargs):
+        calls.append(args)
+        return cell_by_cell_permutation_group(*args, **kwargs)
+
+    monkeypatch.setattr(groups, "make_permutation_group", recording)
+    assert parse_group_spec(spec, 4096) == fast
+    assert calls
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=1, max_value=6).flatmap(
+    lambda degree: st.lists(st.permutations(range(degree)), min_size=1, max_size=3)
+))
+def test_random_permutation_tables_match_the_cell_by_cell_builder(gens):
+    gens = [tuple(p) for p in gens]
+    degree = len(gens[0])
+    assert make_permutation_group(degree, gens, 720) == cell_by_cell_permutation_group(
+        degree, gens, 720
+    )
