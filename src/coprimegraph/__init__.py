@@ -22,7 +22,6 @@ from .analysis import (
     is_bipartite,
     is_planar,
     is_unicyclic,
-    small_graph_isomorphic,
     verify_kuratowski_witness,
     verify_rotation_system,
     vertex_report,
@@ -31,7 +30,6 @@ from .coprime import (
     CoprimeGraph,
     build,
     build_cyclic,
-    degree_formula,
     graph_json,
     to_dot,
 )
@@ -59,11 +57,9 @@ from .errors import (
 )
 from .groups import (
     FiniteGroup,
-    check_group_axioms,
     make_cyclic,
     make_dihedral,
     make_direct_product,
-    make_metacyclic,
     make_permutation_group,
     make_semidirect_cyclic,
     parse_group_spec,
@@ -81,9 +77,6 @@ from .lattice import (
 from .theorems import (
     CatalogEntry,
     VerificationReport,
-    check_connectivity_criterion,
-    check_degree_theorem,
-    check_embedding_theorem,
     load_catalog,
     run_catalog,
 )

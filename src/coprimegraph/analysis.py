@@ -25,12 +25,13 @@ from operator import or_
 
 import networkx as nx
 
-from .errors import CertificateError, ExactCapExceeded, check_exact_cap
+from .errors import CertificateError, check_exact_cap
+# re-exported: callers have always caught the exact cap's error from here
+from .errors import ExactCapExceeded  # noqa: F401
 
 INFINITE = math.inf
 
 DEFAULT_EXACT_CAP = 64
-ISO_CAP = 16
 
 FORBIDDEN_PATTERNS = ("K12", "K13", "K14", "K22", "K23", "K33", "K5")
 
@@ -756,61 +757,6 @@ def shape_predicates(g) -> dict[str, bool]:
     disconnected, so the single-vertex graph is neither complete nor a tree.
     """
     return _predicates(*_profile(_adjacency(g)))
-
-
-def small_graph_isomorphic(g1, g2, cap: int = ISO_CAP) -> bool:
-    """Exact isomorphism test by backtracking with degree pruning."""
-    a1 = _adjacency(g1).sets
-    a2 = _adjacency(g2).sets
-    n = len(a1)
-    if n != len(a2):
-        return False
-    if n > cap:
-        raise ExactCapExceeded(f"{n} vertices exceed the isomorphism cap {cap}")
-    if sorted(len(s) for s in a1) != sorted(len(s) for s in a2):
-        return False
-
-    def signature(adj, v):
-        return (len(adj[v]), tuple(sorted(len(adj[w]) for w in adj[v])))
-
-    sig1 = {v: signature(a1, v) for v in range(n)}
-    sig2 = {v: signature(a2, v) for v in range(n)}
-    if sorted(sig1.values()) != sorted(sig2.values()):
-        return False
-
-    order = sorted(range(n), key=lambda v: (-len(a1[v]), v))
-    mapping = [-1] * n
-    used = [False] * n
-
-    def rec(i: int) -> bool:
-        if i == n:
-            return True
-        v = order[i]
-        for w in range(n):
-            if used[w] or sig1[v] != sig2[w]:
-                continue
-            ok = True
-            for u in a1[v]:
-                mu = mapping[u]
-                if mu >= 0 and mu not in a2[w]:
-                    ok = False
-                    break
-            if ok:
-                for u in range(n):
-                    mu = mapping[u]
-                    if mu >= 0 and u not in a1[v] and mu in a2[w]:
-                        ok = False
-                        break
-            if ok:
-                mapping[v] = w
-                used[w] = True
-                if rec(i + 1):
-                    return True
-                mapping[v] = -1
-                used[w] = False
-        return False
-
-    return rec(0)
 
 
 @dataclass

@@ -127,26 +127,6 @@ def graph_for_spec(spec: str, max_order: int, exact_cap: int | None = None) -> C
     return build(parse_group_spec(spec, max_order), max_order)
 
 
-def degree_formula(n: int, h_order: int) -> int:
-    """Closed-form vertex degree in the coprime graph of Z_n.
-
-    For n = prod p_j^(a_j) and a proper subgroup order h, the degree is
-    prod over p_j not dividing h of (a_j + 1), minus 1 for the trivial
-    subgroup.
-    """
-    if n < 2:
-        raise ValueError(f"n must be at least 2, got {n}")
-    if not (1 < h_order < n):
-        raise ValueError(f"subgroup order {h_order} is not proper nontrivial for n={n}")
-    if n % h_order != 0:
-        raise ValueError(f"{h_order} does not divide {n}")
-    out = 1
-    for p, a in factorize(n):
-        if h_order % p != 0:
-            out *= a + 1
-    return out - 1
-
-
 def _vertex_labels(graph: CoprimeGraph) -> list[str]:
     """Order labels, suffixed with an index when several vertices share one."""
     counts: dict[int, int] = {}

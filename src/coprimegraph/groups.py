@@ -7,13 +7,17 @@ lists, graph exports) are reproducible.
 
 from __future__ import annotations
 
+import re
 from collections.abc import Callable
 from dataclasses import dataclass, replace
+from itertools import accumulate
 from math import gcd
 
 from .errors import GroupConstructionError, OrderCapExceeded, SpecParseError
 
 DEFAULT_MAX_ORDER = 2048
+# the deepest X( nesting a spec may have: parsing and building recurse once a level
+MAX_PRODUCT_DEPTH = 100
 
 @dataclass(frozen=True)
 class FiniteGroup:
@@ -34,40 +38,6 @@ class FiniteGroup:
     def is_abelian(self) -> bool:
         t = self.table
         return all(t[a][b] == t[b][a] for a in range(self.order) for b in range(a))
-
-
-def check_group_axioms(group: FiniteGroup, assoc_limit: int = 256) -> None:
-    """Raise GroupConstructionError unless the table satisfies the group axioms.
-
-    Latin square, identity and inverse checks always run; the exhaustive
-    associativity check runs only for order <= assoc_limit.
-    """
-    n = group.order
-    t = group.table
-    if len(t) != n or any(len(row) != n for row in t):
-        raise GroupConstructionError(f"{group.name}: table is not {n}x{n}")
-    ident = list(range(n))
-    for a in range(n):
-        if sorted(t[a]) != ident:
-            raise GroupConstructionError(f"{group.name}: row {a} is not a permutation")
-        if sorted(row[a] for row in t) != ident:
-            raise GroupConstructionError(f"{group.name}: column {a} is not a permutation")
-    e = group.identity
-    if list(t[e]) != ident or [row[e] for row in t] != ident:
-        raise GroupConstructionError(f"{group.name}: element {e} is not an identity")
-    for a in range(n):
-        b = t[a].index(e)
-        if t[b][a] != e:
-            raise GroupConstructionError(f"{group.name}: element {a} has no two-sided inverse")
-    if n <= assoc_limit:
-        for a in range(n):
-            row_a = t[a]
-            # (a*b)*c == a*(b*c) for every b and c
-            for b in range(n):
-                if tuple(map(row_a.__getitem__, t[b])) != tuple(t[row_a[b]]):
-                    raise GroupConstructionError(
-                        f"{group.name}: associativity fails at element {a}"
-                    )
 
 
 def make_cyclic(n: int) -> FiniteGroup:
@@ -192,35 +162,6 @@ def make_permutation_group(
         cols.append(list(map(right[via[y]].__getitem__, cols[parent[y]])))
     table = tuple(zip(*cols))
     return FiniteGroup(name=name or f"Perm{degree}<{order}>", order=order, table=table)
-
-
-def find_unit_of_order(m: int, k: int) -> int:
-    """Smallest unit i >= 2 with multiplicative order exactly k mod m."""
-    for i in range(2, m):
-        if gcd(i, m) != 1:
-            continue
-        if pow(i, k, m) != 1:
-            continue
-        if all(pow(i, d, m) != 1 for d in range(1, k) if k % d == 0):
-            return i
-    raise GroupConstructionError(f"no unit of order {k} mod {m}")
-
-
-def make_metacyclic(m: int, k: int, action_order: int) -> FiniteGroup:
-    """Z_m : Z_k with the canonical action of a given multiplicative order.
-
-    Picks the smallest unit i with ord_m(i) = action_order, which must divide
-    k for the twist to be well defined.  This realizes the cyclic-by-cyclic
-    families in one call: make_metacyclic(q, p, p) is the nonabelian group of
-    order pq, make_metacyclic(q, p*p, p) and make_metacyclic(q, p*p, p*p) are
-    the two order-p^2 twists over Z_q, make_metacyclic(p*p, q, q) is the
-    prime-square-kernel group of order p^2 q.
-    """
-    if k % action_order != 0:
-        raise GroupConstructionError(
-            f"action order {action_order} does not divide the acting order {k}"
-        )
-    return make_semidirect_cyclic(m, k, find_unit_of_order(m, action_order))
 
 
 # Permutation helpers for the named constructions below.  Points of the
@@ -422,17 +363,15 @@ class _Spec:
 
 def _parse_product(s: str) -> _Spec:
     parts = _split_top_level(s[2:-1])
-    # commas inside SD and PERM specs also appear at the top level, so try
-    # each split point and take the first that parses on both sides
-    for cut in range(1, len(parts)):
-        try:
-            left = _parse(",".join(parts[:cut]))
-            right = _parse(",".join(parts[cut:]))
-        except SpecParseError:
-            continue
-        break
-    else:
-        raise SpecParseError(f"X needs exactly two factors, got {s!r}")
+    # commas inside SD and PERM specs also appear at the top level, but their
+    # later parts are integers or start with "[", and every spec starts with a
+    # letter: the first later part that does is the only cut that can parse
+    try:
+        cut = next(i for i in range(1, len(parts)) if parts[i].lstrip()[:1].isalpha())
+        left = _parse(",".join(parts[:cut]))
+        right = _parse(",".join(parts[cut:]))
+    except (StopIteration, SpecParseError):
+        raise SpecParseError(f"X needs exactly two factors, got {s!r}") from None
 
     def make(max_order: int) -> FiniteGroup:
         g, h = left.build(max_order), right.build(max_order)
@@ -441,6 +380,16 @@ def _parse_product(s: str) -> _Spec:
 
     known = left.order is not None and right.order is not None
     return _Spec(s, left.order * right.order if known else None, make)
+
+
+def _parse_spec(text: str) -> _Spec:
+    """``_parse`` of a whole spec, refused first if its "X(" nest deeper than
+    MAX_PRODUCT_DEPTH (each ")" closes one): a product parses and builds its
+    factors one call deeper per level."""
+    steps = (1 if token == "X(" else -1 for token in re.findall(r"X\(|\)", text))
+    if max(accumulate(steps), default=0) > MAX_PRODUCT_DEPTH:
+        raise SpecParseError(f"products nest more than {MAX_PRODUCT_DEPTH} levels deep")
+    return _parse(text)
 
 
 def _parse(text: str) -> _Spec:
@@ -493,13 +442,14 @@ def parse_group_spec(text: str, max_order: int = DEFAULT_MAX_ORDER) -> FiniteGro
                | "X(" spec "," spec ")" | "PERM:" degree ":" gen ("," gen)*
         gen   := cycle ("x" cycle)*     e.g.  [0 1 2]  or  [0 1]x[2 3]
     NAME is one of the registered named groups (A4, Q8, S3xS3, ...).
-    "D:n" builds the dihedral group of order 2n.
+    "D:n" builds the dihedral group of order 2n.  Products nest at most
+    MAX_PRODUCT_DEPTH (100) levels deep; a deeper spec raises SpecParseError.
 
     A group above ``max_order`` raises OrderCapExceeded before its table is
     built whenever the text fixes the order (see ``spec_order``); a PERM
     closure stops as soon as it passes the cap.
     """
-    spec = _parse(text)
+    spec = _parse_spec(text)
     try:
         return spec.build(max_order)
     except GroupConstructionError as exc:
@@ -512,4 +462,4 @@ def spec_order(text: str) -> int | None:
     "Z:n" gives n, "D:n" 2n, "SD:m,k,i" mk and "X(a,b)" |a||b|; None where
     only the construction can tell (named groups and PERM closures).
     """
-    return _parse(text).order
+    return _parse_spec(text).order

@@ -13,21 +13,20 @@ from __future__ import annotations
 
 import concurrent.futures
 import json
-import random
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import reduce
 from importlib import resources
-from itertools import combinations
 from operator import getitem
 from pathlib import Path
 
 from .analysis import INFINITE, AnalysisReport, vertex_report
-from .coprime import CoprimeGraph, build, build_cyclic, degree_formula, graph_for_spec
-from .embedding import SimpleGraph, embed, verify_embedding
+from .coprime import CoprimeGraph, graph_for_spec
+# perfbench/tracing.py times coprime.build through this name until its hook moves to .coprime
+from .coprime import build  # noqa: F401
 from .errors import CatalogError, CoprimeGraphError
 from .groups import DEFAULT_MAX_ORDER, parse_group_spec, spec_order
-from .lattice import is_prime, pi
+from .lattice import pi
 
 DEFAULT_CATALOG_MAX_ORDER = 200
 # one catalog graph has 76 vertices, above the analyze() default of 64
@@ -420,86 +419,3 @@ def run_catalog(
             rows.extend(evaluate_entry(entry, build_order, exact_cap))
     return VerificationReport(rows=rows, skipped=skipped)
 
-
-def check_connectivity_criterion(group) -> bool:
-    """Connectivity iff no proper nontrivial subgroup has the full prime set,
-    with diameter in {1, 2, 3} whenever connected."""
-    graph = build(group)
-    rep = vertex_report(graph)
-    return _check_connectivity(graph, rep) and _check_diameter_range(graph, rep)
-
-
-def check_degree_theorem(n_max: int) -> VerificationReport:
-    """Closed-form degrees against counted degrees for all composite n <= n_max."""
-    rows = []
-    for n in range(4, n_max + 1):
-        if is_prime(n):
-            continue
-        graph = build_cyclic(n)
-        mismatches = []
-        for v in graph.vertices:
-            got = graph.degree(v.vid)
-            want = degree_formula(n, v.order)
-            if got != want:
-                mismatches.append((v.order, want, got))
-        rows.append(
-            CheckRow(
-                f"Z{n}",
-                "degree-formula",
-                "all-match",
-                "all-match" if not mismatches else f"mismatches: {mismatches}",
-                not mismatches,
-            )
-        )
-    return VerificationReport(rows=rows)
-
-
-def _all_labeled_graphs(n: int):
-    pairs = list(combinations(range(n), 2))
-    for bits in range(1 << len(pairs)):
-        yield SimpleGraph.from_edges(
-            n, [pairs[i] for i in range(len(pairs)) if bits >> i & 1]
-        )
-
-
-def check_embedding_theorem(
-    trials: int = 200,
-    n_max_vertices: int = 12,
-    seed: int = 987,
-) -> VerificationReport:
-    """Embed-and-verify over all graphs on <= 5 vertices plus random graphs."""
-    rows = []
-    for n in range(1, 6):
-        bad = 0
-        total = 0
-        for g in _all_labeled_graphs(n):
-            total += 1
-            if not verify_embedding(g, embed(g)):
-                bad += 1
-        rows.append(
-            CheckRow(
-                f"all-{total}-graphs-on-{n}-vertices",
-                "embed-verify",
-                0,
-                bad,
-                bad == 0,
-            )
-        )
-    rng = random.Random(seed)
-    bad = 0
-    for _ in range(trials):
-        n = rng.randint(7, n_max_vertices)
-        edges = [(u, v) for u, v in combinations(range(n), 2) if rng.random() < 0.5]
-        g = SimpleGraph.from_edges(n, edges)
-        if not verify_embedding(g, embed(g)):
-            bad += 1
-    rows.append(
-        CheckRow(
-            f"{trials}-random-graphs-7-to-{n_max_vertices}",
-            "embed-verify",
-            0,
-            bad,
-            bad == 0,
-        )
-    )
-    return VerificationReport(rows=rows)

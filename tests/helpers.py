@@ -1,25 +1,44 @@
-"""Independent oracles used to cross-check the library's exact algorithms.
+"""Independent oracles used to cross-check the library's exact algorithms,
+and the test-only constructions and theorem drivers no command reaches.
 
-Everything here recomputes from first principles (subset enumeration, naive
+The oracles recompute from first principles (subset enumeration, naive
 closures, dynamic programming) without touching the code paths under test.
 """
 
 from __future__ import annotations
 
+import random
 from collections import Counter
 from collections.abc import Iterator
 from itertools import combinations
 from math import gcd, lcm
 
-from coprimegraph.embedding import EmbeddingCertificate, SimpleGraph
+from coprimegraph import groups
+from coprimegraph.analysis import _adjacency, vertex_report
+from coprimegraph.coprime import build, build_cyclic
+from coprimegraph.embedding import EmbeddingCertificate, SimpleGraph, embed, verify_embedding
 from coprimegraph.errors import (
     CertificateError,
+    ExactCapExceeded,
     GroupConstructionError,
     MisCapExceeded,
     OrderCapExceeded,
+    SpecParseError,
 )
-from coprimegraph.groups import DEFAULT_MAX_ORDER, FiniteGroup, _compose
-from coprimegraph.lattice import Subgroup, SubgroupList, divisors, is_prime
+from coprimegraph.groups import (
+    DEFAULT_MAX_ORDER,
+    FiniteGroup,
+    _compose,
+    _split_top_level,
+    make_semidirect_cyclic,
+)
+from coprimegraph.lattice import Subgroup, SubgroupList, divisors, factorize, is_prime
+from coprimegraph.theorems import (
+    CheckRow,
+    VerificationReport,
+    _check_connectivity,
+    _check_diameter_range,
+)
 
 # the groups of the benchmark's lattice-export workload
 LATTICE_EXPORT_SPECS = [
@@ -713,3 +732,268 @@ def rescanning_k_colorable(adj, k: int) -> bool:
             return True
         stack.append(frame(max(max_used, c)))
     return False
+
+
+# Test-only constructions and theorem drivers, moved verbatim out of the
+# package: no command reaches them.
+
+
+def check_group_axioms(group: FiniteGroup, assoc_limit: int = 256) -> None:
+    """Raise GroupConstructionError unless the table satisfies the group axioms.
+
+    Latin square, identity and inverse checks always run; the exhaustive
+    associativity check runs only for order <= assoc_limit.
+    """
+    n = group.order
+    t = group.table
+    if len(t) != n or any(len(row) != n for row in t):
+        raise GroupConstructionError(f"{group.name}: table is not {n}x{n}")
+    ident = list(range(n))
+    for a in range(n):
+        if sorted(t[a]) != ident:
+            raise GroupConstructionError(f"{group.name}: row {a} is not a permutation")
+        if sorted(row[a] for row in t) != ident:
+            raise GroupConstructionError(f"{group.name}: column {a} is not a permutation")
+    e = group.identity
+    if list(t[e]) != ident or [row[e] for row in t] != ident:
+        raise GroupConstructionError(f"{group.name}: element {e} is not an identity")
+    for a in range(n):
+        b = t[a].index(e)
+        if t[b][a] != e:
+            raise GroupConstructionError(f"{group.name}: element {a} has no two-sided inverse")
+    if n <= assoc_limit:
+        for a in range(n):
+            row_a = t[a]
+            # (a*b)*c == a*(b*c) for every b and c
+            for b in range(n):
+                if tuple(map(row_a.__getitem__, t[b])) != tuple(t[row_a[b]]):
+                    raise GroupConstructionError(
+                        f"{group.name}: associativity fails at element {a}"
+                    )
+
+
+def find_unit_of_order(m: int, k: int) -> int:
+    """Smallest unit i >= 2 with multiplicative order exactly k mod m."""
+    for i in range(2, m):
+        if gcd(i, m) != 1:
+            continue
+        if pow(i, k, m) != 1:
+            continue
+        if all(pow(i, d, m) != 1 for d in range(1, k) if k % d == 0):
+            return i
+    raise GroupConstructionError(f"no unit of order {k} mod {m}")
+
+
+def make_metacyclic(m: int, k: int, action_order: int) -> FiniteGroup:
+    """Z_m : Z_k with the canonical action of a given multiplicative order.
+
+    Picks the smallest unit i with ord_m(i) = action_order, which must divide
+    k for the twist to be well defined.  This realizes the cyclic-by-cyclic
+    families in one call: make_metacyclic(q, p, p) is the nonabelian group of
+    order pq, make_metacyclic(q, p*p, p) and make_metacyclic(q, p*p, p*p) are
+    the two order-p^2 twists over Z_q, make_metacyclic(p*p, q, q) is the
+    prime-square-kernel group of order p^2 q.
+    """
+    if k % action_order != 0:
+        raise GroupConstructionError(
+            f"action order {action_order} does not divide the acting order {k}"
+        )
+    return make_semidirect_cyclic(m, k, find_unit_of_order(m, action_order))
+
+
+def degree_formula(n: int, h_order: int) -> int:
+    """Closed-form vertex degree in the coprime graph of Z_n.
+
+    For n = prod p_j^(a_j) and a proper subgroup order h, the degree is
+    prod over p_j not dividing h of (a_j + 1), minus 1 for the trivial
+    subgroup.
+    """
+    if n < 2:
+        raise ValueError(f"n must be at least 2, got {n}")
+    if not (1 < h_order < n):
+        raise ValueError(f"subgroup order {h_order} is not proper nontrivial for n={n}")
+    if n % h_order != 0:
+        raise ValueError(f"{h_order} does not divide {n}")
+    out = 1
+    for p, a in factorize(n):
+        if h_order % p != 0:
+            out *= a + 1
+    return out - 1
+
+
+ISO_CAP = 16
+
+
+def small_graph_isomorphic(g1, g2, cap: int = ISO_CAP) -> bool:
+    """Exact isomorphism test by backtracking with degree pruning."""
+    a1 = _adjacency(g1).sets
+    a2 = _adjacency(g2).sets
+    n = len(a1)
+    if n != len(a2):
+        return False
+    if n > cap:
+        raise ExactCapExceeded(f"{n} vertices exceed the isomorphism cap {cap}")
+    if sorted(len(s) for s in a1) != sorted(len(s) for s in a2):
+        return False
+
+    def signature(adj, v):
+        return (len(adj[v]), tuple(sorted(len(adj[w]) for w in adj[v])))
+
+    sig1 = {v: signature(a1, v) for v in range(n)}
+    sig2 = {v: signature(a2, v) for v in range(n)}
+    if sorted(sig1.values()) != sorted(sig2.values()):
+        return False
+
+    order = sorted(range(n), key=lambda v: (-len(a1[v]), v))
+    mapping = [-1] * n
+    used = [False] * n
+
+    def rec(i: int) -> bool:
+        if i == n:
+            return True
+        v = order[i]
+        for w in range(n):
+            if used[w] or sig1[v] != sig2[w]:
+                continue
+            ok = True
+            for u in a1[v]:
+                mu = mapping[u]
+                if mu >= 0 and mu not in a2[w]:
+                    ok = False
+                    break
+            if ok:
+                for u in range(n):
+                    mu = mapping[u]
+                    if mu >= 0 and u not in a1[v] and mu in a2[w]:
+                        ok = False
+                        break
+            if ok:
+                mapping[v] = w
+                used[w] = True
+                if rec(i + 1):
+                    return True
+                mapping[v] = -1
+                used[w] = False
+        return False
+
+    return rec(0)
+
+
+def check_connectivity_criterion(group) -> bool:
+    """Connectivity iff no proper nontrivial subgroup has the full prime set,
+    with diameter in {1, 2, 3} whenever connected."""
+    graph = build(group)
+    rep = vertex_report(graph)
+    return _check_connectivity(graph, rep) and _check_diameter_range(graph, rep)
+
+
+def check_degree_theorem(n_max: int) -> VerificationReport:
+    """Closed-form degrees against counted degrees for all composite n <= n_max."""
+    rows = []
+    for n in range(4, n_max + 1):
+        if is_prime(n):
+            continue
+        graph = build_cyclic(n)
+        mismatches = []
+        for v in graph.vertices:
+            got = graph.degree(v.vid)
+            want = degree_formula(n, v.order)
+            if got != want:
+                mismatches.append((v.order, want, got))
+        rows.append(
+            CheckRow(
+                f"Z{n}",
+                "degree-formula",
+                "all-match",
+                "all-match" if not mismatches else f"mismatches: {mismatches}",
+                not mismatches,
+            )
+        )
+    return VerificationReport(rows=rows)
+
+
+def _all_labeled_graphs(n: int):
+    pairs = list(combinations(range(n), 2))
+    for bits in range(1 << len(pairs)):
+        yield SimpleGraph.from_edges(
+            n, [pairs[i] for i in range(len(pairs)) if bits >> i & 1]
+        )
+
+
+def check_embedding_theorem(
+    trials: int = 200,
+    n_max_vertices: int = 12,
+    seed: int = 987,
+) -> VerificationReport:
+    """Embed-and-verify over all graphs on <= 5 vertices plus random graphs."""
+    rows = []
+    for n in range(1, 6):
+        bad = 0
+        total = 0
+        for g in _all_labeled_graphs(n):
+            total += 1
+            if not verify_embedding(g, embed(g)):
+                bad += 1
+        rows.append(
+            CheckRow(
+                f"all-{total}-graphs-on-{n}-vertices",
+                "embed-verify",
+                0,
+                bad,
+                bad == 0,
+            )
+        )
+    rng = random.Random(seed)
+    bad = 0
+    for _ in range(trials):
+        n = rng.randint(7, n_max_vertices)
+        edges = [(u, v) for u, v in combinations(range(n), 2) if rng.random() < 0.5]
+        g = SimpleGraph.from_edges(n, edges)
+        if not verify_embedding(g, embed(g)):
+            bad += 1
+    rows.append(
+        CheckRow(
+            f"{trials}-random-graphs-7-to-{n_max_vertices}",
+            "embed-verify",
+            0,
+            bad,
+            bad == 0,
+        )
+    )
+    return VerificationReport(rows=rows)
+
+
+
+def nested_product(depth: int, leaf: str) -> str:
+    """``depth`` products nested down the left, each with ``leaf`` on the right."""
+    return "X(" * depth + leaf + f",{leaf})" * depth
+
+
+# The product rule groups used before it cut at the first later factor that
+# starts with a letter: it tries every top-level comma and parses both sides
+# each time, so its time is quadratic in the commas.  Kept verbatim as the
+# oracle for the single cut; patch it over groups._parse_product to parse a
+# whole spec the old way.
+
+
+def every_cut_parse_product(s: str):
+    parts = _split_top_level(s[2:-1])
+    # commas inside SD and PERM specs also appear at the top level, so try
+    # each split point and take the first that parses on both sides
+    for cut in range(1, len(parts)):
+        try:
+            left = groups._parse(",".join(parts[:cut]))
+            right = groups._parse(",".join(parts[cut:]))
+        except SpecParseError:
+            continue
+        break
+    else:
+        raise SpecParseError(f"X needs exactly two factors, got {s!r}")
+
+    def make(max_order: int) -> FiniteGroup:
+        g, h = left.build(max_order), right.build(max_order)
+        groups._check_order(g.order * h.order, s, max_order)
+        return groups.make_direct_product(g, h)
+
+    known = left.order is not None and right.order is not None
+    return groups._Spec(s, left.order * right.order if known else None, make)

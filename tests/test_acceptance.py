@@ -36,7 +36,6 @@ from coprimegraph.analysis import (
     contains_complete_bipartite,
     independence_number,
     is_planar,
-    small_graph_isomorphic,
     verify_kuratowski_witness,
     verify_rotation_system,
 )
@@ -44,18 +43,17 @@ from coprimegraph.coprime import build, build_cyclic
 from coprimegraph.embedding import SimpleGraph
 from coprimegraph.groups import parse_group_spec
 from coprimegraph.lattice import all_subgroups, pi
-from coprimegraph.theorems import (
-    check_degree_theorem,
-    check_embedding_theorem,
-    load_catalog,
-)
+from coprimegraph.theorems import load_catalog
 from helpers import (
     alpha_oracle,
     brute_force_subgroups,
+    check_degree_theorem,
+    check_embedding_theorem,
     chi_oracle,
     element_order_census,
     has_induced_claw,
     omega_oracle,
+    small_graph_isomorphic,
 )
 
 BUDGETS = {1: 1, 2: 1, 3: 1, 4: 30, 5: 30, 6: 10, 7: 10, 8: 10, 9: 5, 10: 30, 11: 1, 12: 30}

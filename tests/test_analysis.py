@@ -29,7 +29,6 @@ from coprimegraph.analysis import (
     is_unicyclic,
     maximum_clique,
     shape_predicates,
-    small_graph_isomorphic,
     verify_kuratowski_witness,
     verify_rotation_system,
     vertex_report,
@@ -54,6 +53,7 @@ from helpers import (
     min_vertex_cover_oracle,
     omega_oracle,
     rescanning_k_colorable,
+    small_graph_isomorphic,
 )
 
 

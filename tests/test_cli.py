@@ -13,6 +13,7 @@ from coprimegraph import cli, theorems
 from coprimegraph.cli import _json_text, main
 from coprimegraph.errors import InputError
 from coprimegraph.groups import DEFAULT_MAX_ORDER
+from helpers import nested_product
 
 
 def run(capsys, *argv):
@@ -387,6 +388,7 @@ def _alpha_bug(monkeypatch):
 
 INVALID_UTF8 = b"0 1\n\xff\xfe 2\n"
 
+
 # id: (argv, input file bytes or None, patch or None, exit code or exception)
 EXIT_CASES = {
     "ok": (["analyze", "Z:30"], None, None, 0),
@@ -424,6 +426,12 @@ EXIT_CASES = {
     "s6-export": (["export", "PERM:6:[0 1 2 3 4 5],[0 1]", "--format", "json"], None, None, 0),
     "d1000-export-raised-cap": (
         ["export", "D:1000", "--format", "json", "--max-order", "4096"], None, None, 0,
+    ),
+    "product-depth-600": (["analyze", nested_product(600, "Z:2")], None, None, 2),
+    "product-depth-100-trivial": (["analyze", nested_product(100, "Z:1")], None, None, 3),
+    # 10,000 top-level commas: trying each one as the cut takes minutes
+    "perm-10000-generators-product": (
+        ["analyze", "X(PERM:3:" + ",".join(["[0 1]"] * 10_000) + ",Z:2)"], None, None, 0,
     ),
 }
 

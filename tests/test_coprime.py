@@ -6,14 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coprimegraph.analysis import small_graph_isomorphic
 from coprimegraph import coprime
 from coprimegraph.coprime import (
     UndefinedCoprimeGraphError,
     _graph_from_orders,
     build,
     build_cyclic,
-    degree_formula,
     graph_json,
     to_dot,
 )
@@ -26,7 +24,7 @@ from coprimegraph.groups import (
 )
 from coprimegraph.lattice import divisors, is_prime
 from coprimegraph.theorems import load_catalog
-from helpers import counted_degrees
+from helpers import counted_degrees, degree_formula, small_graph_isomorphic
 
 
 def degrees_by_order(graph):

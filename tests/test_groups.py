@@ -1,9 +1,10 @@
 """Constructor tests: tables are groups, censuses match direct computation."""
 
 import tracemalloc
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coprimegraph import groups
@@ -13,7 +14,6 @@ from coprimegraph.groups import (
     NAMED_GROUPS,
     OrderCapExceeded,
     SpecParseError,
-    check_group_axioms,
     make_cyclic,
     make_dihedral,
     make_direct_product,
@@ -29,7 +29,11 @@ from helpers import (
     cell_by_cell_direct_product,
     cell_by_cell_permutation_group,
     cell_by_cell_semidirect_cyclic,
+    check_group_axioms,
     element_order_census,
+    every_cut_parse_product,
+    make_metacyclic,
+    nested_product,
 )
 
 
@@ -102,8 +106,6 @@ def test_semidirect_rejects_bad_action():
 
 
 def test_metacyclic_family_instances():
-    from coprimegraph.groups import make_metacyclic
-
     assert make_metacyclic(7, 3, 3).table == make_semidirect_cyclic(7, 3, 2).table
     assert make_metacyclic(3, 4, 2).table == make_semidirect_cyclic(3, 4, 2).table
     assert make_metacyclic(5, 4, 4).table == make_semidirect_cyclic(5, 4, 2).table
@@ -341,3 +343,95 @@ def test_random_permutation_tables_match_the_cell_by_cell_builder(gens):
     assert make_permutation_group(degree, gens, 720) == cell_by_cell_permutation_group(
         degree, gens, 720
     )
+
+
+# Product specs: the single cut against the every-cut oracle, and the depth bound
+
+# (text, order, whether the text fixes the order); SD and PERM leaves carry
+# the top-level commas a product's cut has to see past
+PRODUCT_LEAVES = [
+    ("Z:1", 1, True), ("Z:2", 2, True), ("Z:3", 3, True), ("D:2", 4, True),
+    ("SD:3,2,2", 6, True), ("SD:3, 2 ,2", 6, True), ("SD:5,4,2", 20, True),
+    ("PERM:3:[0 1]", 2, False), ("PERM:3:[0 1 2], [0 1]", 6, False),
+    ("PERM:4:[0 1]x[2 3],[0 2]x[1 3]", 4, False), ("S3", 6, False), ("Q8", 8, False),
+]
+SPACES = st.sampled_from(["", " "])
+
+
+def _join(pair):
+    (a, b), (pad_a, pad_b) = pair
+    return (f"X({pad_a}{a[0]},{pad_b}{b[0]})", a[1] * b[1], a[2] and b[2])
+
+
+PRODUCT_TREES = st.recursive(
+    st.sampled_from(PRODUCT_LEAVES),
+    lambda inner: st.tuples(st.tuples(inner, inner), st.tuples(SPACES, SPACES)).map(_join),
+    max_leaves=5,
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(PRODUCT_TREES)
+def test_nested_product_order_is_the_product_of_its_leaves(tree):
+    text, order, fixed = tree
+    assert spec_order(text) == (order if fixed else None)
+    if order <= 1024:
+        assert parse_group_spec(text, 1024).order == order
+    else:
+        with pytest.raises(OrderCapExceeded):
+            parse_group_spec(text, 1024)
+
+
+@st.composite
+def product_texts(draw):
+    """A nested product spec, or one with a few characters inserted or deleted."""
+    text = list(draw(PRODUCT_TREES)[0])
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(text)))
+        if draw(st.booleans()) and i < len(text):
+            del text[i]
+        else:
+            text.insert(i, draw(st.sampled_from(list(",()[]X:Z2 "))))
+    return "".join(text)
+
+
+def _parse_outcome(text):
+    try:
+        spec = groups._parse_spec(text)
+        return spec.text, spec.order, spec.build(256)
+    except (SpecParseError, GroupConstructionError, OrderCapExceeded) as exc:
+        return type(exc).__name__, str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(product_texts())
+@example("X(PERM:3:[0 1],[0 1],Z:2)")
+@example("X(Z:2,PERM:3:[0 1],[0 1])")
+@example("X(SD:7,3,2,SD:3,2,2)")
+@example("X(Z:2,Z:3,Z:5)")
+@example("X(Z:2,,Z:3)")
+@example("X(,Z:3)")
+@example("X(Z:2,[0 1],Z:3)")
+@example("X(X(Z:2),Z:3),Z:5)")
+@example("X(Z:2,é)")
+@example("X( Z:2 , Q8 )")
+def test_single_cut_matches_every_cut(text):
+    single = _parse_outcome(text)
+    with mock.patch.object(groups, "_parse_product", every_cut_parse_product):
+        assert _parse_outcome(text) == single
+
+
+def test_product_nesting_is_bounded_before_any_recursion():
+    assert parse_group_spec(nested_product(groups.MAX_PRODUCT_DEPTH, "Z:1")).order == 1
+    assert spec_order(nested_product(groups.MAX_PRODUCT_DEPTH, "PERM:3:[0 1]")) is None
+    too_deep = [
+        nested_product(groups.MAX_PRODUCT_DEPTH + 1, "Z:1"),
+        nested_product(600, "Z:2"),
+        "X(Z:1," * 600 + "Z:1" + ")" * 600,
+    ]
+    for text in too_deep:
+        with mock.patch.object(groups, "_parse", side_effect=AssertionError("parsed")):
+            with pytest.raises(SpecParseError, match="more than 100 levels"):
+                parse_group_spec(text)
+            with pytest.raises(SpecParseError, match="more than 100 levels"):
+                spec_order(text)

@@ -17,13 +17,15 @@ from coprimegraph.theorems import (
     AUTO_CHECKS,
     CatalogEntry,
     EXPECTATION_KEYS,
-    check_connectivity_criterion,
-    check_degree_theorem,
-    check_embedding_theorem,
     default_catalog_path,
     evaluate_entry,
     load_catalog,
     run_catalog,
+)
+from helpers import (
+    check_connectivity_criterion,
+    check_degree_theorem,
+    check_embedding_theorem,
 )
 
 
