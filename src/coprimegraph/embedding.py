@@ -49,9 +49,6 @@ class SimpleGraph:
             adj[b].add(a)
         return adj
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return (min(u, v), max(u, v)) in self.edges
-
 
 @dataclass(frozen=True)
 class EmbeddingCertificate:
@@ -210,7 +207,8 @@ def parse_edge_list(text: str | bytes) -> SimpleGraph:
 
     Blank lines and '#' comments are ignored; an optional header "n <count>"
     fixes the vertex count, which otherwise is inferred as max id + 1.
-    Bytes are read as UTF-8.
+    Counts and ids are ASCII digits, an id with an optional sign.  Bytes are
+    read as UTF-8.
     """
     if isinstance(text, bytes):
         try:
@@ -226,13 +224,17 @@ def parse_edge_list(text: str | bytes) -> SimpleGraph:
             continue
         parts = line.split()
         if parts[0] == "n":
-            if len(parts) != 2 or not parts[1].isdecimal():
+            if len(parts) != 2 or not (parts[1].isascii() and parts[1].isdecimal()):
                 raise EdgeListError(f"line {lineno}: header must be 'n <count>'")
             declared = int(parts[1])
             continue
         if len(parts) != 2:
             raise EdgeListError(f"line {lineno}: expected 'u v', got {raw!r}")
         try:
+            # int() also reads other scripts' digits and "_" between digits;
+            # on the rest of ASCII it takes exactly [+-]?[0-9]+
+            if not line.isascii() or "_" in line:
+                raise ValueError
             u, v = int(parts[0]), int(parts[1])
         except ValueError:
             raise EdgeListError(f"line {lineno}: expected integers, got {raw!r}") from None

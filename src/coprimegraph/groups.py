@@ -32,13 +32,6 @@ class FiniteGroup:
     table: tuple[tuple[int, ...], ...]
     identity: int = 0
 
-    def mul(self, a: int, b: int) -> int:
-        return self.table[a][b]
-
-    def is_abelian(self) -> bool:
-        t = self.table
-        return all(t[a][b] == t[b][a] for a in range(self.order) for b in range(a))
-
 
 def make_cyclic(n: int) -> FiniteGroup:
     """Additive group of integers mod n."""
@@ -112,7 +105,6 @@ def make_permutation_group(
     degree: int,
     gens: list[tuple[int, ...]],
     max_order: int = DEFAULT_MAX_ORDER,
-    name: str | None = None,
 ) -> FiniteGroup:
     """Closure of permutation generators under composition, as a table.
 
@@ -161,114 +153,50 @@ def make_permutation_group(
     for y in range(1, order):
         cols.append(list(map(right[via[y]].__getitem__, cols[parent[y]])))
     table = tuple(zip(*cols))
-    return FiniteGroup(name=name or f"Perm{degree}<{order}>", order=order, table=table)
+    return FiniteGroup(name=f"Perm{degree}<{order}>", order=order, table=table)
 
 
-# Permutation helpers for the named constructions below.  Points of the
-# affine plane over F_p are encoded as p*x + y.
-
-
-def _plane_translation(p: int, dx: int, dy: int) -> tuple[int, ...]:
-    return tuple(
-        p * ((pt // p + dx) % p) + (pt % p + dy) % p for pt in range(p * p)
-    )
-
-
-def _plane_linear(p: int, a: int, b: int, c: int, d: int) -> tuple[int, ...]:
-    out = []
-    for pt in range(p * p):
-        x, y = divmod(pt, p)
-        out.append(p * ((a * x + b * y) % p) + (c * x + d * y) % p)
-    return tuple(out)
-
-
-def quaternion_group() -> FiniteGroup:
-    """Quaternion group of order 8 via its left regular permutation action."""
-    li = (2, 3, 1, 0, 6, 7, 5, 4)
-    lj = (4, 5, 7, 6, 1, 0, 2, 3)
-    return make_permutation_group(8, [li, lj], name="Q8")
-
-
-def alternating_4() -> FiniteGroup:
-    return make_permutation_group(4, [(1, 2, 0, 3), (1, 0, 3, 2)], name="A4")
-
-
-def symmetric_4() -> FiniteGroup:
-    return make_permutation_group(4, [(1, 2, 3, 0), (1, 0, 2, 3)], name="S4")
-
-
-def plane_rtimes_cyclic(p: int, mat: tuple[int, int, int, int], order_hint: str) -> FiniteGroup:
-    """(Z_p x Z_p) semidirect a cyclic matrix action on the affine plane."""
-    a, b, c, d = mat
-    gens = [
-        _plane_translation(p, 1, 0),
-        _plane_translation(p, 0, 1),
-        _plane_linear(p, a, b, c, d),
-    ]
-    return make_permutation_group(p * p, gens, name=order_hint)
-
-
-def klein_rtimes_z9() -> FiniteGroup:
-    """(Z_2 x Z_2) semidirect Z_9, the Z_9 acting through its order-3 quotient.
-
-    Realized on 13 points: the four plane points carry the translations and an
-    order-3 linear map, a disjoint 9-cycle stretches that map to order 9.
-    """
-    def pad(perm4: tuple[int, ...], cycle9: bool) -> tuple[int, ...]:
-        tail = tuple(4 + ((i + 1) % 9) for i in range(9)) if cycle9 else tuple(range(4, 13))
-        return perm4 + tail
-
-    t1 = pad(tuple(x ^ 2 for x in range(4)), False)
-    t2 = pad(tuple(x ^ 1 for x in range(4)), False)
-    # (x, y) -> (y, x + y) has order 3 on F_2^2 and fixes only the origin
-    lin = tuple((x & 1) * 2 + (((x >> 1) + (x & 1)) % 2) for x in range(4))
-    c = pad(lin, True)
-    return make_permutation_group(13, [t1, t2, c], name="(Z2xZ2):Z9")
-
-
-def double_plane_diag(p: int, t: int) -> FiniteGroup:
-    """(Z_p x Z_p) semidirect Z_2 with inversion twisted by exponent t.
-
-    Two disjoint p-cycles carry the Z_p factors; the involution negates the
-    first block and raises the second to the power (-1)^t, so t=1 is the
-    generalized dihedral action and t=0 fixes the second factor.
-    """
-    a = tuple((i + 1) % p for i in range(p)) + tuple(range(p, 2 * p))
-    b = tuple(range(p)) + tuple(p + ((i + 1) % p) for i in range(p))
-    second = (lambda i: p + (-i % p)) if t % 2 == 1 else (lambda i: p + i)
-    c = tuple(-i % p for i in range(p)) + tuple(second(i) for i in range(p))
-    return make_permutation_group(2 * p, [a, b, c], name=f"(Z{p}xZ{p}):Z2(t={t % 2})")
-
-
-def _named_builders() -> dict[str, object]:
-    return {
-        "A4": alternating_4,
-        "S4": symmetric_4,
-        "S3": lambda: make_dihedral(3),
-        "Q8": quaternion_group,
-        "D12": lambda: make_dihedral(6),
-        "S3xS3": lambda: make_direct_product(make_dihedral(3), make_dihedral(3)),
-        "Z3xA4": lambda: make_direct_product(make_cyclic(3), alternating_4()),
-        "Z6xS3": lambda: make_direct_product(make_cyclic(6), make_dihedral(3)),
-        # Z_9 : Z_4 with the order-4 generator inverting Z_9
-        "Z9sZ4": lambda: make_semidirect_cyclic(9, 4, 8),
-        # (Z_3 x Z_3) : Z_4, rotation matrix [[0,-1],[1,0]] of order 4 in GL_2(3)
-        "Z3Z3sZ4": lambda: plane_rtimes_cyclic(3, (0, 2, 1, 0), "(Z3xZ3):Z4"),
-        # (Z_5 x Z_5) : Z_3, companion matrix of x^2+x+1 (irreducible mod 5)
-        "Z5Z5sZ3": lambda: plane_rtimes_cyclic(5, (0, 4, 1, 4), "(Z5xZ5):Z3"),
-        # generalized dihedral over Z_5 x Z_5
-        "Z5Z5sZ2": lambda: double_plane_diag(5, 1),
-        # (Z_5 : Z_2) x Z_5, the untwisted-second-factor companion of the above
-        "D10xZ5": lambda: make_direct_product(make_dihedral(5), make_cyclic(5)),
-        "Z2Z2sZ9": klein_rtimes_z9,
-        # Z_2 x ((Z_3 x Z_3) : Z_2), inversion action on the plane
-        "Z2xZ3Z3sZ2": lambda: make_direct_product(
-            make_cyclic(2), plane_rtimes_cyclic(3, (2, 0, 0, 2), "(Z3xZ3):Z2")
-        ),
-    }
-
-
-NAMED_GROUPS = _named_builders()
+# Each named group is a spec of the grammar and the name it is shown under.
+# PERM specs on p*p points encode the point (x, y) of the plane F_p^2 as p*x + y.
+NAMED_GROUPS: dict[str, tuple[str, str]] = {
+    "A4": ("PERM:4:[0 1 2],[0 1]x[2 3]", "A4"),
+    "S4": ("PERM:4:[0 1 2 3],[0 1]", "S4"),
+    "S3": ("D:3", "D6"),
+    # i and j acting on the eight quaternion units by left multiplication
+    "Q8": ("PERM:8:[0 2 1 3]x[4 6 5 7],[0 4 1 5]x[2 7 3 6]", "Q8"),
+    "D12": ("D:6", "D12"),
+    "S3xS3": ("X(D:3,D:3)", "D6xD6"),
+    "Z3xA4": ("X(Z:3,A4)", "Z3xA4"),
+    "Z6xS3": ("X(Z:6,D:3)", "Z6xD6"),
+    # Z_9 : Z_4 with the order-4 generator inverting Z_9
+    "Z9sZ4": ("SD:9,4,8", "Z9:Z4(i=8)"),
+    # the translations of F_3^2 and (x, y) -> (-y, x), of order 4 in GL_2(3)
+    "Z3Z3sZ4": (
+        "PERM:9:[0 3 6]x[1 4 7]x[2 5 8],[0 1 2]x[3 4 5]x[6 7 8],[1 6 2 3]x[4 7 8 5]",
+        "(Z3xZ3):Z4",
+    ),
+    # the translations of F_5^2 and the companion matrix of x^2+x+1, irreducible mod 5
+    "Z5Z5sZ3": (
+        "PERM:25:[0 5 10 15 20]x[1 6 11 16 21]x[2 7 12 17 22]x[3 8 13 18 23]x[4 9 14 19 24],"
+        "[0 1 2 3 4]x[5 6 7 8 9]x[10 11 12 13 14]x[15 16 17 18 19]x[20 21 22 23 24],"
+        "[1 24 5]x[2 18 10]x[3 12 15]x[4 6 20]x[7 19 9]x[8 13 14]x[11 21 23]x[16 22 17]",
+        "(Z5xZ5):Z3",
+    ),
+    # generalized dihedral over Z_5 x Z_5: one involution inverts both 5-cycles
+    "Z5Z5sZ2": ("PERM:10:[0 1 2 3 4],[5 6 7 8 9],[1 4]x[2 3]x[6 9]x[7 8]", "(Z5xZ5):Z2(t=1)"),
+    # (Z_5 : Z_2) x Z_5, the involution of the above fixing the second factor
+    "D10xZ5": ("X(D:5,Z:5)", "D10xZ5"),
+    # the translations of F_2^2 and (x, y) -> (y, x + y), an order-3 map
+    # stretched to order 9 by a disjoint 9-cycle
+    "Z2Z2sZ9": (
+        "PERM:13:[0 2]x[1 3],[0 1]x[2 3],[1 3 2]x[4 5 6 7 8 9 10 11 12]", "(Z2xZ2):Z9"
+    ),
+    # Z_2 x ((Z_3 x Z_3) : Z_2): the translations of F_3^2 and the inversion
+    "Z2xZ3Z3sZ2": (
+        "X(Z:2,PERM:9:[0 3 6]x[1 4 7]x[2 5 8],[0 1 2]x[3 4 5]x[6 7 8],[1 2]x[3 6]x[4 8]x[5 7])",
+        "Z2x(Z3xZ3):Z2",
+    ),
+}
 
 
 def _split_top_level(s: str, sep: str = ",") -> list[str]:
@@ -288,8 +216,14 @@ def _split_top_level(s: str, sep: str = ",") -> list[str]:
 
 
 def _parse_int(text: str, what: str) -> int:
+    """An optional sign and ASCII digits, with surrounding whitespace."""
+    digits = text.strip()
     try:
-        return int(text)
+        # int() also reads other scripts' digits and "_" between digits; on
+        # the rest of ASCII it takes exactly [+-]?[0-9]+
+        if not digits.isascii() or "_" in digits:
+            raise ValueError
+        return int(digits)
     except ValueError:
         raise SpecParseError(f"expected integer for {what}, got {text!r}") from None
 
@@ -398,7 +332,9 @@ def _parse(text: str) -> _Spec:
     if not s:
         raise SpecParseError("empty group spec")
     if s in NAMED_GROUPS:
-        return _Spec(s, None, lambda _cap: NAMED_GROUPS[s]())
+        spec, shown = NAMED_GROUPS[s]
+        # a named group is built under the default cap, whatever the caller's
+        return _Spec(s, None, lambda _cap: replace(parse_group_spec(spec), name=shown))
     n = cyclic_spec_order(s)
     if n is not None:
         return _Spec(s, n, lambda _cap: make_cyclic(n))
@@ -441,8 +377,9 @@ def parse_group_spec(text: str, max_order: int = DEFAULT_MAX_ORDER) -> FiniteGro
         spec  := NAME | "Z:" n | "D:" n | "SD:" m "," k "," i
                | "X(" spec "," spec ")" | "PERM:" degree ":" gen ("," gen)*
         gen   := cycle ("x" cycle)*     e.g.  [0 1 2]  or  [0 1]x[2 3]
-    NAME is one of the registered named groups (A4, Q8, S3xS3, ...).
-    "D:n" builds the dihedral group of order 2n.  Products nest at most
+    NAME is a key of NAMED_GROUPS (A4, Q8, S3xS3, ...), which gives its spec.
+    Integers are ASCII digits with an optional sign.  "D:n" builds the
+    dihedral group of order 2n.  Products nest at most
     MAX_PRODUCT_DEPTH (100) levels deep; a deeper spec raises SpecParseError.
 
     A group above ``max_order`` raises OrderCapExceeded before its table is

@@ -17,20 +17,25 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import reduce
 from importlib import resources
+from itertools import combinations
 from operator import getitem
 from pathlib import Path
+
+import networkx as nx
 
 from .analysis import INFINITE, AnalysisReport, vertex_report
 from .coprime import CoprimeGraph, graph_for_spec
 # perfbench/tracing.py times coprime.build through this name until its hook moves to .coprime
 from .coprime import build  # noqa: F401
-from .errors import CatalogError, CoprimeGraphError
+from .errors import CatalogError, CoprimeGraphError, ExactCapExceeded
 from .groups import DEFAULT_MAX_ORDER, parse_group_spec, spec_order
 from .lattice import pi
 
 DEFAULT_CATALOG_MAX_ORDER = 200
 # one catalog graph has 76 vertices, above the analyze() default of 64
 DEFAULT_CATALOG_EXACT_CAP = 96
+# the most distinct prime supports the alpha check searches: every support of 7 primes
+MAX_ALPHA_SUPPORTS = 127
 
 
 @dataclass(frozen=True)
@@ -183,29 +188,17 @@ def _max_intersecting_support_weight(orders: list[int]) -> int:
 
     A vertex's support is the prime set of its order, and a support's weight
     is the number of vertices whose order has exactly that support.  The
-    search includes or excludes each support in turn, heaviest first, and
-    cuts a branch once the weight still to come cannot beat the best family
-    found.  It is exponential in the number k of primes, since there are up
-    to 2^k - 1 supports: about 1.9 s at k = 5 (Z_2310, on a 2-vCPU VM).
-    ``verify`` builds groups of order at most max(--max-order, 2048); at the
-    default, 2048 < 2*3*5*7*11, so k <= 4 there.
+    family is a maximum-weight clique of the graph on supports, two supports
+    adjacent when they meet.  ``evaluate_entry`` refuses a graph with more
+    than MAX_ALPHA_SUPPORTS supports before this search, which takes about
+    0.35 s at that bound (the 126 supports of Z_510510, 7 primes, on a
+    2-vCPU VM) and ten times as long for each further prime.
     """
     weight = Counter(pi(order) for order in orders)
-    supports = sorted(weight, key=lambda s: (-weight[s], sorted(s)))
-    best = 0
-
-    def extend(i: int, family: tuple, total: int, rest: int) -> None:
-        nonlocal best
-        best = max(best, total)
-        if i == len(supports) or total + rest <= best:
-            return
-        s, w = supports[i], weight[supports[i]]
-        if all(s & t for t in family):
-            extend(i + 1, family + (s,), total + w, rest - w)
-        extend(i + 1, family, total, rest - w)
-
-    extend(0, (), 0, sum(weight.values()))
-    return best
+    meets = nx.Graph()
+    meets.add_nodes_from((s, {"weight": w}) for s, w in weight.items())
+    meets.add_edges_from((s, t) for s, t in combinations(weight, 2) if s & t)
+    return nx.max_weight_clique(meets)[1]
 
 
 def _check_alpha_supports(graph: CoprimeGraph, rep: AnalysisReport) -> bool:
@@ -306,6 +299,11 @@ def evaluate_entry(
                     "declared order mismatch",
                 )
             ]
+        supports = len(set(map(pi, graph.orders())))
+        if supports > MAX_ALPHA_SUPPORTS:
+            raise ExactCapExceeded(
+                f"{supports} prime supports exceed the alpha check's bound {MAX_ALPHA_SUPPORTS}"
+            )
         rep = vertex_report(graph, exact_cap)
     except CoprimeGraphError as exc:
         return [CheckRow(name, "build", "ok", f"{type(exc).__name__}: {exc}", False)]

@@ -32,7 +32,7 @@ from coprimegraph.groups import (
     _split_top_level,
     make_semidirect_cyclic,
 )
-from coprimegraph.lattice import Subgroup, SubgroupList, divisors, factorize, is_prime
+from coprimegraph.lattice import Subgroup, SubgroupList, divisors, factorize, is_prime, pi
 from coprimegraph.theorems import (
     CheckRow,
     VerificationReport,
@@ -962,6 +962,32 @@ def check_embedding_theorem(
     )
     return VerificationReport(rows=rows)
 
+
+def enumerated_intersecting_support_weight(orders: list[int]) -> int:
+    """Largest total weight of a pairwise-intersecting family of prime supports.
+
+    The alpha check's search before it became a maximum-weight clique, kept
+    as its oracle.  It includes or excludes each support in turn, heaviest
+    first, and cuts a branch once the weight still to come cannot beat the
+    best family found; it recurses once per support and is exponential in the
+    number of primes, so keep it to k <= 5.
+    """
+    weight = Counter(pi(order) for order in orders)
+    supports = sorted(weight, key=lambda s: (-weight[s], sorted(s)))
+    best = 0
+
+    def extend(i: int, family: tuple, total: int, rest: int) -> None:
+        nonlocal best
+        best = max(best, total)
+        if i == len(supports) or total + rest <= best:
+            return
+        s, w = supports[i], weight[supports[i]]
+        if all(s & t for t in family):
+            extend(i + 1, family + (s,), total + w, rest - w)
+        extend(i + 1, family, total, rest - w)
+
+    extend(0, (), 0, sum(weight.values()))
+    return best
 
 
 def nested_product(depth: int, leaf: str) -> str:

@@ -43,7 +43,7 @@ from coprimegraph.coprime import (
 )
 from coprimegraph.embedding import SimpleGraph
 from coprimegraph.errors import CertificateError
-from coprimegraph.groups import NAMED_GROUPS, make_dihedral, parse_group_spec
+from coprimegraph.groups import make_dihedral, parse_group_spec
 from coprimegraph.theorems import CatalogEntry, evaluate_entry, load_catalog
 from helpers import (
     alpha_oracle,
@@ -100,7 +100,7 @@ def test_analyze_z30_headline():
 
 
 def test_analyze_a4_headline():
-    rep = analyze(build(NAMED_GROUPS["A4"]()))
+    rep = analyze(build(parse_group_spec("A4")))
     assert rep.diameter == 2
     assert rep.girth == 4
     assert rep.shape.kind == "CompleteBipartite" and rep.shape.args == (4, 4)
@@ -846,7 +846,7 @@ def test_whole_graph_predicates():
     assert preds["complete"] and preds["star"] and preds["path"] and preds["tree"]
     preds = shape_predicates(build(make_dihedral(6)))
     assert not preds["star"] and not preds["tree"] and not preds["connected"]
-    preds = shape_predicates(build(NAMED_GROUPS["A4"]()))
+    preds = shape_predicates(build(parse_group_spec("A4")))
     assert preds["complete_bipartite"] and preds["connected"]
     preds = shape_predicates(build_cyclic(4))
     assert preds["null"] and not preds["tree"] and not preds["complete"]
@@ -856,7 +856,7 @@ def test_whole_graph_predicates():
 
 
 def test_iso_q8_z32():
-    assert small_graph_isomorphic(build(NAMED_GROUPS["Q8"]()), build_cyclic(32))
+    assert small_graph_isomorphic(build(parse_group_spec("Q8")), build_cyclic(32))
 
 
 def test_iso_k2_vs_empty():
@@ -883,7 +883,7 @@ def test_iso_cap():
 
 
 def test_a4_graph_isomorphic_to_k44():
-    assert small_graph_isomorphic(build(NAMED_GROUPS["A4"]()), complete_bipartite(4, 4))
+    assert small_graph_isomorphic(build(parse_group_spec("A4")), complete_bipartite(4, 4))
 
 
 # report serialization

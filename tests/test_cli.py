@@ -427,6 +427,18 @@ EXIT_CASES = {
     "d1000-export-raised-cap": (
         ["export", "D:1000", "--format", "json", "--max-order", "4096"], None, None, 0,
     ),
+    "spec-underscore-digits": (["analyze", "Z:3_0"], None, None, 2),
+    "edge-header-arabic-indic-digit": (["embed", "{input}"], "n \u0663\n".encode(), None, 2),
+    # seven primes: the alpha check searches all 126 supports
+    "verify-510510-raised-caps": (
+        ["verify", "--catalog", "{input}", "--max-order", "510510", "--exact-cap", "5000"],
+        b'[{"spec": "Z:510510"}]', None, 0,
+    ),
+    # ten primes: 1022 supports, past the alpha check's bound
+    "verify-6469693230-raised-caps": (
+        ["verify", "--catalog", "{input}", "--max-order", "6469693230", "--exact-cap", "5000"],
+        b'[{"spec": "Z:6469693230"}]', None, 1,
+    ),
     "product-depth-600": (["analyze", nested_product(600, "Z:2")], None, None, 2),
     "product-depth-100-trivial": (["analyze", nested_product(100, "Z:1")], None, None, 3),
     # 10,000 top-level commas: trying each one as the cut takes minutes
@@ -462,6 +474,13 @@ def test_exit_codes(tmp_path, capsys, monkeypatch, case):
         [row] = json.loads(out)["rows"]
         assert row["check"] == "build" and not row["passed"]
         assert row["computed"].startswith("OrderCapExceeded:")
+    if case == "verify-6469693230-raised-caps":
+        [row] = json.loads(out)["rows"]
+        assert row["check"] == "build" and not row["passed"]
+        assert row["computed"] == (
+            "ExactCapExceeded: 1022 prime supports exceed the alpha check's bound "
+            f"{theorems.MAX_ALPHA_SUPPORTS}"
+        )
 
 
 # the indented-JSON writer against json.dumps

@@ -16,7 +16,6 @@ from coprimegraph.coprime import (
     to_dot,
 )
 from coprimegraph.groups import (
-    NAMED_GROUPS,
     cyclic_spec_order,
     make_cyclic,
     make_dihedral,
@@ -32,7 +31,7 @@ def degrees_by_order(graph):
 
 
 def test_a4_is_k44():
-    g = build(NAMED_GROUPS["A4"]())
+    g = build(parse_group_spec("A4"))
     assert g.n_vertices == 8
     assert g.n_edges == 16
     # parts: four order-3 subgroups vs three order-2 plus the order-4 one
@@ -84,7 +83,7 @@ def test_build_cyclic_rejects(n):
 
 
 def test_duplicate_orders_make_distinct_vertices():
-    g = build(NAMED_GROUPS["Q8"]())
+    g = build(parse_group_spec("Q8"))
     assert [v.order for v in g.vertices] == [2, 4, 4, 4]
     assert g.n_edges == 0
 
@@ -159,7 +158,7 @@ def test_dot_export_deterministic_and_labeled():
 
 
 def test_dot_duplicate_order_labels_get_suffixes():
-    dot = to_dot(build(NAMED_GROUPS["Q8"]()))
+    dot = to_dot(build(parse_group_spec("Q8")))
     assert 'label="4#0"' in dot and 'label="4#2"' in dot
     assert 'label="2"' in dot
 

@@ -2,6 +2,7 @@
 
 import json
 import random
+import re
 import sys
 from itertools import combinations
 from math import gcd
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 from coprimegraph.coprime import build_cyclic
 from coprimegraph.embedding import (
+    EdgeListError,
     EmbeddingCertificate,
     MisCapExceeded,
     SimpleGraph,
@@ -122,7 +124,7 @@ def test_embedded_path_is_induced_in_cyclic_graph():
     vids = [order_to_vid[label] for label in cert.labels]
     for u in range(3):
         for v in range(u + 1, 3):
-            assert (vids[v] in graph.neighbors(vids[u])) == g.has_edge(u, v)
+            assert (vids[v] in graph.neighbors(vids[u])) == ((u, v) in g.edges)
 
 
 def test_verify_embedding_rejects_shared_prime_on_edge():
@@ -219,7 +221,7 @@ def test_embed_verify_roundtrip_random(args):
     # independent re-statement of the coprimality equivalence
     for u in range(n):
         for v in range(u + 1, n):
-            assert (gcd(cert.labels[u], cert.labels[v]) == 1) == g.has_edge(u, v)
+            assert (gcd(cert.labels[u], cert.labels[v]) == 1) == ((u, v) in g.edges)
     # neighbours against a scan of the edge set; the cached adjacency leaves
     # equality and hashing to the fields
     for u in range(n):
@@ -288,6 +290,33 @@ def test_parse_edge_list_header_and_comments():
 def test_parse_edge_list_rejects(text):
     with pytest.raises(ValueError):
         parse_edge_list(text)
+
+
+@pytest.mark.parametrize("text", ["n \u0663\n", "n 3_0\n", "n +3\n", "0 1_0\n", "\u0660 1\n", "0 +-1\n"])
+def test_parse_edge_list_reads_ascii_digits_only(text):
+    with pytest.raises(EdgeListError, match="line 1"):
+        parse_edge_list(text)
+
+
+def test_parse_edge_list_ids_may_carry_a_sign():
+    assert parse_edge_list("+0 +1\n").edges == frozenset({(0, 1)})
+    with pytest.raises(EdgeListError, match="vertex ids must be nonnegative"):
+        parse_edge_list("-1 0\n")
+
+
+# ASCII digits and signs, other scripts' digits, "_", and anything else
+ID_TOKENS = st.text(st.sampled_from("0123456789+-_\u0663\u00b9") | st.characters(), max_size=5)
+
+
+@settings(max_examples=300)
+@given(ID_TOKENS.filter(lambda t: t and not any(c.isspace() or c == "#" for c in t)))
+def test_an_edge_id_is_read_exactly_when_it_is_a_signed_ascii_integer(token):
+    try:
+        parse_edge_list(f"5 {token}\n")
+        read = True
+    except EdgeListError as exc:
+        read = "expected integers" not in str(exc)
+    assert read == bool(re.fullmatch("[+-]?[0-9]+", token))
 
 
 def test_simple_graph_rejects_loops_and_range():

@@ -1,5 +1,7 @@
 """Constructor tests: tables are groups, censuses match direct computation."""
 
+import hashlib
+import re
 import tracemalloc
 from unittest import mock
 
@@ -78,7 +80,8 @@ def test_dihedral_rejects_small():
 def test_semidirect_is_s3():
     g = make_semidirect_cyclic(3, 2, 2)
     assert g.order == 6
-    assert not g.is_abelian()
+    # not abelian: the table is not symmetric
+    assert tuple(zip(*g.table)) != g.table
     assert element_order_census(g) == element_order_census(make_dihedral(3))
 
 
@@ -132,7 +135,7 @@ def test_direct_product_s3_s3_center_trivial():
     center = [
         a
         for a in range(g.order)
-        if all(g.mul(a, b) == g.mul(b, a) for b in range(g.order))
+        if all(g.table[a][b] == g.table[b][a] for b in range(g.order))
     ]
     assert center == [g.identity]
 
@@ -156,7 +159,7 @@ def test_permutation_s4_closure():
 def test_permutation_identity_is_element_zero():
     g = make_permutation_group(4, [(1, 2, 3, 0)])
     assert g.identity == 0
-    assert all(g.mul(0, a) == a for a in range(g.order))
+    assert all(g.table[0][a] == a for a in range(g.order))
 
 
 def test_permutation_rejects_non_permutation():
@@ -171,7 +174,7 @@ def test_permutation_closure_cap():
 
 @pytest.mark.parametrize("tag", sorted(NAMED_GROUPS))
 def test_named_groups_are_groups(tag):
-    g = NAMED_GROUPS[tag]()
+    g = parse_group_spec(tag)
     check_group_axioms(g)
 
 
@@ -182,11 +185,11 @@ def test_named_groups_are_groups(tag):
      ("Z2xZ3Z3sZ2", 36)],
 )
 def test_named_group_orders(tag, order):
-    assert NAMED_GROUPS[tag]().order == order
+    assert parse_group_spec(tag).order == order
 
 
 def test_quaternion_census():
-    census = element_order_census(NAMED_GROUPS["Q8"]())
+    census = element_order_census(parse_group_spec("Q8"))
     assert census == {1: 1, 2: 1, 4: 6}
 
 
@@ -255,9 +258,59 @@ def test_parse_group_spec_rejects(text):
         parse_group_spec(text)
 
 
+@pytest.mark.parametrize(
+    "text", ["Z:3_0", "Z:\u0663\u0660", "D:\u0665", "SD:7,3,2_0", "PERM:3:[0 \u0661]", "Z:+-3"]
+)
+def test_spec_integers_are_ascii_digits(text):
+    with pytest.raises(SpecParseError, match="expected integer"):
+        parse_group_spec(text)
+
+
+@settings(max_examples=300)
+@given(st.text(st.sampled_from("0123456789+-_ \u0663\u00b9") | st.characters(), max_size=5))
+def test_a_spec_integer_is_read_exactly_when_it_is_a_signed_ascii_integer(token):
+    try:
+        spec_order(f"Z:{token}")
+        read = True
+    except SpecParseError as exc:
+        read = "expected integer" not in str(exc)
+    assert read == bool(re.fullmatch("[+-]?[0-9]+", token.strip()))
+
+
+@pytest.mark.parametrize("text,order", [("Z: 30", 30), ("D:+5", 10), ("SD: 7, 3, +2", 21)])
+def test_spec_integers_may_carry_whitespace_and_a_sign(text, order):
+    assert parse_group_spec(text).order == order
+
+
+# sha256 of repr((name, order, table)), from the hand-written constructions
+# the named specs replaced
+NAMED_DIGESTS = {
+    "A4": "9fde790e67617e7a", "D10xZ5": "961e14324977d324", "D12": "d37c12cf7d5a54ea",
+    "Q8": "0574548e780a7d94", "S3": "4366061ae77f5a27", "S3xS3": "e9895c827781f89c",
+    "S4": "153599a3c2ccc0ce", "Z2Z2sZ9": "1bdf8334b1e975ac", "Z2xZ3Z3sZ2": "3339375f56e4a931",
+    "Z3Z3sZ4": "783980611111520a", "Z3xA4": "0402e23eace31e57", "Z5Z5sZ2": "5a8e36246b0f7a96",
+    "Z5Z5sZ3": "72b6cd47bbd2c210", "Z6xS3": "9deaa93c55c3f1b9", "Z9sZ4": "17f4a1fa1cd3ba92",
+}
+
+
+def test_every_named_group_is_pinned():
+    assert sorted(NAMED_GROUPS) == sorted(NAMED_DIGESTS)
+
+
+@pytest.mark.parametrize("name", sorted(NAMED_DIGESTS))
+def test_named_group_is_its_pinned_table(name):
+    g = parse_group_spec(name)
+    assert hashlib.sha256(repr((g.name, g.order, g.table)).encode()).hexdigest()[:16] == (
+        NAMED_DIGESTS[name]
+    )
+    # the text fixes no order, and the caller's cap does not apply
+    assert spec_order(name) is None
+    assert parse_group_spec(name, max_order=1) == g
+
+
 def test_parse_perm_matches_named_a4():
     a = parse_group_spec("PERM:4:[0 1 2],[0 1]x[2 3]")
-    b = NAMED_GROUPS["A4"]()
+    b = parse_group_spec("A4")
     assert element_order_census(a) == element_order_census(b)
 
 

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from coprimegraph import lattice
 from coprimegraph.groups import (
-    NAMED_GROUPS,
     OrderCapExceeded,
     make_cyclic,
     make_dihedral,
@@ -94,12 +93,12 @@ def test_cyclic_subgroups_match_divisors(n):
 
 
 def test_quaternion_proper_subgroup_orders():
-    sl = all_subgroups(NAMED_GROUPS["Q8"]())
+    sl = all_subgroups(parse_group_spec("Q8"))
     assert sorted(s.order for s in proper_nontrivial(sl)) == [2, 4, 4, 4]
 
 
 def test_a4_has_ten_subgroups():
-    sl = all_subgroups(NAMED_GROUPS["A4"]())
+    sl = all_subgroups(parse_group_spec("A4"))
     assert len(sl.all) == 10
     assert sl.counts_by_order == {1: 1, 2: 3, 3: 4, 4: 1, 12: 1}
 
@@ -164,7 +163,7 @@ def test_sylow_counts(spec):
 
 
 def test_counts_json_snapshot():
-    assert counts_json(all_subgroups(NAMED_GROUPS["A4"]())) == {
+    assert counts_json(all_subgroups(parse_group_spec("A4"))) == {
         "1": 1,
         "2": 3,
         "3": 4,

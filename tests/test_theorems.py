@@ -3,20 +3,24 @@
 import concurrent.futures
 import json
 from itertools import combinations
-from math import gcd
+from math import gcd, prod
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coprimegraph import coprime, groups, theorems
 from coprimegraph.analysis import analyze
-from coprimegraph.coprime import CoprimeGraph, GraphVertex, build
+from coprimegraph.coprime import CoprimeGraph, GraphVertex, build, build_cyclic, graph_for_spec
 from coprimegraph.groups import make_cyclic, parse_group_spec
 from coprimegraph.lattice import pi
 from coprimegraph.theorems import (
     AUTO_CHECKS,
+    MAX_ALPHA_SUPPORTS,
     CatalogEntry,
     EXPECTATION_KEYS,
+    _max_intersecting_support_weight,
     default_catalog_path,
     evaluate_entry,
     load_catalog,
@@ -26,6 +30,7 @@ from helpers import (
     check_connectivity_criterion,
     check_degree_theorem,
     check_embedding_theorem,
+    enumerated_intersecting_support_weight,
 )
 
 
@@ -319,4 +324,57 @@ def test_cyclic_entry_builds_no_table_and_no_lattice(monkeypatch):
     shipped = next(e for e in load_catalog() if e.spec == "Z:420")
     rows = evaluate_entry(CatalogEntry("Z:420", 420, expect=shipped.expect))
     assert len(rows) == len(AUTO_CHECKS) + len(shipped.expect) == len(AUTO_CHECKS) + 28
+    assert all(r.passed for r in rows), [r for r in rows if not r.passed]
+
+
+def test_alpha_check_matches_the_enumerator_on_the_catalog():
+    entries = load_catalog()
+    assert len(entries) == 62
+    for entry in entries:
+        orders = graph_for_spec(entry.spec, 420).orders()
+        want = enumerated_intersecting_support_weight(orders)
+        assert _max_intersecting_support_weight(orders) == want, entry.spec
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(
+    st.lists(st.sampled_from((2, 3, 5, 7, 11)), min_size=1, max_size=6).map(prod),
+    min_size=1, max_size=40,
+))
+def test_alpha_check_matches_the_enumerator_on_order_lists(orders):
+    assert _max_intersecting_support_weight(orders) == enumerated_intersecting_support_weight(
+        orders
+    )
+
+
+@pytest.mark.parametrize("k", range(2, 8))
+def test_alpha_of_a_primorial_is_the_supports_through_one_prime(k):
+    # the supports that hold 2, less the full one, meet pairwise; an
+    # intersecting family holds at most one of each complementary pair
+    graph = build_cyclic(prod((2, 3, 5, 7, 11, 13, 17)[:k]))
+    assert _max_intersecting_support_weight(graph.orders()) == 2 ** (k - 1) - 1
+
+
+def test_more_supports_than_the_alpha_bound_is_one_build_row(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the report was computed")
+
+    monkeypatch.setattr(theorems, "vertex_report", refuse)
+    n = 2 * 3 * 5 * 7 * 11 * 13 * 17 * 19
+    rows = evaluate_entry(CatalogEntry(f"Z:{n}"), n, 5000)
+    assert [(r.check_id, r.computed, r.passed) for r in rows] == [(
+        "build",
+        "ExactCapExceeded: 254 prime supports exceed the alpha check's bound "
+        f"{MAX_ALPHA_SUPPORTS}",
+        False,
+    )]
+
+
+def test_every_support_of_seven_primes_is_within_the_alpha_bound():
+    # 2 * 510510 has a proper subgroup of order 510510, so all 2^7 - 1
+    # nonempty prime sets are supports
+    n = 2 * 510510
+    assert len({pi(order) for order in build_cyclic(n).orders()}) == MAX_ALPHA_SUPPORTS
+    rows = evaluate_entry(CatalogEntry(f"Z:{n}"), n, 5000)
+    assert len(rows) == len(AUTO_CHECKS)
     assert all(r.passed for r in rows), [r for r in rows if not r.passed]
