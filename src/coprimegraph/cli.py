@@ -26,8 +26,8 @@ from . import theorems
 from .analysis import DEFAULT_EXACT_CAP, analyze, is_planar
 from .coprime import graph_for_spec, graph_json, to_dot
 from .embedding import DEFAULT_MIS_CAP, embed, parse_edge_list
-from .errors import CoprimeGraphError, InputError
-from .groups import DEFAULT_MAX_ORDER
+from .errors import CoprimeGraphError, InputError, clip
+from .groups import DEFAULT_MAX_ORDER, ascii_int
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -38,9 +38,9 @@ def _env_cap(name: str, fallback: int) -> int:
     if raw is None:
         return fallback
     try:
-        return int(raw)
+        return ascii_int(raw)
     except ValueError:
-        sys.stderr.write(f"warning: ignoring non-integer {name}={raw!r}\n")
+        sys.stderr.write(f"warning: ignoring non-integer {name}={clip(raw)!r}\n")
         return fallback
 
 
@@ -271,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def caps(p, **fallbacks):
         for dest in fallbacks:
-            p.add_argument("--" + dest.replace("_", "-"), type=int, default=None)
+            p.add_argument("--" + dest.replace("_", "-"), type=ascii_int, default=None)
         p.set_defaults(cap_fallbacks=fallbacks)
 
     p = sub.add_parser("analyze", help="full invariant report for P(G)")
@@ -294,13 +294,13 @@ def build_parser() -> argparse.ArgumentParser:
         max_order=theorems.DEFAULT_CATALOG_MAX_ORDER,
         exact_cap=theorems.DEFAULT_CATALOG_EXACT_CAP,
     )
-    p.add_argument("--jobs", type=int, default=1, help="parallel workers")
+    p.add_argument("--jobs", type=ascii_int, default=1, help="parallel workers")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("embed", help="embed an edge-list graph into a cyclic coprime graph")
     p.add_argument("input", help="edge-list path, or - for stdin")
     p.add_argument("--out", default=None)
-    p.add_argument("--mis-cap", type=int, default=DEFAULT_MIS_CAP)
+    p.add_argument("--mis-cap", type=ascii_int, default=DEFAULT_MIS_CAP)
     p.set_defaults(func=cmd_embed, cap_fallbacks={})
 
     p = sub.add_parser("catalog", help="list the catalog entries")

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd, prod
 
-from .errors import UndefinedCoprimeGraphError, check_exact_cap
+from .errors import UndefinedCoprimeGraphError, check_exact_cap, clip
 from .groups import DEFAULT_MAX_ORDER, FiniteGroup, cyclic_spec_order, parse_group_spec
 from .lattice import all_subgroups, divisors, factorize, is_prime, pi, proper_nontrivial
 
@@ -82,7 +82,7 @@ def _require_defined(name: str, order: int) -> None:
     """The graph needs a proper nontrivial subgroup: none for order 1 or a prime."""
     if order < 2 or is_prime(order):
         raise UndefinedCoprimeGraphError(
-            f"{name}: the coprime graph is undefined for trivial and "
+            f"{clip(name)}: the coprime graph is undefined for trivial and "
             f"prime-order groups (order {order})"
         )
 

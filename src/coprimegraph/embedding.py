@@ -14,7 +14,8 @@ from functools import cached_property
 from itertools import takewhile
 from math import gcd, lcm
 
-from .errors import CertificateError, EdgeListError, MisCapExceeded
+from .errors import CertificateError, EdgeListError, MisCapExceeded, clip
+from .groups import ascii_int
 
 
 @dataclass(frozen=True)
@@ -29,25 +30,25 @@ class SimpleGraph:
         norm = set()
         for u, v in edges:
             if u == v:
-                raise EdgeListError(f"loop at vertex {u} is not allowed")
+                raise EdgeListError(f"loop at vertex {clip(u)} is not allowed")
             if not (0 <= u < n_vertices and 0 <= v < n_vertices):
-                raise EdgeListError(f"edge ({u},{v}) out of range 0..{n_vertices - 1}")
+                raise EdgeListError(
+                    f"edge ({clip(u)},{clip(v)}) out of range 0..{clip(n_vertices - 1)}"
+                )
             norm.add((min(u, v), max(u, v)))
         return SimpleGraph(n_vertices=n_vertices, edges=frozenset(norm))
 
     @cached_property
-    def _adjacency(self) -> list[set[int]]:
-        return self.adjacency_sets()
-
-    def neighbors(self, v: int) -> set[int]:
-        return set(self._adjacency[v])
-
-    def adjacency_sets(self) -> list[set[int]]:
+    def adj(self) -> tuple[frozenset[int], ...]:
+        """Each vertex's neighbours, built once per graph."""
         adj: list[set[int]] = [set() for _ in range(self.n_vertices)]
         for a, b in self.edges:
             adj[a].add(b)
             adj[b].add(a)
-        return adj
+        return tuple(map(frozenset, adj))
+
+    def neighbors(self, v: int) -> frozenset[int]:
+        return self.adj[v]
 
 
 @dataclass(frozen=True)
@@ -98,10 +99,10 @@ def maximal_independent_sets(g: SimpleGraph, cap: int = DEFAULT_MIS_CAP) -> list
     """
     n = g.n_vertices
     if n > cap:
-        raise MisCapExceeded(f"{n} vertices exceed the enumeration cap {cap}")
+        raise MisCapExceeded(f"{clip(n)} vertices exceed the enumeration cap {cap}")
     if n == 0:
         return []
-    adj = g._adjacency
+    adj = g.adj
     full = (1 << n) - 1
     # non-adjacency masks: cliques there are independent sets here
     non = [full & ~(1 << v) & ~sum(1 << w for w in adj[v]) for v in range(n)]
@@ -194,7 +195,7 @@ def verify_embedding(g: SimpleGraph, cert: EmbeddingCertificate) -> bool:
     for label in labels:
         if not (1 < label < cert.modulus) or cert.modulus % label != 0:
             return False
-    for u, nbrs in enumerate(g._adjacency):
+    for u, nbrs in enumerate(g.adj):
         label = labels[u]
         for v in range(u + 1, g.n_vertices):
             if (gcd(label, labels[v]) == 1) != (v in nbrs):
@@ -229,15 +230,11 @@ def parse_edge_list(text: str | bytes) -> SimpleGraph:
             declared = int(parts[1])
             continue
         if len(parts) != 2:
-            raise EdgeListError(f"line {lineno}: expected 'u v', got {raw!r}")
+            raise EdgeListError(f"line {lineno}: expected 'u v', got {clip(raw)!r}")
         try:
-            # int() also reads other scripts' digits and "_" between digits;
-            # on the rest of ASCII it takes exactly [+-]?[0-9]+
-            if not line.isascii() or "_" in line:
-                raise ValueError
-            u, v = int(parts[0]), int(parts[1])
+            u, v = ascii_int(parts[0]), ascii_int(parts[1])
         except ValueError:
-            raise EdgeListError(f"line {lineno}: expected integers, got {raw!r}") from None
+            raise EdgeListError(f"line {lineno}: expected integers, got {clip(raw)!r}") from None
         if u < 0 or v < 0:
             raise EdgeListError(f"line {lineno}: vertex ids must be nonnegative")
         edges.append((u, v))

@@ -10,6 +10,15 @@ unaffected.  Anything else that escapes is a bug and should show as one.
 
 from __future__ import annotations
 
+# the most characters of outside text (a spec, a group name, an input line) a message quotes
+QUOTE_LIMIT = 80
+
+
+def clip(value: object) -> str:
+    """``str(value)`` whole if it fits QUOTE_LIMIT, else its head and "..." in that many."""
+    text = str(value)
+    return text if len(text) <= QUOTE_LIMIT else text[: QUOTE_LIMIT - 3] + "..."
+
 
 class CoprimeGraphError(Exception):
     """Base of the package's own errors."""

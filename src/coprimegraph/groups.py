@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 from itertools import accumulate
 from math import gcd
 
-from .errors import GroupConstructionError, OrderCapExceeded, SpecParseError
+from .errors import GroupConstructionError, OrderCapExceeded, SpecParseError, clip
 
 DEFAULT_MAX_ORDER = 2048
 # the deepest X( nesting a spec may have: parsing and building recurse once a level
@@ -48,7 +48,7 @@ def make_dihedral(n: int) -> FiniteGroup:
     Ids 0..n-1 are the rotations r^k, ids n..2n-1 are the reflections r^k s.
     """
     if n < 2:
-        raise GroupConstructionError(f"dihedral parameter must be >= 2, got {n}")
+        raise GroupConstructionError(f"dihedral parameter must be >= 2, got {clip(n)}")
     order = 2 * n
     rot, refl = list(range(n)), list(range(n, order))
     # r^i * r^j s^f = r^(i+j) s^f and r^i s * r^j s^f = r^(i-j) s^(1-f)
@@ -65,7 +65,9 @@ def make_semidirect_cyclic(m: int, k: int, i: int) -> FiniteGroup:
     Requires gcd(i, m) = 1 and i^k = 1 mod m, else the action is ill-defined.
     """
     if m < 2 or k < 2:
-        raise GroupConstructionError(f"semidirect factors must be >= 2, got m={m}, k={k}")
+        raise GroupConstructionError(
+            f"semidirect factors must be >= 2, got m={clip(m)}, k={clip(k)}"
+        )
     i %= m
     if gcd(i, m) != 1:
         raise GroupConstructionError(f"action parameter i={i} is not a unit mod {m}")
@@ -215,17 +217,24 @@ def _split_top_level(s: str, sep: str = ",") -> list[str]:
     return parts
 
 
-def _parse_int(text: str, what: str) -> int:
-    """An optional sign and ASCII digits, with surrounding whitespace."""
+def ascii_int(text: str) -> int:
+    """An optional sign and ASCII digits, with surrounding whitespace, else ValueError.
+
+    The one integer rule of specs, edge-list ids and cap flags.  int() also
+    reads other scripts' digits and "_" between digits; on the rest of ASCII
+    it takes exactly [+-]?[0-9]+.
+    """
     digits = text.strip()
+    if not digits.isascii() or "_" in digits:
+        raise ValueError(f"not an ASCII integer: {clip(text)!r}")
+    return int(digits)
+
+
+def _parse_int(text: str, what: str) -> int:
     try:
-        # int() also reads other scripts' digits and "_" between digits; on
-        # the rest of ASCII it takes exactly [+-]?[0-9]+
-        if not digits.isascii() or "_" in digits:
-            raise ValueError
-        return int(digits)
+        return ascii_int(text)
     except ValueError:
-        raise SpecParseError(f"expected integer for {what}, got {text!r}") from None
+        raise SpecParseError(f"expected integer for {what}, got {clip(text)!r}") from None
 
 
 def _parse_perm_cycles(text: str, degree: int) -> list[list[int]]:
@@ -237,14 +246,14 @@ def _parse_perm_cycles(text: str, degree: int) -> list[list[int]]:
     for cyc in body.split("x"):
         cyc = cyc.strip()
         if not (cyc.startswith("[") and cyc.endswith("]")):
-            raise SpecParseError(f"cycle must be bracketed, got {cyc!r}")
+            raise SpecParseError(f"cycle must be bracketed, got {clip(cyc)!r}")
         pts = [_parse_int(p, "cycle point") for p in cyc[1:-1].split()]
         if len(pts) < 2:
-            raise SpecParseError(f"cycle needs at least two points, got {cyc!r}")
+            raise SpecParseError(f"cycle needs at least two points, got {clip(cyc)!r}")
         if any(p < 0 or p >= degree for p in pts):
-            raise SpecParseError(f"cycle point out of range 0..{degree - 1}: {cyc!r}")
+            raise SpecParseError(f"cycle point out of range 0..{degree - 1}: {clip(cyc)!r}")
         if len(set(pts)) != len(pts):
-            raise SpecParseError(f"repeated point in cycle {cyc!r}")
+            raise SpecParseError(f"repeated point in cycle {clip(cyc)!r}")
         cycles.append(pts)
     return cycles
 
@@ -268,13 +277,15 @@ def cyclic_spec_order(text: str) -> int | None:
         return None
     n = _parse_int(s[2:], "cyclic order")
     if n < 1:
-        raise SpecParseError(f"cyclic order must be positive, got {n}")
+        raise SpecParseError(f"cyclic order must be positive, got {clip(n)}")
     return n
 
 
 def _check_order(order: int | None, text: str, max_order: int) -> None:
     if order is not None and order > max_order:
-        raise OrderCapExceeded(f"{text}: group order {order} exceeds the bound {max_order}")
+        raise OrderCapExceeded(
+            f"{clip(text)}: group order {clip(order)} exceeds the bound {max_order}"
+        )
 
 
 @dataclass(frozen=True)
@@ -305,7 +316,7 @@ def _parse_product(s: str) -> _Spec:
         left = _parse(",".join(parts[:cut]))
         right = _parse(",".join(parts[cut:]))
     except (StopIteration, SpecParseError):
-        raise SpecParseError(f"X needs exactly two factors, got {s!r}") from None
+        raise SpecParseError(f"X needs exactly two factors, got {clip(s)!r}") from None
 
     def make(max_order: int) -> FiniteGroup:
         g, h = left.build(max_order), right.build(max_order)
@@ -344,7 +355,7 @@ def _parse(text: str) -> _Spec:
     if s.startswith("SD:"):
         args = s[3:].split(",")
         if len(args) != 3:
-            raise SpecParseError(f"SD needs m,k,i, got {s!r}")
+            raise SpecParseError(f"SD needs m,k,i, got {clip(s)!r}")
         m, k, i = (_parse_int(a, "semidirect parameter") for a in args)
         return _Spec(s, m * k, lambda _cap: make_semidirect_cyclic(m, k, i))
     if s.startswith("X(") and s.endswith(")"):
@@ -352,10 +363,10 @@ def _parse(text: str) -> _Spec:
     if s.startswith("PERM:"):
         head, sep, gen_text = s[5:].partition(":")
         if not sep:
-            raise SpecParseError(f"PERM needs PERM:degree:gens, got {s!r}")
+            raise SpecParseError(f"PERM needs PERM:degree:gens, got {clip(s)!r}")
         degree = _parse_int(head, "permutation degree")
         if degree < 1:
-            raise SpecParseError(f"degree must be positive, got {degree}")
+            raise SpecParseError(f"degree must be positive, got {clip(degree)}")
         gens = [_parse_perm_cycles(g, degree) for g in _split_top_level(gen_text)]
         # every generator fixes the points above the largest moved one, so the
         # closure on 0..that point finds the same elements in the same order
@@ -367,7 +378,7 @@ def _parse(text: str) -> _Spec:
             return replace(group, name=f"Perm{degree}<{group.order}>")
 
         return _Spec(s, None, make)
-    raise SpecParseError(f"unrecognized group spec {text!r}")
+    raise SpecParseError(f"unrecognized group spec {clip(text)!r}")
 
 
 def parse_group_spec(text: str, max_order: int = DEFAULT_MAX_ORDER) -> FiniteGroup:

@@ -6,8 +6,8 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import OrderCapExceeded
-from .groups import DEFAULT_MAX_ORDER, FiniteGroup
+from .errors import OrderCapExceeded, clip
+from .groups import DEFAULT_MAX_ORDER, FiniteGroup, _check_order
 
 
 # Trial division stops here, so a cofactor it leaves below TRIAL_BOUND**2
@@ -63,7 +63,7 @@ def _factorize(n: int) -> tuple[tuple[int, int], ...]:
         d += 1 if d == 2 else 2
     if d * d <= n and not (n < MILLER_RABIN_EXACT_BELOW and _passes_miller_rabin(n)):
         raise OrderCapExceeded(
-            f"cannot factor {n}: it has no prime factor up to {TRIAL_BOUND} and is "
+            f"cannot factor {clip(n)}: it has no prime factor up to {TRIAL_BOUND} and is "
             f"{'composite' if n < MILLER_RABIN_EXACT_BELOW else 'not provably prime'}"
         )
     if n > 1:
@@ -155,8 +155,7 @@ def all_subgroups(group: FiniteGroup, max_order: int = DEFAULT_MAX_ORDER) -> Sub
     that built it.
     """
     n = group.order
-    if n > max_order:
-        raise OrderCapExceeded(f"group order {n} exceeds the bound {max_order}")
+    _check_order(n, group.name, max_order)
     table = group.table
     identity = group.identity
     whole = frozenset(range(n))

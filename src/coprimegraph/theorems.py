@@ -23,7 +23,7 @@ from pathlib import Path
 
 import networkx as nx
 
-from .analysis import INFINITE, AnalysisReport, vertex_report
+from .analysis import FORBIDDEN_PATTERNS, INFINITE, AnalysisReport, vertex_report
 from .coprime import CoprimeGraph, graph_for_spec
 # perfbench/tracing.py times coprime.build through this name until its hook moves to .coprime
 from .coprime import build  # noqa: F401
@@ -139,10 +139,7 @@ EXPECTATION_KEYS = {
     "core_shape": ("shape", "core"),
     "core_args": ("shape", "args"),
     "isolated": ("shape", "isolated"),
-    **{
-        f"contains_{k}": ("forbidden", k)
-        for k in ("K12", "K13", "K14", "K22", "K23", "K33", "K5")
-    },
+    **{f"contains_{k}": ("forbidden", k) for k in FORBIDDEN_PATTERNS},
     **{
         name: ("predicates", name)
         for name in ("null", "complete", "star", "path", "cycle", "tree", "complete_bipartite")

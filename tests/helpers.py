@@ -24,6 +24,7 @@ from coprimegraph.errors import (
     MisCapExceeded,
     OrderCapExceeded,
     SpecParseError,
+    clip,
 )
 from coprimegraph.groups import (
     DEFAULT_MAX_ORDER,
@@ -507,7 +508,7 @@ def recursive_maximal_independent_sets(g: SimpleGraph, cap: int = 20) -> list[tu
         raise MisCapExceeded(f"{n} vertices exceed the enumeration cap {cap}")
     if n == 0:
         return []
-    adj = g.adjacency_sets()
+    adj = g.adj
     full = (1 << n) - 1
     # non-adjacency masks: cliques there are independent sets here
     non = [full & ~(1 << v) & ~sum(1 << w for w in adj[v]) for v in range(n)]
@@ -1014,7 +1015,7 @@ def every_cut_parse_product(s: str):
             continue
         break
     else:
-        raise SpecParseError(f"X needs exactly two factors, got {s!r}")
+        raise SpecParseError(f"X needs exactly two factors, got {clip(s)!r}")
 
     def make(max_order: int) -> FiniteGroup:
         g, h = left.build(max_order), right.build(max_order)

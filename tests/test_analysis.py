@@ -561,6 +561,13 @@ def test_rotation_verifier_rejects_wrong_neighbor_sets():
     assert not verify_rotation_system(g, rotation)
 
 
+def test_rotation_verifier_rejects_a_rotation_on_other_vertices():
+    adj = adj_of([(0, 1), (1, 2)], 3)
+    assert verify_rotation_system(adj, {0: [1], 1: [0, 2], 2: [1]})
+    assert not verify_rotation_system(adj, {0: [1], 1: [0, 2]})
+    assert not verify_rotation_system(adj, {0: [1], 1: [0, 2], 2: [1], 3: []})
+
+
 def test_rotation_verifier_rejects_bad_embedding_of_nonplanar_graph():
     # K5 with any rotation system must fail the Euler face count
     adj = adj_of([(u, v) for u in range(5) for v in range(u + 1, 5)], 5)
@@ -597,6 +604,41 @@ def test_witness_verifier_accepts_hand_built_k33_subdivision():
 def test_witness_verifier_rejects_k4():
     edges = [(u, v) for u in range(4) for v in range(u + 1, 4)]
     assert verify_kuratowski_witness(adj_of(edges, 4), edges) is None
+
+
+K5_EDGES = list(combinations(range(5), 2))
+# a triangular prism: six vertices of degree 3 and nine edges, but not K33
+PRISM = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3), (1, 4), (2, 5)]
+
+
+@pytest.mark.parametrize(
+    "witness",
+    [
+        pytest.param([], id="empty"),
+        pytest.param([(0, 0)], id="loop"),
+        pytest.param([(0, 13)], id="edge-not-in-host"),
+        pytest.param([(0, 1)], id="degree-1"),
+        pytest.param([(0, 1), (1, 2), (0, 2)], id="no-branch-vertex"),
+        # vertex 0 of degree 4 has a chain 0-10-11-0 back to itself
+        pytest.param(
+            [(0, 10), (10, 11), (11, 0), (0, 1), (0, 2), (3, 12), (12, 4)]
+            + list(combinations(range(1, 5), 2)),
+            id="chain-back-to-its-branch-vertex",
+        ),
+        # K5 less 0-1 and 2-3, plus second chains 0-10-2 and 1-11-3
+        pytest.param(
+            [e for e in K5_EDGES if e not in ((0, 1), (2, 3))] + [(0, 10), (10, 2), (1, 11), (11, 3)],
+            id="two-chains-join-one-pair",
+        ),
+        pytest.param(PRISM, id="six-degree-3-not-bipartite"),
+    ],
+)
+def test_witness_verifier_rejects_each_malformed_witness(witness):
+    # the host is K14 less the edge 0-13, so every other pair is an edge
+    host = [set(range(14)) - {v} for v in range(14)]
+    host[0].discard(13)
+    host[13].discard(0)
+    assert verify_kuratowski_witness(host, witness) is None
 
 
 @pytest.mark.parametrize(

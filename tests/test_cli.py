@@ -1,6 +1,7 @@
 """CLI behaviour: exit codes, formats, determinism."""
 
 import argparse
+import io
 import json
 import math
 from collections import Counter
@@ -387,6 +388,11 @@ def _alpha_bug(monkeypatch):
 
 
 INVALID_UTF8 = b"0 1\n\xff\xfe 2\n"
+MALFORMED_PRODUCT = "X(PERM:3:" + ",".join(["[0 1]"] * 10_000) + ",)"
+
+
+def _arabic_indic_max_order(monkeypatch):
+    monkeypatch.setenv("COPRIMEGRAPH_MAX_ORDER", "\u0661\u0660")
 
 
 # id: (argv, input file bytes or None, patch or None, exit code or exception)
@@ -445,6 +451,18 @@ EXIT_CASES = {
     "perm-10000-generators-product": (
         ["analyze", "X(PERM:3:" + ",".join(["[0 1]"] * 10_000) + ",Z:2)"], None, None, 0,
     ),
+    # cap flags read integers by the spec grammar's rule; argparse refuses the rest
+    "max-order-underscore-digits": (["analyze", "Z:30", "--max-order", "1_0"], None, None, SystemExit),
+    "exact-cap-arabic-indic-digit": (
+        ["analyze", "Z:30", "--exact-cap", "\u0663"], None, None, SystemExit,
+    ),
+    "jobs-underscore-digits": (["verify", "--jobs", "1_0"], None, None, SystemExit),
+    "mis-cap-underscore-digits": (["embed", "{input}", "--mis-cap", "2_0"], b"0 1\n", None, SystemExit),
+    "env-max-order-arabic-indic-digits": (["analyze", "A4"], None, _arabic_indic_max_order, 0),
+    "named-group-over-cap": (["analyze", "A4", "--max-order", "10"], None, None, 4),
+    "malformed-10000-generator-product": (["analyze", MALFORMED_PRODUCT], None, None, 2),
+    "edge-line-long": (["embed", "{input}"], b"0 1" + b" 2" * 10_000 + b"\n", None, 2),
+    "embed-missing-file": (["embed", "{missing}"], None, None, 2),
 }
 
 
@@ -455,11 +473,14 @@ def test_exit_codes(tmp_path, capsys, monkeypatch, case):
         path = tmp_path / "input"
         path.write_bytes(data)
         argv = [str(path) if a == "{input}" else a for a in argv]
+    argv = [str(tmp_path / "missing") if a == "{missing}" else a for a in argv]
     if patch is not None:
         patch(monkeypatch)
     if not isinstance(want, int):
-        with pytest.raises(want):
+        with pytest.raises(want) as info:
             main(argv)
+        # argparse refuses a flag's value with exit 2
+        assert want is not SystemExit or info.value.code == 2
         return
     code, out, err = run(capsys, *argv)
     assert code == want, err
@@ -481,6 +502,70 @@ def test_exit_codes(tmp_path, capsys, monkeypatch, case):
             "ExactCapExceeded: 1022 prime supports exceed the alpha check's bound "
             f"{theorems.MAX_ALPHA_SUPPORTS}"
         )
+
+
+def test_cap_flags_and_their_variables_read_ascii_integers(capsys, monkeypatch):
+    assert run(capsys, "analyze", "Z:30", "--exact-cap", "+64", "--max-order", " 10")[0] == 0
+    monkeypatch.setenv("COPRIMEGRAPH_MAX_ORDER", "\u0661\u0660")
+    code, _, err = run(capsys, "analyze", "A4")
+    assert code == 0
+    assert _ignored_warnings(err) == [
+        "warning: ignoring non-integer COPRIMEGRAPH_MAX_ORDER='\u0661\u0660'"
+    ]
+    with pytest.raises(SystemExit):
+        main(["analyze", "A4", "--max-order", "1_0"])
+    assert "invalid ascii_int value: '1_0'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spec", ["A4", "X(A4,Z:1)"])
+def test_a_named_group_over_the_cap_is_named_in_the_refusal(capsys, spec):
+    code, _, err = run(capsys, "analyze", spec, "--max-order", "10")
+    assert code == 4
+    assert err == f"error: {spec}: group order 12 exceeds the bound 10\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", MALFORMED_PRODUCT],
+        ["analyze", nested_product(100, "Z:1")],
+        ["analyze", "Z:" + "3" * 4000 + "_"],
+        ["analyze", "PERM:3:[0 1" + " 2" * 1000 + "]"],
+        ["analyze", "D:" + "9" * 4000],
+        ["analyze", "D:-" + "9" * 4000],
+        ["analyze", "SD:" + "9" * 4000 + ",1,1"],
+        ["analyze", "PERM:-" + "9" * 4000 + ":[0 1]"],
+        ["embed", "{input}"],
+    ],
+    ids=[
+        "malformed-product", "product-depth-100-trivial", "long-integer", "long-cycle",
+        "dihedral-over-cap", "dihedral-negative", "semidirect-factors", "perm-degree", "edge-ids",
+    ],
+)
+def test_an_error_line_quotes_at_most_80_characters_of_the_input(tmp_path, capsys, argv):
+    (tmp_path / "input").write_text("9" * 4000 + " " + "9" * 4000 + "\n")
+    argv = [str(tmp_path / "input") if a == "{input}" else a for a in argv]
+    code, _, err = run(capsys, *argv)
+    assert code in (2, 3, 4)
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert len(err.encode()) < 300, err
+
+
+def test_short_inputs_are_quoted_whole(capsys):
+    assert run(capsys, "analyze", "Y:30")[2] == "error: unrecognized group spec 'Y:30'\n"
+    assert run(capsys, "analyze", "Z:7")[2] == (
+        "error: Z7: the coprime graph is undefined for trivial and prime-order groups (order 7)\n"
+    )
+
+
+def test_embed_reads_stdin_for_a_dash(tmp_path, capsys, monkeypatch):
+    data = b"n 3\n0 1\n1 2\n"
+    (tmp_path / "path.txt").write_bytes(data)
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data)))
+    code, out, _ = run(capsys, "embed", "-")
+    assert code == 0
+    assert json.loads(out)["labels"] == {"0": 2, "1": 3, "2": 4}
+    assert run(capsys, "embed", str(tmp_path / "path.txt")) == (0, out, "")
 
 
 # the indented-JSON writer against json.dumps

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coprimegraph.coprime import build_cyclic
+from coprimegraph.errors import clip
 from coprimegraph.embedding import (
     EdgeListError,
     EmbeddingCertificate,
@@ -23,6 +24,7 @@ from coprimegraph.embedding import (
     parse_edge_list,
     verify_embedding,
 )
+from coprimegraph.groups import ascii_int
 
 from helpers import (
     brute_force_maximal_independent_sets,
@@ -317,6 +319,44 @@ def test_an_edge_id_is_read_exactly_when_it_is_a_signed_ascii_integer(token):
     except EdgeListError as exc:
         read = "expected integers" not in str(exc)
     assert read == bool(re.fullmatch("[+-]?[0-9]+", token))
+
+
+@settings(max_examples=300)
+@given(ID_TOKENS.filter(lambda t: t and not any(c.isspace() or c == "#" for c in t)))
+def test_an_edge_id_is_read_exactly_when_ascii_int_reads_it(token):
+    try:
+        ascii_int(token)
+        readable = True
+    except ValueError:
+        readable = False
+    try:
+        parse_edge_list(f"5 {token}\n")
+        read = True
+    except EdgeListError as exc:
+        read = "expected integers" not in str(exc)
+    assert read == readable
+
+
+@pytest.mark.parametrize(
+    "text", ["0 1 " + "2 " * 500 + "\n", "0 x" + "1" * 500 + "\n"], ids=["fields", "integers"]
+)
+def test_an_edge_list_error_quotes_a_long_line_clipped(text):
+    with pytest.raises(EdgeListError) as info:
+        parse_edge_list(text)
+    assert str(info.value).endswith(f"got {clip(text.rstrip())!r}")
+    assert len(str(info.value)) < 120
+
+
+def test_neighbors_are_the_cached_adjacency():
+    g = SimpleGraph.from_edges(4, [(0, 1), (1, 2), (3, 1)])
+    assert g.adj == (frozenset({1}), frozenset({0, 2, 3}), frozenset({1}), frozenset({1}))
+    assert all(g.neighbors(v) is g.adj[v] for v in range(4))
+    assert g.adj is g.adj
+
+
+def test_embed_refuses_a_graph_without_vertices():
+    with pytest.raises(ValueError, match="at least one vertex"):
+        embed(SimpleGraph(0, frozenset()))
 
 
 def test_simple_graph_rejects_loops_and_range():

@@ -10,12 +10,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coprimegraph import groups
+from coprimegraph.errors import QUOTE_LIMIT, clip
 from coprimegraph.groups import (
     FiniteGroup,
     GroupConstructionError,
     NAMED_GROUPS,
     OrderCapExceeded,
     SpecParseError,
+    ascii_int,
     make_cyclic,
     make_dihedral,
     make_direct_product,
@@ -275,6 +277,55 @@ def test_a_spec_integer_is_read_exactly_when_it_is_a_signed_ascii_integer(token)
     except SpecParseError as exc:
         read = "expected integer" not in str(exc)
     assert read == bool(re.fullmatch("[+-]?[0-9]+", token.strip()))
+
+
+@settings(max_examples=300)
+@given(st.text(st.sampled_from("0123456789+-_ \u0663\u00b9") | st.characters(), max_size=5))
+def test_ascii_int_reads_exactly_the_signed_ascii_integers(token):
+    try:
+        value = ascii_int(token)
+    except ValueError:
+        value = None
+    match = re.fullmatch("[+-]?[0-9]+", token.strip())
+    assert value == (int(match.group()) if match else None)
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("SD:1,2,1", "semidirect factors must be >= 2"),
+        ("PERM:4", "PERM needs PERM:degree:gens"),
+        ("PERM:0:[0 1]", "degree must be positive"),
+        ("PERM:3:[0 1],", "empty permutation generator"),
+        ("PERM:3:[0 1], ,[1 2]", "empty permutation generator"),
+    ],
+)
+def test_parse_group_spec_names_what_is_wrong(text, message):
+    with pytest.raises(SpecParseError, match=re.escape(message)):
+        parse_group_spec(text)
+
+
+LONG_PRODUCT = "X(PERM:3:" + ",".join(["[0 1]"] * 10_000) + ",)"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [LONG_PRODUCT, "Y:" + "3" * 200, "PERM:3:[0 1" + " 2" * 200, "Z:" + "١" * 200, "SD:" + "7," * 200],
+    ids=["product", "unrecognized", "cycle", "integer", "semidirect"],
+)
+def test_a_spec_error_quotes_at_most_the_clip_limit(text):
+    with pytest.raises(SpecParseError) as info:
+        parse_group_spec(text)
+    quoted = re.search(r"'(.*)'", str(info.value)).group(1)
+    assert len(quoted) == QUOTE_LIMIT and quoted.endswith("...")
+    assert quoted[:-3] in text
+
+
+def test_an_order_cap_names_a_long_spec_clipped():
+    text = nested_product(groups.MAX_PRODUCT_DEPTH, "Z:2")
+    with pytest.raises(OrderCapExceeded) as info:
+        parse_group_spec(text)
+    assert str(info.value) == f"{clip(text)}: group order {2 ** 101} exceeds the bound 2048"
 
 
 @pytest.mark.parametrize("text,order", [("Z: 30", 30), ("D:+5", 10), ("SD: 7, 3, +2", 21)])

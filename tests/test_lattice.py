@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coprimegraph import lattice
+from coprimegraph.errors import clip
 from coprimegraph.groups import (
     OrderCapExceeded,
     make_cyclic,
@@ -77,6 +78,27 @@ def test_factorize_proves_a_large_prime_cofactor():
 def test_factorize_refuses_a_cofactor_it_cannot_prove_prime(n):
     with pytest.raises(OrderCapExceeded, match=f"cannot factor {n}:"):
         factorize(n)
+
+
+@pytest.mark.parametrize("n", [0, -6])
+def test_factorize_needs_a_positive_integer(n):
+    with pytest.raises(ValueError, match="positive integer"):
+        factorize(n)
+
+
+def test_a_cofactor_it_cannot_factor_is_quoted_clipped(monkeypatch):
+    monkeypatch.setattr(lattice, "TRIAL_BOUND", 100)
+    n = 101**150
+    with pytest.raises(OrderCapExceeded) as info:
+        factorize(n)
+    assert str(info.value) == (
+        f"cannot factor {clip(str(n))}: it has no prime factor up to 100 and is not provably prime"
+    )
+
+
+def test_a_lattice_over_the_cap_names_its_group():
+    with pytest.raises(OrderCapExceeded, match="^A4: group order 12 exceeds the bound 10$"):
+        all_subgroups(parse_group_spec("A4"), 10)
 
 
 def test_cyclic_12_one_subgroup_per_divisor():

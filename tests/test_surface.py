@@ -1,5 +1,5 @@
-"""Names outside the test suite relies on: README's library example and the
-benchmark's tracing hooks."""
+"""Names outside the test suite relies on: README's library example, the
+benchmark's tracing hooks and the catalog tool."""
 
 import re
 import subprocess
@@ -35,3 +35,11 @@ def test_every_benchmark_metric_has_its_hook():
         cwd=ROOT, capture_output=True, text=True, check=True,
     ).stdout
     assert out.strip() == "[]"
+
+
+def test_catalog_tool_rebuilds_the_shipped_catalog_byte_for_byte():
+    out = subprocess.run(
+        [sys.executable, "tools/build_catalog.py"],
+        cwd=ROOT, capture_output=True, check=True,
+    ).stdout
+    assert out == (ROOT / "src/coprimegraph/data/catalog.json").read_bytes()

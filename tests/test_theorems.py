@@ -11,15 +11,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coprimegraph import coprime, groups, theorems
-from coprimegraph.analysis import analyze
+from coprimegraph.analysis import FORBIDDEN_PATTERNS, analyze
 from coprimegraph.coprime import CoprimeGraph, GraphVertex, build, build_cyclic, graph_for_spec
-from coprimegraph.groups import make_cyclic, parse_group_spec
+from coprimegraph.groups import DEFAULT_MAX_ORDER, make_cyclic, parse_group_spec
 from coprimegraph.lattice import pi
 from coprimegraph.theorems import (
     AUTO_CHECKS,
     MAX_ALPHA_SUPPORTS,
     CatalogEntry,
+    CheckRow,
     EXPECTATION_KEYS,
+    VerificationReport,
+    _entry_order,
     _max_intersecting_support_weight,
     default_catalog_path,
     evaluate_entry,
@@ -378,3 +381,36 @@ def test_every_support_of_seven_primes_is_within_the_alpha_bound():
     rows = evaluate_entry(CatalogEntry(f"Z:{n}"), n, 5000)
     assert len(rows) == len(AUTO_CHECKS)
     assert all(r.passed for r in rows), [r for r in rows if not r.passed]
+
+
+def test_forbidden_pattern_keys_follow_the_analysis_patterns():
+    keys = [k[len("contains_"):] for k in EXPECTATION_KEYS if k.startswith("contains_")]
+    assert keys == list(FORBIDDEN_PATTERNS) == ["K12", "K13", "K14", "K22", "K23", "K33", "K5"]
+
+
+def test_an_undeclared_entry_whose_spec_does_not_parse_is_one_build_row():
+    entry = CatalogEntry("Y:30")
+    assert _entry_order(entry, DEFAULT_MAX_ORDER) is None
+    report = run_catalog(catalog=[entry])
+    assert report.skipped == []
+    [row] = report.rows
+    assert (row.check_id, row.passed) == ("build", False)
+    assert row.computed.startswith("SpecParseError: unrecognized group spec")
+
+
+def test_render_table_prints_each_failing_check():
+    report = VerificationReport(rows=[
+        CheckRow("Z:30", "girth", 3, 4, False, "a note"),
+        CheckRow("Z:30", "alpha", 5, 5, True),
+    ])
+    assert report.render_table() == (
+        "Z:30    1/2   FAIL\n"
+        "  FAIL girth: expected 3, computed 4 (a note)\n"
+        "total: 1/2 checks passed, 0 entries skipped\n"
+    )
+
+
+def test_prime_coloring_check_refuses_a_colour_outside_the_group_primes():
+    # a vertex of order 5 inside a group of order 6 takes colour 5
+    graph = CoprimeGraph("fake", 6, [GraphVertex(0, 5), GraphVertex(1, 2)], [frozenset()] * 2)
+    assert AUTO_CHECKS["smallest-prime-coloring-proper"](graph, None) is False
