@@ -2,15 +2,16 @@
 
 Everything here is exact: clique, independence and chromatic numbers come from
 branch-and-bound searches, planarity verdicts carry either a rotation system
-that passes an Euler face count or a Kuratowski subdivision witness that is
-re-validated by degree profile and path contraction before being returned.
-The independence number of a coprime graph is searched over prime supports,
-of which there are at most 2^k - 1 for k primes, however many vertices share
-them.  ``analyze`` reads every other invariant of P(G) but planarity off the
-support weights too, with the paper's theorems as closed forms;
-``vertex_report`` runs the vertex-level solvers instead, for any other graph
-and as the oracle.  ``--exact-cap`` bounds the vertex count before either
-runs.
+that passes an Euler face count or a Kuratowski subdivision witness on host
+vertices whose contracted chains equal K5 or K33, checked before it is
+returned.  One ``_Adjacency`` per graph holds the graph's own neighbour sets
+and computes its sweep, support classes and maximum clique once each.  The
+independence number of a coprime graph is searched over prime supports, at
+most 2^k - 1 for k primes, however many vertices share them.  ``analyze``
+reads every other invariant of P(G) but planarity off the support weights
+too, with the paper's theorems as closed forms; ``vertex_report`` runs the
+vertex-level solvers instead, for any other graph and as the oracle.
+``--exact-cap`` bounds the vertex count before either runs.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from operator import or_
 
 import networkx as nx
 
-from .errors import CertificateError, check_exact_cap
+from .errors import CertificateError, EdgeListError, check_exact_cap, clip
 # re-exported: callers have always caught the exact cap's error from here
 from .errors import ExactCapExceeded  # noqa: F401
 
@@ -36,15 +37,25 @@ DEFAULT_EXACT_CAP = 64
 FORBIDDEN_PATTERNS = ("K12", "K13", "K14", "K22", "K23", "K33", "K5")
 
 
-def adjacency_sets(g) -> list[set[int]]:
-    """Normalize a graph-like object to a list of neighbor sets.
+def adjacency_sets(g) -> tuple[frozenset[int], ...]:
+    """A graph's neighbour sets: its own ``adj`` for a CoprimeGraph or a
+    SimpleGraph, or a list or tuple of neighbour collections, frozen once.
 
-    Accepts anything with ``n_vertices`` and ``neighbors(v)`` (CoprimeGraph,
-    SimpleGraph) or a raw list of neighbor collections.
+    A raw list is checked to describe a simple graph: every neighbour is a
+    vertex id, none is the vertex itself, and each lists the other.
     """
-    if isinstance(g, list):
-        return [set(s) for s in g]
-    return [set(g.neighbors(v)) for v in range(g.n_vertices)]
+    if not isinstance(g, (list, tuple)):
+        return g.adj
+    sets = tuple(map(frozenset, g))
+    n = len(sets)
+    for v, s in enumerate(sets):
+        for w in s:
+            if not (0 <= w < n and w != v and v in sets[w]):
+                raise EdgeListError(
+                    f"neighbour {clip(w)} of vertex {v} is out of range 0..{n - 1}, "
+                    "the vertex itself, or does not list it back"
+                )
+    return sets
 
 
 @dataclass(frozen=True)
@@ -53,8 +64,9 @@ class _Adjacency:
 
     A coprime graph also brings its vertex orders and its parent's primes,
     from which ``independence_number`` and ``analyze`` work on prime
-    supports, and a graph its name.  The ``structure`` sweep and the support
-    ``classes`` are computed on first use and kept with the adjacency.
+    supports, and a graph its name.  The ``structure`` sweep, the support
+    ``classes`` and the maximum ``clique`` are computed on first use and
+    kept with the adjacency.
     """
 
     sets: tuple[frozenset[int], ...]
@@ -70,6 +82,11 @@ class _Adjacency:
     @cached_property
     def classes(self) -> dict[int, int] | None:
         return None if self.orders is None else _support_classes(self)
+
+    @cached_property
+    def clique(self) -> int:
+        """A maximum clique, as a vertex bitmask."""
+        return _max_clique_masks(self.masks, len(self.masks))
 
 
 @dataclass(frozen=True)
@@ -139,7 +156,7 @@ def _adjacency(g) -> _Adjacency:
     """
     if isinstance(g, _Adjacency):
         return g
-    sets = tuple(frozenset(s) for s in adjacency_sets(g))
+    sets = adjacency_sets(g)
     masks = tuple(sum(1 << w for w in s) for s in sets)
     source = getattr(g, "source", "graph")
     if hasattr(g, "orders"):
@@ -200,8 +217,6 @@ def _greedy_color_order(masks, candidates: int) -> tuple[list[int], list[int]]:
 
 
 def _max_clique_masks(masks, n: int) -> int:
-    if n == 0:
-        return 0
     best_mask = 0
     best = 0
 
@@ -220,7 +235,6 @@ def _max_clique_masks(masks, n: int) -> int:
                 best = size + 1
                 best_mask = current | bit
             candidates &= ~bit
-        return
 
     expand(0, 0, (1 << n) - 1)
     return best_mask
@@ -228,11 +242,9 @@ def _max_clique_masks(masks, n: int) -> int:
 
 def maximum_clique(g, cap: int = DEFAULT_EXACT_CAP) -> list[int]:
     """An exact maximum clique, as a sorted vertex list."""
-    masks = _adjacency(g).masks
-    n = len(masks)
-    check_exact_cap(n, cap)
-    mask = _max_clique_masks(masks, n)
-    return [v for v in range(n) if mask >> v & 1]
+    adj = _adjacency(g)
+    check_exact_cap(len(adj.masks), cap)
+    return _members(adj.clique)
 
 
 def clique_number(g, cap: int = DEFAULT_EXACT_CAP) -> int:
@@ -405,9 +417,8 @@ def chromatic_number(g, cap: int = DEFAULT_EXACT_CAP) -> int:
     k-colourability search succeeds.  That search never passes the DSATUR
     greedy colour count, where its first descent already succeeds."""
     adj = _adjacency(g)
-    n = len(adj.sets)
-    check_exact_cap(n, cap)
-    k = _max_clique_masks(adj.masks, n).bit_count()
+    check_exact_cap(len(adj.sets), cap)
+    k = adj.clique.bit_count()
     while not _k_colorable(adj.sets, k):
         k += 1
     return k
@@ -489,74 +500,44 @@ def verify_kuratowski_witness(
 ) -> tuple[str, tuple[int, ...]] | None:
     """Validate an edge set as a K5 or K33 subdivision inside the host graph.
 
-    Checks: every witness edge exists in the host; branch vertices have degree
-    4 (K5) or 3 (K33) in the witness with every other vertex of degree 2; the
-    degree-2 chains contract to exactly the simple edge set of K5, or to a
-    complete bipartite 3+3 graph.  Returns (kind, branch vertices) or None.
+    Every witness edge must join two host vertices and be a host edge.  The
+    branch vertices, those of witness degree above 2, must number five (K5)
+    or six (K33), and every other vertex must have degree 2.  The degree-2
+    chains then contract to a list of branch pairs, which must equal K5's ten
+    pairs, or K33's nine between the partners of the least branch vertex and
+    the rest; that one comparison also fixes each branch degree at 4 or 3.
+    Returns (kind, branch vertices) or None.
     """
     host = _adjacency(g).sets
     wadj: dict[int, set[int]] = {}
     for u, v in witness_edges:
-        if u == v or v not in host[u]:
+        if not (0 <= u < len(host) and v in host[u]):
             return None
         wadj.setdefault(u, set()).add(v)
         wadj.setdefault(v, set()).add(u)
-    if not wadj:
-        return None
-    degs = {v: len(s) for v, s in wadj.items()}
-    branch = sorted(v for v, d in degs.items() if d >= 3)
-    if any(d not in (2, 3, 4) for d in degs.values()):
-        return None
-    if len(branch) == 5 and all(degs[v] == 4 for v in branch):
-        kind, want_paths = "K5", 10
-    elif len(branch) == 6 and all(degs[v] == 3 for v in branch):
-        kind, want_paths = "K33", 9
-    else:
+    branch = sorted(v for v, s in wadj.items() if len(s) > 2)
+    if len(branch) not in (5, 6) or any(len(s) == 1 for s in wadj.values()):
         return None
 
-    # contract the degree-2 chains into branch-to-branch connections
+    # contract each degree-2 chain, walked once from its first branch dart
     pairs = []
-    used_darts = set()
+    far_ends = set()
     for b in branch:
-        for first in sorted(wadj[b]):
-            if (b, first) in used_darts:
+        for first in wadj[b]:
+            if (b, first) in far_ends:
                 continue
             prev, cur = b, first
-            used_darts.add((b, first))
             while cur not in branch:
-                nxts = [w for w in wadj[cur] if w != prev]
-                if len(nxts) != 1:
-                    return None
-                prev, cur = cur, nxts[0]
-            used_darts.add((cur, prev))
-            if cur == b:
-                return None
+                prev, cur = cur, next(w for w in wadj[cur] if w != prev)
+            far_ends.add((cur, prev))
             pairs.append((min(b, cur), max(b, cur)))
-    if len(pairs) != want_paths:
-        return None
-    distinct = set(pairs)
-    if len(distinct) != want_paths:
-        return None
-
-    if kind == "K5":
-        if distinct != {(a, b) for a, b in combinations(branch, 2)}:
-            return None
+    if len(branch) == 5:
+        kind, want = "K5", list(combinations(branch, 2))
     else:
-        cadj = {b: {v for u, v in distinct if u == b} | {u for u, v in distinct if v == b}
-                for b in branch}
-        other = cadj[branch[0]]
-        if len(other) != 3:
-            return None
-        side = set(branch) - other
-        if len(side) != 3:
-            return None
-        for u in side:
-            if cadj[u] != other:
-                return None
-        for u in other:
-            if cadj[u] != side:
-                return None
-    return kind, tuple(branch)
+        other = {w for u, w in pairs if u == branch[0]}
+        kind = "K33"
+        want = sorted((min(u, w), max(u, w)) for u in branch if u not in other for w in other)
+    return (kind, tuple(branch)) if sorted(pairs) == want else None
 
 
 def is_planar(g) -> PlanarityCertificate:

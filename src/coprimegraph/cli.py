@@ -32,16 +32,31 @@ from .groups import DEFAULT_MAX_ORDER, ascii_int
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 
+
+# argparse names a flag's type in its refusal: "invalid ascii_int value: '1_0'"
+@functools.wraps(ascii_int, assigned=("__name__",))
+def _cap_int(text: str) -> int:
+    """A cap flag's value: ``ascii_int``, refused below 0."""
+    value = ascii_int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative: {clip(text)!r}")
+    return value
+
+
 def _env_cap(name: str, fallback: int) -> int:
     """An unset cap flag reads COPRIMEGRAPH_MAX_ORDER / COPRIMEGRAPH_EXACT_CAP."""
     raw = os.environ.get(name)
     if raw is None:
         return fallback
     try:
-        return ascii_int(raw)
+        value = ascii_int(raw)
     except ValueError:
         sys.stderr.write(f"warning: ignoring non-integer {name}={clip(raw)!r}\n")
         return fallback
+    if value < 0:
+        sys.stderr.write(f"warning: ignoring negative {name}={clip(raw)!r}\n")
+        return fallback
+    return value
 
 
 GRAMMAR_HELP = """\
@@ -271,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def caps(p, **fallbacks):
         for dest in fallbacks:
-            p.add_argument("--" + dest.replace("_", "-"), type=ascii_int, default=None)
+            p.add_argument("--" + dest.replace("_", "-"), type=_cap_int, default=None)
         p.set_defaults(cap_fallbacks=fallbacks)
 
     p = sub.add_parser("analyze", help="full invariant report for P(G)")
@@ -294,13 +309,13 @@ def build_parser() -> argparse.ArgumentParser:
         max_order=theorems.DEFAULT_CATALOG_MAX_ORDER,
         exact_cap=theorems.DEFAULT_CATALOG_EXACT_CAP,
     )
-    p.add_argument("--jobs", type=ascii_int, default=1, help="parallel workers")
+    p.add_argument("--jobs", type=_cap_int, default=1, help="parallel workers")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("embed", help="embed an edge-list graph into a cyclic coprime graph")
     p.add_argument("input", help="edge-list path, or - for stdin")
     p.add_argument("--out", default=None)
-    p.add_argument("--mis-cap", type=ascii_int, default=DEFAULT_MIS_CAP)
+    p.add_argument("--mis-cap", type=_cap_int, default=DEFAULT_MIS_CAP)
     p.set_defaults(func=cmd_embed, cap_fallbacks={})
 
     p = sub.add_parser("catalog", help="list the catalog entries")

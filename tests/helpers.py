@@ -262,6 +262,84 @@ def girth_oracle(adj) -> float:
     return best
 
 
+def kuratowski_witness_oracle(
+    g, witness_edges: list[tuple[int, int]]
+) -> tuple[str, tuple[int, ...]] | None:
+    """The previous ``verify_kuratowski_witness``, check by check, for witnesses
+    whose ends are all host vertices.
+
+    Validate an edge set as a K5 or K33 subdivision inside the host graph.
+
+    Checks: every witness edge exists in the host; branch vertices have degree
+    4 (K5) or 3 (K33) in the witness with every other vertex of degree 2; the
+    degree-2 chains contract to exactly the simple edge set of K5, or to a
+    complete bipartite 3+3 graph.  Returns (kind, branch vertices) or None.
+    """
+    host = _adjacency(g).sets
+    wadj: dict[int, set[int]] = {}
+    for u, v in witness_edges:
+        if u == v or v not in host[u]:
+            return None
+        wadj.setdefault(u, set()).add(v)
+        wadj.setdefault(v, set()).add(u)
+    if not wadj:
+        return None
+    degs = {v: len(s) for v, s in wadj.items()}
+    branch = sorted(v for v, d in degs.items() if d >= 3)
+    if any(d not in (2, 3, 4) for d in degs.values()):
+        return None
+    if len(branch) == 5 and all(degs[v] == 4 for v in branch):
+        kind, want_paths = "K5", 10
+    elif len(branch) == 6 and all(degs[v] == 3 for v in branch):
+        kind, want_paths = "K33", 9
+    else:
+        return None
+
+    # contract the degree-2 chains into branch-to-branch connections
+    pairs = []
+    used_darts = set()
+    for b in branch:
+        for first in sorted(wadj[b]):
+            if (b, first) in used_darts:
+                continue
+            prev, cur = b, first
+            used_darts.add((b, first))
+            while cur not in branch:
+                nxts = [w for w in wadj[cur] if w != prev]
+                if len(nxts) != 1:
+                    return None
+                prev, cur = cur, nxts[0]
+            used_darts.add((cur, prev))
+            if cur == b:
+                return None
+            pairs.append((min(b, cur), max(b, cur)))
+    if len(pairs) != want_paths:
+        return None
+    distinct = set(pairs)
+    if len(distinct) != want_paths:
+        return None
+
+    if kind == "K5":
+        if distinct != {(a, b) for a, b in combinations(branch, 2)}:
+            return None
+    else:
+        cadj = {b: {v for u, v in distinct if u == b} | {u for u, v in distinct if v == b}
+                for b in branch}
+        other = cadj[branch[0]]
+        if len(other) != 3:
+            return None
+        side = set(branch) - other
+        if len(side) != 3:
+            return None
+        for u in side:
+            if cadj[u] != other:
+                return None
+        for u in other:
+            if cadj[u] != side:
+                return None
+    return kind, tuple(branch)
+
+
 def is_closed_subgroup(group, elements: frozenset[int]) -> bool:
     """Predicate: contains the identity, closed under product and inverse."""
     if group.identity not in elements:

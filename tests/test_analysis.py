@@ -42,7 +42,7 @@ from coprimegraph.coprime import (
     graph_for_spec,
 )
 from coprimegraph.embedding import SimpleGraph
-from coprimegraph.errors import CertificateError
+from coprimegraph.errors import CertificateError, EdgeListError
 from coprimegraph.groups import make_dihedral, parse_group_spec
 from coprimegraph.theorems import CatalogEntry, evaluate_entry, load_catalog
 from helpers import (
@@ -50,6 +50,7 @@ from helpers import (
     chi_oracle,
     dsatur_color_count,
     girth_oracle,
+    kuratowski_witness_oracle,
     min_vertex_cover_oracle,
     omega_oracle,
     rescanning_k_colorable,
@@ -458,6 +459,51 @@ def test_catalog_entry_builds_the_adjacency_once(adjacency_calls):
     assert len(adjacency_calls) == 1
 
 
+def test_adjacency_sets_is_the_graphs_own_adjacency():
+    for g in (build_cyclic(30), SimpleGraph.from_edges(3, [(0, 1), (1, 2)])):
+        assert adjacency_sets(g) is g.adj
+        assert analysis._adjacency(g).sets is g.adj
+
+
+@pytest.mark.parametrize(
+    "sets",
+    [
+        pytest.param([{5}], id="out-of-range"),
+        pytest.param([{1}, {0, -1}], id="negative"),
+        pytest.param([{1}, set()], id="not-mirrored"),
+        pytest.param([{0}], id="loop"),
+    ],
+)
+def test_a_raw_neighbour_list_must_describe_a_simple_graph(sets):
+    with pytest.raises(EdgeListError):
+        analyze(sets)
+    with pytest.raises(EdgeListError):
+        adjacency_sets(tuple(sets))
+
+
+@pytest.mark.parametrize("form", ["coprime", "simple"])
+@pytest.mark.parametrize("spec", ["Z:210", "S3xS3", "A4"])
+def test_vertex_report_runs_one_clique_search(monkeypatch, spec, form):
+    # alpha of a graph without orders is a clique search on the complement,
+    # so only the searches on the adjacency's own rows are counted
+    graph = build(parse_group_spec(spec))
+    if form == "simple":
+        graph = SimpleGraph.from_edges(graph.n_vertices, graph.edges())
+    adj = analysis._adjacency(graph)
+    calls = []
+    search = analysis._max_clique_masks
+
+    def counting(masks, n):
+        calls.append(masks)
+        return search(masks, n)
+
+    monkeypatch.setattr(analysis, "_max_clique_masks", counting)
+    report = vertex_report(adj)
+    assert [masks is adj.masks for masks in calls].count(True) == 1
+    assert report.omega == clique_number(adj) == len(maximum_clique(adj))
+    assert [masks is adj.masks for masks in calls].count(True) == 1
+
+
 @pytest.fixture
 def structure_calls(monkeypatch):
     """Adjacencies handed to _structure, the one BFS sweep."""
@@ -641,6 +687,93 @@ def test_witness_verifier_rejects_each_malformed_witness(witness):
     assert verify_kuratowski_witness(host, witness) is None
 
 
+def test_witness_verifier_counts_a_loop_chain_against_the_comparison():
+    # K5 less 3-4, with a chain 3-10-11-3 back to 3: five branch vertices,
+    # ten chains, and no branch degree checked before the pairs are compared
+    witness = [e for e in K5_EDGES if e != (3, 4)] + [(3, 10), (10, 11), (11, 3)]
+    host = adj_of(list(combinations(range(12), 2)), 12)
+    assert verify_kuratowski_witness(host, witness) is None
+
+
+# K_{3,2}: planar, with vertices 0, 1, 2 of degree 2 and 3, 4 of degree 3
+K32 = SimpleGraph.from_edges(5, [(a, b) for a in (0, 1, 2) for b in (3, 4)])
+
+
+@pytest.mark.parametrize(
+    "witness",
+    [
+        # host[-1] is vertex 4's row, so (-1, a) once read as an edge and made
+        # -1 a sixth branch vertex of a K33 on a planar host
+        pytest.param([e for a in range(3) for e in ((a, 3), (a, 4), (-1, a))], id="minus-1"),
+        pytest.param([(7, 0)], id="first-end-past-the-host"),
+        pytest.param([(0, 7)], id="second-end-past-the-host"),
+        pytest.param([(3, -2)], id="negative-second-end"),
+    ],
+)
+def test_witness_ends_must_be_host_vertices(witness):
+    assert is_planar(K32).planar
+    assert verify_kuratowski_witness(K32, witness) is None
+
+
+K33_EDGES = [(a, b) for a in range(3) for b in range(3, 6)]
+WITNESS_CHANGES = (
+    None, "drop", "chord", "reversed-duplicate", "disjoint-cycle", "host-edge-removed",
+)
+
+
+@st.composite
+def kuratowski_cases(draw):
+    """(host, witness, change, branch): K5 or K33 with each edge subdivided 0-2
+    times, relabelled into a host with up to four more vertices and eight more
+    edges, then changed as named; branch is the relabelled branch vertices."""
+    kind = draw(st.sampled_from(("K5", "K33")))
+    n = 5 if kind == "K5" else 6
+    edges = []
+    for u, v in K5_EDGES if kind == "K5" else K33_EDGES:
+        inner = list(range(n, n + draw(st.integers(0, 2))))
+        n += len(inner)
+        path = [u, *inner, v]
+        edges += zip(path, path[1:])
+    branch_count = 5 if kind == "K5" else 6
+    change = draw(st.sampled_from(WITNESS_CHANGES))
+    if change == "disjoint-cycle":
+        edges += [(n, n + 1), (n + 1, n + 2), (n + 2, n)]
+        n += 3
+    n += draw(st.integers(0, 4))
+    label = draw(st.permutations(range(n)))
+    witness = [(label[u], label[v]) for u, v in edges]
+    extra = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=8))
+    host = {frozenset(e) for e in witness + extra if e[0] != e[1]}
+    i = draw(st.integers(0, len(witness) - 1))
+    if change == "drop":
+        del witness[i]
+    elif change == "reversed-duplicate":
+        witness.append(witness[i][::-1])
+    elif change == "host-edge-removed":
+        host.discard(frozenset(witness[i]))
+    elif change == "chord":
+        ends = sorted({v for e in witness for v in e})
+        chord = draw(st.tuples(st.sampled_from(ends), st.sampled_from(ends)).filter(
+            lambda e: e[0] != e[1]
+        ))
+        witness.append(chord)
+        host.add(frozenset(chord))
+    branch = tuple(sorted(label[v] for v in range(branch_count)))
+    return adj_of([tuple(e) for e in host], n), witness, change, (kind, branch)
+
+
+@settings(max_examples=400, deadline=None)
+@given(kuratowski_cases())
+def test_witness_verifier_matches_the_previous_checks(case):
+    host, witness, change, verdict = case
+    found = verify_kuratowski_witness(host, witness)
+    assert found == kuratowski_witness_oracle(host, witness)
+    if change in (None, "reversed-duplicate", "disjoint-cycle"):
+        assert found == verdict
+    elif change in ("drop", "host-edge-removed"):
+        assert found is None
+
+
 @pytest.mark.parametrize(
     "n,planar",
     [(30, True), (60, True), (90, True), (210, False), (420, False)],
@@ -664,7 +797,7 @@ def first_k33_subgraph(adj):
     """Edges from the lexicographically first triple with >= 3 common
     neighbours to the lowest three of them, or None."""
     for triple in combinations(range(len(adj)), 3):
-        common = set.intersection(*(adj[v] for v in triple))
+        common = set.intersection(*(set(adj[v]) for v in triple))
         if len(common) >= 3:
             right = sorted(common)[:3]
             return sorted((min(u, x), max(u, x)) for u in triple for x in right)

@@ -395,6 +395,10 @@ def _arabic_indic_max_order(monkeypatch):
     monkeypatch.setenv("COPRIMEGRAPH_MAX_ORDER", "\u0661\u0660")
 
 
+def _negative_exact_cap(monkeypatch):
+    monkeypatch.setenv("COPRIMEGRAPH_EXACT_CAP", "-1")
+
+
 # id: (argv, input file bytes or None, patch or None, exit code or exception)
 EXIT_CASES = {
     "ok": (["analyze", "Z:30"], None, None, 0),
@@ -463,6 +467,12 @@ EXIT_CASES = {
     "malformed-10000-generator-product": (["analyze", MALFORMED_PRODUCT], None, None, 2),
     "edge-line-long": (["embed", "{input}"], b"0 1" + b" 2" * 10_000 + b"\n", None, 2),
     "embed-missing-file": (["embed", "{missing}"], None, None, 2),
+    # a cap below 0 means nothing: argparse refuses it, the variable is ignored
+    "max-order-negative": (["analyze", "A4", "--max-order", "-5"], None, None, SystemExit),
+    "exact-cap-negative": (["analyze", "Z:30", "--exact-cap", "-1"], None, None, SystemExit),
+    "jobs-negative": (["verify", "--jobs", "-1"], None, None, SystemExit),
+    "mis-cap-negative": (["embed", "{input}", "--mis-cap", "-1"], b"0 1\n", None, SystemExit),
+    "env-exact-cap-negative": (["analyze", "Z:30"], None, _negative_exact_cap, 0),
 }
 
 
@@ -515,6 +525,27 @@ def test_cap_flags_and_their_variables_read_ascii_integers(capsys, monkeypatch):
     with pytest.raises(SystemExit):
         main(["analyze", "A4", "--max-order", "1_0"])
     assert "invalid ascii_int value: '1_0'" in capsys.readouterr().err
+
+
+def test_a_negative_cap_flag_is_refused_by_name(capsys):
+    with pytest.raises(SystemExit):
+        main(["analyze", "Z:30", "--exact-cap", "-1"])
+    assert "argument --exact-cap: must not be negative: '-1'" in capsys.readouterr().err
+
+
+def test_negative_env_cap_is_warned_about_and_ignored(capsys, monkeypatch):
+    monkeypatch.setenv("COPRIMEGRAPH_MAX_ORDER", "-5")
+    code, out, err = run(capsys, "analyze", "A4")
+    assert code == 0
+    assert _ignored_warnings(err) == ["warning: ignoring negative COPRIMEGRAPH_MAX_ORDER='-5'"]
+    assert out == run(capsys, "analyze", "A4", "--max-order", str(DEFAULT_MAX_ORDER))[1]
+
+
+def test_zero_jobs_runs_the_catalog_serially(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "catalog.json"
+    path.write_text('[{"spec": "Z:30"}, {"spec": "Z:6"}]')
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _refuse)
+    assert run(capsys, "verify", "--catalog", str(path), "--jobs", "0")[0] == 0
 
 
 @pytest.mark.parametrize("spec", ["A4", "X(A4,Z:1)"])
