@@ -27,6 +27,7 @@ from operator import or_
 import networkx as nx
 
 from .errors import CertificateError, EdgeListError, check_exact_cap, clip
+from .lattice import prime_supports, subset_sums
 # re-exported: callers have always caught the exact cap's error from here
 from .errors import ExactCapExceeded  # noqa: F401
 
@@ -157,7 +158,12 @@ def _adjacency(g) -> _Adjacency:
     if isinstance(g, _Adjacency):
         return g
     sets = adjacency_sets(g)
-    masks = tuple(sum(1 << w for w in s) for s in sets)
+    inside = getattr(g, "inside", None)
+    if inside is None:
+        masks = tuple(sum(1 << w for w in s) for s in sets)
+    else:  # a vertex of support S is joined to the others inside ~S
+        full = len(inside) - 1
+        masks = tuple(inside[full ^ s] & ~(1 << v) for v, s in enumerate(g.supports))
     source = getattr(g, "source", "graph")
     if hasattr(g, "orders"):
         primes = tuple(sorted(g.parent_primes()))
@@ -262,9 +268,7 @@ def _support_classes(adj: _Adjacency) -> dict[int, int] | None:
     coprime graph built from its orders always passes it; a hand-made one
     need not.
     """
-    supports = [
-        sum(1 << i for i, p in enumerate(adj.primes) if order % p == 0) for order in adj.orders
-    ]
+    supports = prime_supports(adj.orders, adj.primes)
     classes: dict[int, int] = {}
     for v, s in enumerate(supports):
         classes[s] = classes.get(s, 0) | 1 << v
@@ -506,6 +510,7 @@ def verify_kuratowski_witness(
     chains then contract to a list of branch pairs, which must equal K5's ten
     pairs, or K33's nine between the partners of the least branch vertex and
     the rest; that one comparison also fixes each branch degree at 4 or 3.
+    Every witness edge must lie on a chain, so a disjoint cycle is refused.
     Returns (kind, branch vertices) or None.
     """
     host = _adjacency(g).sets
@@ -520,15 +525,16 @@ def verify_kuratowski_witness(
         return None
 
     # contract each degree-2 chain, walked once from its first branch dart
-    pairs = []
-    far_ends = set()
+    pairs, far_ends, walked = [], set(), 0
     for b in branch:
         for first in wadj[b]:
             if (b, first) in far_ends:
                 continue
             prev, cur = b, first
+            walked += 1
             while cur not in branch:
                 prev, cur = cur, next(w for w in wadj[cur] if w != prev)
+                walked += 1
             far_ends.add((cur, prev))
             pairs.append((min(b, cur), max(b, cur)))
     if len(branch) == 5:
@@ -537,7 +543,8 @@ def verify_kuratowski_witness(
         other = {w for u, w in pairs if u == branch[0]}
         kind = "K33"
         want = sorted((min(u, w), max(u, w)) for u in branch if u not in other for w in other)
-    return (kind, tuple(branch)) if sorted(pairs) == want else None
+    whole = 2 * walked == sum(map(len, wadj.values()))
+    return (kind, tuple(branch)) if whole and sorted(pairs) == want else None
 
 
 def is_planar(g) -> PlanarityCertificate:
@@ -852,18 +859,6 @@ def vertex_report(g, exact_cap: int = DEFAULT_EXACT_CAP) -> AnalysisReport:
     )
 
 
-def _subset_sums(values: list[int], k: int) -> list[int]:
-    """The zeta transform over subsets of k primes: entry X becomes the sum
-    of the entries of every subset of X."""
-    sums = list(values)
-    for i in range(k):
-        bit = 1 << i
-        for x in range(len(sums)):
-            if x & bit:
-                sums[x] += sums[x ^ bit]
-    return sums
-
-
 def _order_report(adj: _Adjacency, classes: dict[int, int], exact_cap: int) -> AnalysisReport:
     """The report of a coprime graph with a vertex of support {p} for each of
     its k primes, read off the support weights.
@@ -900,7 +895,7 @@ def _order_report(adj: _Adjacency, classes: dict[int, int], exact_cap: int) -> A
         weight[s] = m.bit_count()
         for v in _members(m):
             support[v] = s
-    inside = _subset_sums(weight, k)
+    inside = subset_sums(weight, k)
     degrees = [inside[full ^ s] for s in support]
     edges = sum(degrees) // 2
 
@@ -917,7 +912,7 @@ def _order_report(adj: _Adjacency, classes: dict[int, int], exact_cap: int) -> A
     core = [v for v in range(n) if not isolated >> v & 1]
     # far[S] counts the non-full supports T containing ~S: ~S itself, or a T
     # that meets S and with it covers every prime
-    far = _subset_sums([int(s != 0 and (full ^ s) in classes) for s in range(full + 1)], k)
+    far = subset_sums([int(s != 0 and (full ^ s) in classes) for s in range(full + 1)], k)
     if 2 * edges == len(core) * (len(core) - 1):
         core_diameter = 1
     elif any(far[s] > ((full ^ s) in classes) for s in classes if s != full):

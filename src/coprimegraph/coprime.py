@@ -1,19 +1,21 @@
 """The coprime graph of subgroups: generic builder, cyclic fast path, exports.
 
 Vertices are the nontrivial proper subgroups of a group; two vertices are
-adjacent exactly when their subgroup orders are coprime.  Adjacency depends
-only on the order labels, which is what makes the divisor-based fast path for
-cyclic groups possible.
+adjacent exactly when their orders are coprime: when their prime supports are
+disjoint.  Adjacency depends only on the order labels, which makes the divisor
+fast path for cyclic groups possible, and the build takes no gcd.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, prod
+from itertools import compress
+from math import lcm, prod
 
 from .errors import UndefinedCoprimeGraphError, check_exact_cap, clip
 from .groups import DEFAULT_MAX_ORDER, FiniteGroup, cyclic_spec_order, parse_group_spec
 from .lattice import all_subgroups, divisors, factorize, is_prime, pi, proper_nontrivial
+from .lattice import prime_supports, subset_sums
 
 
 @dataclass(frozen=True)
@@ -31,11 +33,15 @@ class CoprimeGraph:
         parent_order: int,
         vertices: list[GraphVertex],
         adjacency: list[frozenset[int]],
+        supports: list[int] | None = None,
+        inside: list[int] | None = None,
     ):
         self.source = source
         self.parent_order = parent_order
         self.vertices = tuple(vertices)
         self.adj = tuple(adjacency)
+        # what _graph_from_orders built the adjacency from, else None
+        self.supports, self.inside = supports, inside
         self.n_vertices = len(self.vertices)
         self.n_edges = sum(len(s) for s in self.adj) // 2
 
@@ -56,26 +62,26 @@ class CoprimeGraph:
 
 
 def _graph_from_orders(source: str, parent_order: int, orders: list[int]) -> CoprimeGraph:
+    """A vertex of support S, the primes of lcm(orders) dividing its order, is
+    joined to the vertices of ``inside[~S]``, those whose support lies in ~S."""
     n = len(orders)
     vertices = [GraphVertex(vid=i, order=orders[i]) for i in range(n)]
-    # vertices of one order are twins: one gcd per pair of distinct orders
-    classes: dict[int, list[int]] = {}
-    for v, order in enumerate(orders):
-        classes.setdefault(order, []).append(v)
-    distinct, members = list(classes), list(classes.values())
-    near: list[list[int]] = [[] for _ in distinct]
-    for i, a in enumerate(distinct):
-        mine, own = near[i], members[i]
-        for j in [j for j in range(i, len(distinct)) if gcd(a, distinct[j]) == 1]:
-            mine += members[j]
-            near[j] += own
-    adjacency: list[frozenset[int]] = [frozenset()] * n
-    for ids, near_ids in zip(members, near):
-        # through a set, so each frozenset iterates as one built edge by edge
-        shared = frozenset(set(near_ids))
-        for v in ids:
-            adjacency[v] = shared - {v} if v in shared else shared
-    return CoprimeGraph(source, parent_order, vertices, adjacency)
+    distinct = list(dict.fromkeys(orders))
+    primes = sorted(pi(lcm(*distinct)))
+    support_of = dict(zip(distinct, prime_supports(distinct, primes)))
+    supports = [support_of[order] for order in orders]
+    full = (1 << len(primes)) - 1
+    inside = [0] * (full + 1)
+    for v, s in enumerate(supports):
+        inside[s] |= 1 << v
+    inside = subset_sums(inside, len(primes))
+    # the digits of bin(inside[~S]), lowest first and "0" made falsy, flag S's neighbours;
+    # through a set filled in id order, each frozenset iterates as one built edge by edge
+    ids = list(range(n))
+    flags = {s: bin(inside[full ^ s])[:1:-1].encode().replace(b"0", b"\0") for s in set(supports)}
+    near = {s: frozenset(set(compress(ids, f))) for s, f in flags.items()}
+    adjacency = [near[s] - {v} if s == 0 else near[s] for v, s in enumerate(supports)]
+    return CoprimeGraph(source, parent_order, vertices, adjacency, supports, inside)
 
 
 def _require_defined(name: str, order: int) -> None:
@@ -118,7 +124,7 @@ def graph_for_spec(spec: str, max_order: int, exact_cap: int | None = None) -> C
 
     A plain "Z:n" takes the divisor path, which builds no table, is not bound
     by ``max_order`` and checks ``exact_cap`` against the divisor count before
-    its gcds; any other spec is built under ``max_order`` and its lattice
+    it lists the divisors; any other spec is built under ``max_order`` and its lattice
     enumerated.
     """
     n = cyclic_spec_order(spec)

@@ -47,9 +47,6 @@ class SimpleGraph:
             adj[b].add(a)
         return tuple(map(frozenset, adj))
 
-    def neighbors(self, v: int) -> frozenset[int]:
-        return self.adj[v]
-
 
 @dataclass(frozen=True)
 class EmbeddingCertificate:

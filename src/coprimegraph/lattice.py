@@ -76,6 +76,28 @@ def pi(n: int) -> frozenset[int]:
     return frozenset(p for p, _ in factorize(n))
 
 
+def prime_supports(orders: list[int], primes) -> list[int]:
+    """Each order's prime support, as the bitmask of the indices i for
+    which primes[i] divides it: one pass over the orders per prime."""
+    supports = [0] * len(orders)
+    for i, p in enumerate(primes):
+        supports = [s | 1 << i if order % p == 0 else s for s, order in zip(supports, orders)]
+    return supports
+
+
+def subset_sums(values: list[int], k: int) -> list[int]:
+    """The zeta transform over subsets of k primes: entry X becomes the sum
+    of the entries of every subset of X, k passes over the 2^k entries.  On
+    bitmasks of disjoint vertex sets that sum is their union."""
+    sums = list(values)
+    for i in range(k):
+        bit = 1 << i
+        for x in range(len(sums)):
+            if x & bit:
+                sums[x] += sums[x ^ bit]
+    return sums
+
+
 def divisors(n: int) -> list[int]:
     """All positive divisors of n, sorted."""
     divs = [1]

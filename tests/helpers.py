@@ -15,7 +15,7 @@ from math import gcd, lcm
 
 from coprimegraph import groups
 from coprimegraph.analysis import _adjacency, vertex_report
-from coprimegraph.coprime import build, build_cyclic
+from coprimegraph.coprime import CoprimeGraph, GraphVertex, build, build_cyclic
 from coprimegraph.embedding import EmbeddingCertificate, SimpleGraph, embed, verify_embedding
 from coprimegraph.errors import (
     CertificateError,
@@ -45,6 +45,13 @@ from coprimegraph.theorems import (
 LATTICE_EXPORT_SPECS = [
     "D:64", "D:96", "D:105", "D:120", "D:128", "PERM:5:[0 1 2 3 4],[0 1]",
     "X(S4,Z:10)", "X(A4,A4)", "X(S3,S4)", "SD:63,6,2", "SD:31,10,2", "X(Q8,Z:15)",
+]
+
+
+# the moduli of the benchmark's cyclic-exact workload
+CYCLIC_EXACT_MODULI = [
+    2310, 4620, 9240, 13860, 30030, 39270, 43890, 46410,
+    55440, 60060, 90090, 110880, 120120, 150150,
 ]
 
 
@@ -210,6 +217,34 @@ def counted_degrees(graph) -> dict[int, int]:
     for i, o in enumerate(orders):
         out[o] = sum(1 for j, p in enumerate(orders) if j != i and gcd(o, p) == 1)
     return out
+
+
+# The builder the coprime module used before it built P(G) from prime-support
+# masks: one gcd per pair of distinct orders.  Kept verbatim as the oracle for
+# the adjacency and for the order in which each neighbour set iterates.
+
+
+def gcd_graph_from_orders(source: str, parent_order: int, orders: list[int]) -> CoprimeGraph:
+    n = len(orders)
+    vertices = [GraphVertex(vid=i, order=orders[i]) for i in range(n)]
+    # vertices of one order are twins: one gcd per pair of distinct orders
+    classes: dict[int, list[int]] = {}
+    for v, order in enumerate(orders):
+        classes.setdefault(order, []).append(v)
+    distinct, members = list(classes), list(classes.values())
+    near: list[list[int]] = [[] for _ in distinct]
+    for i, a in enumerate(distinct):
+        mine, own = near[i], members[i]
+        for j in [j for j in range(i, len(distinct)) if gcd(a, distinct[j]) == 1]:
+            mine += members[j]
+            near[j] += own
+    adjacency: list[frozenset[int]] = [frozenset()] * n
+    for ids, near_ids in zip(members, near):
+        # through a set, so each frozenset iterates as one built edge by edge
+        shared = frozenset(set(near_ids))
+        for v in ids:
+            adjacency[v] = shared - {v} if v in shared else shared
+    return CoprimeGraph(source, parent_order, vertices, adjacency)
 
 
 def element_order_census(group) -> dict[int, int]:
@@ -547,7 +582,7 @@ def brute_force_maximal_independent_sets(g: SimpleGraph) -> list[tuple[int, ...]
     n = g.n_vertices
     if n > 12:
         raise ValueError("brute-force MIS oracle is limited to n <= 12")
-    adj = [sum(1 << w for w in g.neighbors(v)) for v in range(n)]
+    adj = [sum(1 << w for w in g.adj[v]) for v in range(n)]
     independent = [
         bits
         for bits in range(1 << n)

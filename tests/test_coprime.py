@@ -1,17 +1,18 @@
 """Coprime graph construction, the cyclic fast path, and the degree formula."""
 
-from math import gcd
+from math import gcd, prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coprimegraph import coprime
+from coprimegraph import cli, coprime
 from coprimegraph.coprime import (
     UndefinedCoprimeGraphError,
     _graph_from_orders,
     build,
     build_cyclic,
+    graph_for_spec,
     graph_json,
     to_dot,
 )
@@ -21,9 +22,16 @@ from coprimegraph.groups import (
     make_dihedral,
     parse_group_spec,
 )
-from coprimegraph.lattice import divisors, is_prime
+from coprimegraph.lattice import divisors, is_prime, prime_supports
 from coprimegraph.theorems import load_catalog
-from helpers import counted_degrees, degree_formula, small_graph_isomorphic
+from helpers import (
+    CYCLIC_EXACT_MODULI,
+    counted_degrees,
+    degree_formula,
+    gcd_graph_from_orders,
+    small_graph_isomorphic,
+    trial_division_primes,
+)
 
 
 def degrees_by_order(graph):
@@ -186,16 +194,64 @@ def test_twin_classes_give_the_pairwise_gcd_adjacency(orders):
 
 
 @pytest.mark.parametrize("spec", ["Z:720", "D:60", "X(S3,S4)"])
-def test_one_gcd_per_pair_of_distinct_orders(monkeypatch, spec):
+def test_one_support_per_distinct_order_and_no_gcd(monkeypatch, spec):
     calls = []
 
-    def counting(a, b):
-        calls.append((a, b))
-        return gcd(a, b)
+    def counting(orders, primes):
+        calls.append(list(orders))
+        return prime_supports(orders, primes)
 
     group = parse_group_spec(spec)
-    monkeypatch.setattr(coprime, "gcd", counting)
+    monkeypatch.setattr(coprime, "prime_supports", counting)
     g = build(group)
-    k = len({v.order for v in g.vertices})
-    assert len(calls) == k * (k + 1) // 2
-    assert len({frozenset(c) for c in calls}) == len(calls)
+    assert calls == [list(dict.fromkeys(g.orders()))]
+    assert not hasattr(coprime, "gcd")
+
+
+def gcd_build_json(g) -> str:
+    """The JSON export of the gcd build on g's orders, after checking that g
+    has its neighbour sets, each iterating in the same order."""
+    oracle = gcd_graph_from_orders(g.source, g.parent_order, g.orders())
+    assert g.adj == oracle.adj
+    assert [list(s) for s in g.adj] == [list(s) for s in oracle.adj]
+    return cli._json_text(graph_json(oracle))
+
+
+def assert_same_as_gcd_build(capsys, g, export_args):
+    want = gcd_build_json(g)
+    assert cli.main(["export", *export_args, "--format", "json"]) == 0
+    assert capsys.readouterr().out == want
+
+
+@pytest.mark.parametrize("spec", [e.spec for e in load_catalog()])
+def test_support_build_matches_the_gcd_build_on_the_catalog(capsys, spec):
+    g = graph_for_spec(spec, 420)
+    assert_same_as_gcd_build(capsys, g, [spec, "--max-order", "420"])
+
+
+@pytest.mark.parametrize("n", CYCLIC_EXACT_MODULI)
+def test_support_build_matches_the_gcd_build_on_cyclic_exact_moduli(capsys, n):
+    assert_same_as_gcd_build(capsys, build_cyclic(n), [f"Z:{n}"])
+
+
+@pytest.mark.parametrize("k", range(2, 12))
+def test_support_build_matches_the_gcd_build_on_primorials(capsys, k):
+    n = prod(trial_division_primes(k))
+    assert_same_as_gcd_build(capsys, build_cyclic(n), [f"Z:{n}"])
+
+
+@st.composite
+def divisor_lists(draw):
+    """A random n and a sorted list of its divisors, repeats allowed, as the
+    vertex orders of a graph with twins."""
+    n = draw(st.integers(min_value=1, max_value=10**9))
+    orders = draw(st.lists(st.sampled_from(divisors(n)), max_size=40))
+    return n, sorted(orders)
+
+
+@given(divisor_lists())
+@settings(max_examples=200, deadline=None)
+def test_support_build_matches_the_gcd_build_on_divisor_lists(case):
+    n, orders = case
+    g = _graph_from_orders("orders", n, orders)
+    assert cli._json_text(graph_json(g)) == gcd_build_json(g)
