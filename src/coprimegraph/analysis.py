@@ -5,13 +5,15 @@ branch-and-bound searches, planarity verdicts carry either a rotation system
 that passes an Euler face count or a Kuratowski subdivision witness on host
 vertices whose contracted chains equal K5 or K33, checked before it is
 returned.  One ``_Adjacency`` per graph holds the graph's own neighbour sets
-and computes its sweep, support classes and maximum clique once each.  The
-independence number of a coprime graph is searched over prime supports, at
-most 2^k - 1 for k primes, however many vertices share them.  ``analyze``
-reads every other invariant of P(G) but planarity off the support weights
-too, with the paper's theorems as closed forms; ``vertex_report`` runs the
-vertex-level solvers instead, for any other graph and as the oracle.
-``--exact-cap`` bounds the vertex count before either runs.
+and computes its sweep and maximum clique once each.  A coprime graph built
+from its orders carries each vertex's prime support, and the adjacency groups
+the vertices by them once.  Its independence number is searched over those
+supports, at most 2^k - 1 for k primes, however many vertices share them.
+``analyze`` reads every other invariant of P(G) but planarity off the support
+weights too, with the paper's theorems as closed forms; ``vertex_report`` runs
+the vertex-level solvers instead, for any other graph (one made from adjacency
+alone among them) and as the oracle.  ``--exact-cap`` bounds the vertex count
+before either runs.
 """
 
 from __future__ import annotations
@@ -20,14 +22,13 @@ import math
 from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property
 from itertools import combinations
-from operator import or_
 
 import networkx as nx
 
 from .errors import CertificateError, EdgeListError, check_exact_cap, clip
-from .lattice import prime_supports, subset_sums
+from .lattice import subset_sums
 # re-exported: callers have always caught the exact cap's error from here
 from .errors import ExactCapExceeded  # noqa: F401
 
@@ -63,17 +64,20 @@ def adjacency_sets(g) -> tuple[frozenset[int], ...]:
 class _Adjacency:
     """One graph's adjacency: neighbour sets and the same rows as bitmasks.
 
-    A coprime graph also brings its vertex orders and its parent's primes,
-    from which ``independence_number`` and ``analyze`` work on prime
-    supports, and a graph its name.  The ``structure`` sweep, the support
-    ``classes`` and the maximum ``clique`` are computed on first use and
-    kept with the adjacency.
+    A coprime graph also brings its vertex orders and a graph its name.  One
+    built from its orders brings the primes of their lcm, each vertex's
+    support over them and ``inside[X]``, from which ``independence_number``
+    and ``analyze`` work on prime supports; one made from adjacency alone
+    brings none.  The ``structure`` sweep, the support ``classes`` and the
+    maximum ``clique`` are computed on first use and kept with the adjacency.
     """
 
     sets: tuple[frozenset[int], ...]
     masks: tuple[int, ...]
     orders: tuple[int, ...] | None = None
-    primes: tuple[int, ...] = ()
+    primes: tuple[int, ...] | None = None
+    supports: list[int] | None = None
+    inside: list[int] | None = None
     source: str = "graph"
 
     @cached_property
@@ -82,7 +86,14 @@ class _Adjacency:
 
     @cached_property
     def classes(self) -> dict[int, int] | None:
-        return None if self.orders is None else _support_classes(self)
+        """The vertices grouped by support, as support -> vertex bitmask in
+        vertex order, or None without supports or with a vertex of order 1."""
+        if self.supports is None or 0 in self.supports:
+            return None
+        classes: dict[int, int] = {}
+        for v, s in enumerate(self.supports):
+            classes[s] = classes.get(s, 0) | 1 << v
+        return classes
 
     @cached_property
     def clique(self) -> int:
@@ -158,16 +169,15 @@ def _adjacency(g) -> _Adjacency:
     if isinstance(g, _Adjacency):
         return g
     sets = adjacency_sets(g)
-    inside = getattr(g, "inside", None)
-    if inside is None:
+    supports = getattr(g, "supports", None)
+    if supports is None:
         masks = tuple(sum(1 << w for w in s) for s in sets)
     else:  # a vertex of support S is joined to the others inside ~S
-        full = len(inside) - 1
-        masks = tuple(inside[full ^ s] & ~(1 << v) for v, s in enumerate(g.supports))
+        full = len(g.inside) - 1
+        masks = tuple(g.inside[full ^ s] & ~(1 << v) for v, s in enumerate(supports))
     source = getattr(g, "source", "graph")
     if hasattr(g, "orders"):
-        primes = tuple(sorted(g.parent_primes()))
-        return _Adjacency(sets, masks, tuple(g.orders()), primes, source)
+        return _Adjacency(sets, masks, tuple(g.orders()), g.primes, supports, g.inside, source)
     return _Adjacency(sets, masks, source=source)
 
 
@@ -257,33 +267,6 @@ def clique_number(g, cap: int = DEFAULT_EXACT_CAP) -> int:
     return len(maximum_clique(g, cap))
 
 
-def _support_classes(adj: _Adjacency) -> dict[int, int] | None:
-    """The graph's vertices grouped by prime support, as support -> vertex
-    bitmask, or None unless two vertices are adjacent exactly when their
-    supports are disjoint.
-
-    A vertex's support is the bitmask of the parent's primes dividing its
-    order.  The vertices whose support misses S are those outside the
-    classes of S's primes, so the comparison takes k unions per support.  A
-    coprime graph built from its orders always passes it; a hand-made one
-    need not.
-    """
-    supports = prime_supports(adj.orders, adj.primes)
-    classes: dict[int, int] = {}
-    for v, s in enumerate(supports):
-        classes[s] = classes.get(s, 0) | 1 << v
-    divisible = [reduce(or_, (m for s, m in classes.items() if s >> i & 1), 0)
-                 for i in range(len(adj.primes))]
-    everyone = (1 << len(supports)) - 1
-    disjoint = {
-        s: everyone & ~reduce(or_, (m for i, m in enumerate(divisible) if s >> i & 1), 0)
-        for s in classes
-    }
-    if any(adj.masks[v] != disjoint[s] for v, s in enumerate(supports)):
-        return None
-    return classes
-
-
 def _max_support_family(weight: Counter[int], k: int) -> tuple[int, tuple[int, ...]]:
     """The heaviest pairwise-intersecting family of nonempty subsets of k
     primes, as its total weight and its members with positive weight.
@@ -328,8 +311,8 @@ def independence_number(g, cap: int = DEFAULT_EXACT_CAP) -> int:
     In a coprime graph an independent set is a union of support classes
     whose supports pairwise meet, so ``_max_support_family`` finds alpha on
     the supports; the vertex set it covers is re-checked against the
-    adjacency before its size is returned.  A graph without vertex orders
-    gets maximum clique on the complement.
+    adjacency before its size is returned.  A graph without support
+    classes gets maximum clique on the complement.
     """
     adj = _adjacency(g)
     masks = adj.masks
@@ -889,13 +872,8 @@ def _order_report(adj: _Adjacency, classes: dict[int, int], exact_cap: int) -> A
     n = len(masks)
     k = len(adj.primes)
     full = (1 << k) - 1
-    weight = [0] * (full + 1)
-    support = [0] * n
-    for s, m in classes.items():
-        weight[s] = m.bit_count()
-        for v in _members(m):
-            support[v] = s
-    inside = subset_sums(weight, k)
+    support = adj.supports
+    inside = [m.bit_count() for m in adj.inside]
     degrees = [inside[full ^ s] for s in support]
     edges = sum(degrees) // 2
 
@@ -939,7 +917,7 @@ def _order_report(adj: _Adjacency, classes: dict[int, int], exact_cap: int) -> A
         is_connected=preds["connected"],
         diameter=diameters[0] if preds["connected"] else INFINITE,
         component_diameters=diameters,
-        girth=3 if k >= 3 else 4 if k == 2 and min(weight[1], weight[2]) >= 2 else INFINITE,
+        girth=3 if k >= 3 else 4 if k == 2 and min(inside[1], inside[2]) >= 2 else INFINITE,
         alpha=independence_number(adj, exact_cap),
         omega=k,
         chi=k,
@@ -956,18 +934,21 @@ def _order_report(adj: _Adjacency, classes: dict[int, int], exact_cap: int) -> A
 def analyze(g, exact_cap: int = DEFAULT_EXACT_CAP) -> AnalysisReport:
     """Compute every invariant exactly; no heuristics, caps raise instead.
 
-    The exact-solver cap is checked first.  A coprime graph whose edges are
-    those of its orders, with a vertex of support {p} for each of its k
-    primes and at most 4n subsets of them for n vertices, gets
+    The exact-solver cap is checked first.  A coprime graph built from its
+    orders, with a vertex of support {p} for each of the k primes of their
+    lcm and at most 4n subsets of them for n vertices, gets
     ``_order_report``.  P(G) has the vertices of order p by Cauchy's
     theorem, and for a solvable G a Hall subgroup for every proper set of
-    its primes, so n >= 2^k - 2.  Any other graph gets ``vertex_report``.
+    its primes, so n >= 2^k - 2.  Any other graph, one made from adjacency
+    alone among them, gets ``vertex_report``.
     """
     adj = _adjacency(g)
     n = len(adj.sets)
     check_exact_cap(n, exact_cap)
     classes = adj.classes
+    if classes is None:
+        return vertex_report(adj, exact_cap)
     k = len(adj.primes)
-    if classes is None or 1 << k > 4 * n or any(1 << i not in classes for i in range(k)):
+    if 1 << k > 4 * n or any(1 << i not in classes for i in range(k)):
         return vertex_report(adj, exact_cap)
     return _order_report(adj, classes, exact_cap)

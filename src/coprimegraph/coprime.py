@@ -8,9 +8,9 @@ fast path for cyclic groups possible, and the build takes no gcd.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import compress
 from math import lcm, prod
+from typing import NamedTuple
 
 from .errors import UndefinedCoprimeGraphError, check_exact_cap, clip
 from .groups import DEFAULT_MAX_ORDER, FiniteGroup, cyclic_spec_order, parse_group_spec
@@ -18,8 +18,7 @@ from .lattice import all_subgroups, divisors, factorize, is_prime, pi, proper_no
 from .lattice import prime_supports, subset_sums
 
 
-@dataclass(frozen=True)
-class GraphVertex:
+class GraphVertex(NamedTuple):
     vid: int
     order: int
 
@@ -35,13 +34,15 @@ class CoprimeGraph:
         adjacency: list[frozenset[int]],
         supports: list[int] | None = None,
         inside: list[int] | None = None,
+        primes: tuple[int, ...] | None = None,
     ):
         self.source = source
         self.parent_order = parent_order
         self.vertices = tuple(vertices)
         self.adj = tuple(adjacency)
-        # what _graph_from_orders built the adjacency from, else None
-        self.supports, self.inside = supports, inside
+        # what _graph_from_orders built the adjacency from, else None: each
+        # vertex's support over ``primes``, those of lcm(orders), and inside[X]
+        self.supports, self.inside, self.primes = supports, inside, primes
         self.n_vertices = len(self.vertices)
         self.n_edges = sum(len(s) for s in self.adj) // 2
 
@@ -65,9 +66,9 @@ def _graph_from_orders(source: str, parent_order: int, orders: list[int]) -> Cop
     """A vertex of support S, the primes of lcm(orders) dividing its order, is
     joined to the vertices of ``inside[~S]``, those whose support lies in ~S."""
     n = len(orders)
-    vertices = [GraphVertex(vid=i, order=orders[i]) for i in range(n)]
+    vertices = list(map(GraphVertex, range(n), orders))
     distinct = list(dict.fromkeys(orders))
-    primes = sorted(pi(lcm(*distinct)))
+    primes = tuple(sorted(pi(lcm(*distinct))))
     support_of = dict(zip(distinct, prime_supports(distinct, primes)))
     supports = [support_of[order] for order in orders]
     full = (1 << len(primes)) - 1
@@ -81,7 +82,7 @@ def _graph_from_orders(source: str, parent_order: int, orders: list[int]) -> Cop
     flags = {s: bin(inside[full ^ s])[:1:-1].encode().replace(b"0", b"\0") for s in set(supports)}
     near = {s: frozenset(set(compress(ids, f))) for s, f in flags.items()}
     adjacency = [near[s] - {v} if s == 0 else near[s] for v, s in enumerate(supports)]
-    return CoprimeGraph(source, parent_order, vertices, adjacency, supports, inside)
+    return CoprimeGraph(source, parent_order, vertices, adjacency, supports, inside, primes)
 
 
 def _require_defined(name: str, order: int) -> None:

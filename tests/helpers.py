@@ -10,11 +10,14 @@ from __future__ import annotations
 import random
 from collections import Counter
 from collections.abc import Iterator
+from dataclasses import replace
+from functools import reduce
 from itertools import combinations
 from math import gcd, lcm
+from operator import or_
 
 from coprimegraph import groups
-from coprimegraph.analysis import _adjacency, vertex_report
+from coprimegraph.analysis import _Adjacency, _adjacency, vertex_report
 from coprimegraph.coprime import CoprimeGraph, GraphVertex, build, build_cyclic
 from coprimegraph.embedding import EmbeddingCertificate, SimpleGraph, embed, verify_embedding
 from coprimegraph.errors import (
@@ -33,7 +36,15 @@ from coprimegraph.groups import (
     _split_top_level,
     make_semidirect_cyclic,
 )
-from coprimegraph.lattice import Subgroup, SubgroupList, divisors, factorize, is_prime, pi
+from coprimegraph.lattice import (
+    Subgroup,
+    SubgroupList,
+    divisors,
+    factorize,
+    is_prime,
+    pi,
+    prime_supports,
+)
 from coprimegraph.theorems import (
     CheckRow,
     VerificationReport,
@@ -245,6 +256,44 @@ def gcd_graph_from_orders(source: str, parent_order: int, orders: list[int]) -> 
         for v in ids:
             adjacency[v] = shared - {v} if v in shared else shared
     return CoprimeGraph(source, parent_order, vertices, adjacency)
+
+
+# The class finder analysis used before a graph built from its orders carried
+# its supports: it derives them over the parent's primes and compares every
+# row with support disjointness.  Kept verbatim as the oracle for
+# ``_Adjacency.classes``; ``parent_support_classes`` hands it the parent's primes.
+
+
+def _support_classes(adj: _Adjacency) -> dict[int, int] | None:
+    """The graph's vertices grouped by prime support, as support -> vertex
+    bitmask, or None unless two vertices are adjacent exactly when their
+    supports are disjoint.
+
+    A vertex's support is the bitmask of the parent's primes dividing its
+    order.  The vertices whose support misses S are those outside the
+    classes of S's primes, so the comparison takes k unions per support.  A
+    coprime graph built from its orders always passes it; a hand-made one
+    need not.
+    """
+    supports = prime_supports(adj.orders, adj.primes)
+    classes: dict[int, int] = {}
+    for v, s in enumerate(supports):
+        classes[s] = classes.get(s, 0) | 1 << v
+    divisible = [reduce(or_, (m for s, m in classes.items() if s >> i & 1), 0)
+                 for i in range(len(adj.primes))]
+    everyone = (1 << len(supports)) - 1
+    disjoint = {
+        s: everyone & ~reduce(or_, (m for i, m in enumerate(divisible) if s >> i & 1), 0)
+        for s in classes
+    }
+    if any(adj.masks[v] != disjoint[s] for v, s in enumerate(supports)):
+        return None
+    return classes
+
+
+def parent_support_classes(g: CoprimeGraph) -> dict[int, int] | None:
+    """The previous class finder on g, over its parent's primes."""
+    return _support_classes(replace(_adjacency(g), primes=tuple(sorted(g.parent_primes()))))
 
 
 def element_order_census(group) -> dict[int, int]:

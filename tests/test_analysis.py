@@ -9,7 +9,7 @@ from unittest import mock
 
 import networkx as nx
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from coprimegraph import analysis
@@ -44,6 +44,7 @@ from coprimegraph.coprime import (
 from coprimegraph.embedding import SimpleGraph
 from coprimegraph.errors import CertificateError, EdgeListError
 from coprimegraph.groups import make_dihedral, parse_group_spec
+from coprimegraph.lattice import pi
 from coprimegraph.theorems import CatalogEntry, evaluate_entry, load_catalog
 from helpers import (
     alpha_oracle,
@@ -53,6 +54,7 @@ from helpers import (
     kuratowski_witness_oracle,
     min_vertex_cover_oracle,
     omega_oracle,
+    parent_support_classes,
     rescanning_k_colorable,
     small_graph_isomorphic,
 )
@@ -254,7 +256,7 @@ def catalog_graphs():
 def support_alpha(g):
     """alpha of a coprime graph, asserting that the support path takes it."""
     adj = analysis._adjacency(g)
-    assert analysis._support_classes(adj) is not None
+    assert adj.classes is not None
     return independence_number(adj, cap=len(adj.masks))
 
 
@@ -309,8 +311,32 @@ def test_hand_made_coprime_graph_falls_back_to_the_vertex_search():
     # orders 30, 2 and 3 with no edges: by their supports 2 -- 3 would be one
     vertices = [GraphVertex(v, order) for v, order in enumerate((30, 2, 3))]
     g = CoprimeGraph("hand", 30, vertices, [frozenset()] * 3)
-    assert analysis._support_classes(analysis._adjacency(g)) is None
+    assert analysis._adjacency(g).classes is None
     assert independence_number(g) == 3
+
+
+# the support classes a built graph carries, against the previous class
+# finder, which derived them over the parent's primes and re-checked them
+
+
+def test_support_classes_match_the_previous_finder_on_the_catalog(catalog_graphs):
+    for spec, g in catalog_graphs.items():
+        assert analysis._adjacency(g).classes == parent_support_classes(g), spec
+
+
+@pytest.mark.parametrize("n", CYCLIC_EXACT_MODULI + (900, 1800, 44100))
+def test_support_classes_match_the_previous_finder_on_cyclic_moduli(n):
+    g = build_cyclic(n)
+    assert analysis._adjacency(g).classes == parent_support_classes(g)
+
+
+@settings(max_examples=200, deadline=None)
+@given(order_multisets())
+def test_support_classes_match_the_previous_finder_on_order_multisets(case):
+    parent_order, orders = case
+    assume(pi(parent_order) == pi(math.lcm(*orders)))
+    g = _graph_from_orders("orders", parent_order, orders)
+    assert analysis._adjacency(g).classes == parent_support_classes(g)
 
 
 @pytest.mark.parametrize("family", [(2, (0b001, 0b010)), (2, (0b001,))])
@@ -411,12 +437,12 @@ def test_order_report_matches_vertex_report_on_lattice_groups(spec):
 def test_order_report_matches_vertex_report_on_order_multisets(case, left_out):
     # a vertex of order p joins for every prime p of the parent but one
     parent_order, orders = case
-    primes = [p for p in SMALL_PRIMES if parent_order % p == 0]
-    orders = orders + [p for p in primes if p != left_out]
+    orders = orders + [p for p in SMALL_PRIMES if parent_order % p == 0 and p != left_out]
     fast, slow, sweeps = both_reports(_graph_from_orders("orders", parent_order, orders))
     assert fast == slow
-    # the order-level path needs a prime-power vertex for every prime, and
-    # at most 4n sets of primes for n vertices
+    # the order-level path needs a prime-power vertex for every prime of the
+    # orders' lcm, and at most 4n sets of those primes for n vertices
+    primes = pi(math.lcm(*orders))
     supports = [{q for q in primes if order % q == 0} for order in orders]
     order_level = all({p} in supports for p in primes) and 2 ** len(primes) <= 4 * len(orders)
     assert sweeps == (0 if order_level else 1)
@@ -427,6 +453,32 @@ def test_hand_made_coprime_graph_takes_the_vertex_level_report():
     vertices = [GraphVertex(v, order) for v, order in enumerate((30, 2, 3))]
     fast, slow, sweeps = both_reports(CoprimeGraph("hand", 30, vertices, [frozenset()] * 3))
     assert fast == slow
+    assert sweeps == 1
+
+
+def test_a_parent_prime_dividing_no_order_takes_the_order_level_report():
+    # the parent's 2 divides no order; the orders' only prime is 3
+    fast, slow, sweeps = both_reports(_graph_from_orders("orders", 6, [3, 3]))
+    assert fast == slow
+    assert sweeps == 0
+
+
+def test_an_order_1_vertex_takes_the_vertex_level_report():
+    # support 0: the vertex of order 1 is joined to every other one
+    g = _graph_from_orders("orders", 12, [1, 2, 3])
+    assert analysis._adjacency(g).classes is None
+    fast, slow, sweeps = both_reports(g)
+    assert fast == slow
+    assert sweeps == 1
+    assert independence_number(g) == vertex_alpha(g)
+
+
+def test_coprime_graph_from_adjacency_alone_takes_the_vertex_level_report():
+    # the edges are the coprime pairs, but the graph carries no supports
+    built = build_cyclic(360)
+    g = CoprimeGraph("Z360", 360, list(built.vertices), list(built.adj))
+    fast, slow, sweeps = both_reports(g)
+    assert fast == slow == both_reports(built)[0]
     assert sweeps == 1
 
 
@@ -860,6 +912,18 @@ def test_k5_witness_comes_from_the_fallback(counterexample_calls):
     assert len(counterexample_calls) == 1
     assert cert.witness_kind == "K5"
     assert cert.witness_branch_vertices == (0, 1, 2, 3, 4)
+
+
+def test_z900_witness_comes_from_the_fallback(counterexample_calls):
+    # P(Z_900), 25 vertices and 36 edges, is nonplanar without a K33 subgraph
+    g = build_cyclic(900)
+    cert = is_planar(g)
+    assert len(counterexample_calls) == 1
+    assert not cert.planar
+    assert verify_kuratowski_witness(g, list(cert.witness_edges)) == (
+        cert.witness_kind,
+        cert.witness_branch_vertices,
+    )
 
 
 def test_petersen_witness_is_a_proper_k33_subdivision(counterexample_calls):
