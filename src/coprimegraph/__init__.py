@@ -72,7 +72,6 @@ from .lattice import (
     divisors,
     factorize,
     pi,
-    proper_nontrivial,
 )
 from .theorems import (
     CatalogEntry,

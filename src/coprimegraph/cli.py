@@ -67,7 +67,7 @@ group spec grammar:
                      (requires gcd(i,m)=1 and i^k = 1 mod m)
   X(spec,spec)       direct product
   PERM:deg:gens      permutation group closure; generators are comma separated
-                     products of cycles, e.g. PERM:4:[0 1 2],[0 1]x[2 3]
+                     products of disjoint cycles, e.g. PERM:4:[0 1 2],[0 1]x[2 3]
   names              A4 S4 S3 Q8 D12 S3xS3 Z3xA4 Z6xS3 Z9sZ4 Z3Z3sZ4 Z5Z5sZ3
                      Z5Z5sZ2 D10xZ5 Z2Z2sZ9 Z2xZ3Z3sZ2
 """

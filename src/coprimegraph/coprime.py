@@ -14,8 +14,7 @@ from typing import NamedTuple
 
 from .errors import UndefinedCoprimeGraphError, check_exact_cap, clip
 from .groups import DEFAULT_MAX_ORDER, FiniteGroup, cyclic_spec_order, parse_group_spec
-from .lattice import all_subgroups, divisors, factorize, is_prime, pi, proper_nontrivial
-from .lattice import prime_supports, subset_sums
+from .lattice import all_subgroups, divisors, factorize, is_prime, pi, prime_supports, subset_sums
 
 
 class GraphVertex(NamedTuple):
@@ -95,14 +94,17 @@ def _require_defined(name: str, order: int) -> None:
 
 
 def build(group: FiniteGroup, max_order: int = DEFAULT_MAX_ORDER) -> CoprimeGraph:
-    """Coprime graph of a group from its full subgroup inventory.
+    """Coprime graph of a group from its lattice's subgroup counts by order:
+    one vertex per subgroup H with 1 < |H| < |G|, sorted by order.
 
     Rejects the trivial group and groups of prime order, whose graphs have no
     vertex set.
     """
-    _require_defined(group.name, group.order)
-    verts = proper_nontrivial(all_subgroups(group, max_order))
-    return _graph_from_orders(group.name, group.order, [s.order for s in verts])
+    n = group.order
+    _require_defined(group.name, n)
+    counts = all_subgroups(group, max_order).counts_by_order
+    orders = [order for order, count in counts.items() if 1 < order < n for _ in range(count)]
+    return _graph_from_orders(group.name, n, orders)
 
 
 def build_cyclic(n: int, exact_cap: int | None = None) -> CoprimeGraph:

@@ -23,14 +23,13 @@ MAX_PRODUCT_DEPTH = 100
 class FiniteGroup:
     """A finite group on ids 0..order-1 with a full multiplication table.
 
-    ``table[a][b]`` is the product a*b.  Instances are immutable and safe to
-    share across workers.
+    ``table[a][b]`` is the product a*b, and id 0 is the identity.  Instances
+    are immutable and safe to share across workers.
     """
 
     name: str
     order: int
     table: tuple[tuple[int, ...], ...]
-    identity: int = 0
 
 
 def make_cyclic(n: int) -> FiniteGroup:
@@ -238,7 +237,7 @@ def _parse_int(text: str, what: str) -> int:
 
 
 def _parse_perm_cycles(text: str, degree: int) -> list[list[int]]:
-    """One generator's cycles, each point checked against the declared degree."""
+    """One generator's disjoint cycles, each point checked against the declared degree."""
     body = text.strip()
     if not body:
         raise SpecParseError("empty permutation generator")
@@ -255,6 +254,8 @@ def _parse_perm_cycles(text: str, degree: int) -> list[list[int]]:
         if len(set(pts)) != len(pts):
             raise SpecParseError(f"repeated point in cycle {clip(cyc)!r}")
         cycles.append(pts)
+    if sum(map(len, cycles)) != len(set().union(*cycles)):
+        raise SpecParseError(f"cycles share a point in generator {clip(body)!r}")
     return cycles
 
 
@@ -374,7 +375,10 @@ def _parse(text: str) -> _Spec:
         perms = [_perm_from_cycles(cycles, points) for cycles in gens]
 
         def make(cap: int) -> FiniteGroup:
-            group = make_permutation_group(points, perms, max_order=cap)
+            try:
+                group = make_permutation_group(points, perms, max_order=cap)
+            except OrderCapExceeded as exc:
+                raise OrderCapExceeded(f"{clip(s)}: {exc}") from None
             return replace(group, name=f"Perm{degree}<{group.order}>")
 
         return _Spec(s, None, make)
@@ -388,6 +392,7 @@ def parse_group_spec(text: str, max_order: int = DEFAULT_MAX_ORDER) -> FiniteGro
         spec  := NAME | "Z:" n | "D:" n | "SD:" m "," k "," i
                | "X(" spec "," spec ")" | "PERM:" degree ":" gen ("," gen)*
         gen   := cycle ("x" cycle)*     e.g.  [0 1 2]  or  [0 1]x[2 3]
+    The cycles of one generator are disjoint; a shared point raises SpecParseError.
     NAME is a key of NAMED_GROUPS (A4, Q8, S3xS3, ...), which gives its spec.
     Integers are ASCII digits with an optional sign.  "D:n" builds the
     dihedral group of order 2n.  Products nest at most
@@ -395,7 +400,7 @@ def parse_group_spec(text: str, max_order: int = DEFAULT_MAX_ORDER) -> FiniteGro
 
     A group above ``max_order`` raises OrderCapExceeded before its table is
     built whenever the text fixes the order (see ``spec_order``); a PERM
-    closure stops as soon as it passes the cap.
+    closure stops as soon as it passes the cap, and the refusal names the spec.
     """
     spec = _parse_spec(text)
     try:

@@ -116,30 +116,26 @@ class Subgroup:
 
     elements: tuple[int, ...]
     order: int
-    parent_order: int
-
-    def is_proper_nontrivial(self) -> bool:
-        return 1 < self.order < self.parent_order
 
 
 @dataclass
 class SubgroupList:
-    """All subgroups of a group, sorted by (order, elements)."""
+    """All subgroups of a group, sorted by (order, elements), and how many
+    there are of each order, sorted by order."""
 
-    parent_name: str
-    parent_order: int
     all: list[Subgroup]
     counts_by_order: dict[int, int]
 
 
-def _generate(table, identity: int, gens, order: int) -> frozenset[int] | None:
-    """Right-multiplication closure of the identity; None means the whole group.
+def _generate(table, gens, order: int) -> frozenset[int] | None:
+    """Right-multiplication closure of the identity, id 0; None means the
+    whole group.
 
     Bails out early once the closure passes order/2: by Lagrange the only
     larger subgroup is the group itself.
     """
-    elems = {identity}
-    frontier = [identity]
+    elems = {0}
+    frontier = [0]
     while frontier:
         new = []
         for x in frontier:
@@ -168,10 +164,12 @@ def all_subgroups(group: FiniteGroup, max_order: int = DEFAULT_MAX_ORDER) -> Sub
     any x in H outside K'.  If K' = g^-1 K g for the representative K, then
     gHg^-1 extends K the same way.  So each representative K is extended by
     every x in N_G(K) whose least power in K is a prime p; no closure is
-    needed.  This reaches every solvable subgroup's class, and so G itself
-    exactly when G is solvable.  Otherwise the join loop completes the
-    lattice: each representative is joined with each cyclic subgroup until
-    nothing new appears.  That adds the non-solvable classes, since any
+    needed.  That least exponent divides every d with x^d in K, so it is a
+    prime p exactly when x^p is in K for a prime p dividing ord(x).  This
+    reaches every solvable subgroup's class, and so G itself exactly when G
+    is solvable.  Otherwise the join loop completes the lattice: each
+    representative is joined with each cyclic subgroup until nothing new
+    appears.  That adds the non-solvable classes, since any
     H = <M, a> for a maximal subgroup M of H, so a conjugate of H is
     <rep(M), a conjugate of a>.  Each representative carries the generators
     that built it.
@@ -179,19 +177,18 @@ def all_subgroups(group: FiniteGroup, max_order: int = DEFAULT_MAX_ORDER) -> Sub
     n = group.order
     _check_order(n, group.name, max_order)
     table = group.table
-    identity = group.identity
     whole = frozenset(range(n))
 
     # powers[x] = [1, x, x^2, ..., x^(ord x - 1)]; the last one is x^-1
     powers = []
     for x in range(n):
-        x_pows = [identity]
+        x_pows = [0]
         y = x
-        while y != identity:
+        while y != 0:
             x_pows.append(y)
             y = table[y][x]
         powers.append(x_pows)
-    exponents = {o: [d for d in divisors(o) if d > 1] for o in {len(p) for p in powers}}
+    order_primes = {o: [p for p, _ in factorize(o)] for o in {len(p) for p in powers}}
 
     seen: set[frozenset[int]] = set()
     # (K, generators of K, one x per coset xK in N_G(K)) per class
@@ -226,17 +223,18 @@ def all_subgroups(group: FiniteGroup, max_order: int = DEFAULT_MAX_ORDER) -> Sub
             seen.add(frozenset(table[y][inv_g] for y in map(row_g.__getitem__, rep)))
             done.update(map(row_g.__getitem__, normaliser))
 
-    add_class(frozenset([identity]), ())
+    add_class(frozenset([0]), ())
     for current, gens, normal in reps:
         done = set(current)
         for x in normal:
             if x in done:
                 continue
             x_pows = powers[x]
-            # the least j with x^j in K divides the order of x
-            j = next(d for d in exponents[len(x_pows)] if x_pows[d % len(x_pows)] in current)
-            if is_prime(j):
-                bigger = frozenset(table[x_pows[i]][k] for i in range(j) for k in current)
+            # as x is not in K, at most one prime p of ord(x) has x^p in K
+            o = len(x_pows)
+            p = next((p for p in order_primes[o] if x_pows[p % o] in current), 0)
+            if p:
+                bigger = frozenset(table[x_pows[i]][k] for i in range(p) for k in current)
                 done |= bigger
                 if bigger not in seen:
                     add_class(bigger, gens + (x,))
@@ -254,25 +252,12 @@ def all_subgroups(group: FiniteGroup, max_order: int = DEFAULT_MAX_ORDER) -> Sub
             for atom_gen in atoms.values():
                 if atom_gen in current:
                     continue
-                joined = _generate(table, identity, gens + (atom_gen,), n)
+                joined = _generate(table, gens + (atom_gen,), n)
                 fs = whole if joined is None else joined
                 if fs not in seen:
                     add_class(fs, gens + (atom_gen,))
 
-    subs = [
-        Subgroup(elements=tuple(sorted(fs)), order=len(fs), parent_order=n)
-        for fs in seen
-    ]
+    subs = [Subgroup(tuple(sorted(fs)), len(fs)) for fs in seen]
     subs.sort(key=lambda s: (s.order, s.elements))
     counts = Counter(s.order for s in subs)
-    return SubgroupList(
-        parent_name=group.name,
-        parent_order=n,
-        all=subs,
-        counts_by_order=dict(sorted(counts.items())),
-    )
-
-
-def proper_nontrivial(subgroups: SubgroupList) -> list[Subgroup]:
-    """Subgroups H with 1 < |H| < |G|, in the list's deterministic order."""
-    return [s for s in subgroups.all if s.is_proper_nontrivial()]
+    return SubgroupList(subs, dict(sorted(counts.items())))

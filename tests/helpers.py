@@ -18,7 +18,14 @@ from operator import or_
 
 from coprimegraph import groups
 from coprimegraph.analysis import _Adjacency, _adjacency, vertex_report
-from coprimegraph.coprime import CoprimeGraph, GraphVertex, build, build_cyclic
+from coprimegraph.coprime import (
+    CoprimeGraph,
+    GraphVertex,
+    _graph_from_orders,
+    _require_defined,
+    build,
+    build_cyclic,
+)
 from coprimegraph.embedding import EmbeddingCertificate, SimpleGraph, embed, verify_embedding
 from coprimegraph.errors import (
     CertificateError,
@@ -39,6 +46,7 @@ from coprimegraph.groups import (
 from coprimegraph.lattice import (
     Subgroup,
     SubgroupList,
+    all_subgroups,
     divisors,
     factorize,
     is_prime,
@@ -114,7 +122,7 @@ def brute_force_subgroups(group) -> set[frozenset[int]]:
         return found
     if n > 24:
         raise ValueError("brute-force subgroup oracle is limited to order <= 24")
-    found = {frozenset([group.identity])}
+    found = {frozenset([0])}
 
     def extend(closure, start, depth):
         for x in range(start, n):
@@ -125,7 +133,7 @@ def brute_force_subgroups(group) -> set[frozenset[int]]:
             if depth < 4:
                 extend(bigger, x + 1, depth + 1)
 
-    extend(frozenset([group.identity]), 0, 1)
+    extend(frozenset([0]), 0, 1)
     return found
 
 
@@ -258,6 +266,26 @@ def gcd_graph_from_orders(source: str, parent_order: int, orders: list[int]) -> 
     return CoprimeGraph(source, parent_order, vertices, adjacency)
 
 
+# The build the coprime module used before it read the lattice's counts by
+# order: the orders of the proper nontrivial subgroups of the full list.
+# Kept as the oracle for coprime.build.
+
+
+def proper_nontrivial(subgroups: SubgroupList) -> list[Subgroup]:
+    """Subgroups H with 1 < |H| < |G|, in the list's deterministic order;
+    the list ends with G itself."""
+    parent_order = subgroups.all[-1].order
+    return [s for s in subgroups.all if 1 < s.order < parent_order]
+
+
+def build_from_subgroup_list(
+    group: FiniteGroup, max_order: int = DEFAULT_MAX_ORDER
+) -> CoprimeGraph:
+    _require_defined(group.name, group.order)
+    verts = proper_nontrivial(all_subgroups(group, max_order))
+    return _graph_from_orders(group.name, group.order, [s.order for s in verts])
+
+
 # The class finder analysis used before a graph built from its orders carried
 # its supports: it derives them over the parent's primes and compares every
 # row with support disjointness.  Kept verbatim as the oracle for
@@ -302,7 +330,7 @@ def element_order_census(group) -> dict[int, int]:
     for a in range(group.order):
         x = a
         k = 1
-        while x != group.identity:
+        while x != 0:
             x = group.table[x][a]
             k += 1
         census[k] = census.get(k, 0) + 1
@@ -425,13 +453,13 @@ def kuratowski_witness_oracle(
 
 
 def is_closed_subgroup(group, elements: frozenset[int]) -> bool:
-    """Predicate: contains the identity, closed under product and inverse."""
-    if group.identity not in elements:
+    """Predicate: contains the identity (id 0), closed under product and inverse."""
+    if 0 not in elements:
         return False
     table = group.table
     for a in elements:
         row = table[a]
-        if row.index(group.identity) not in elements:
+        if row.index(0) not in elements:
             return False
         for b in elements:
             if row[b] not in elements:
@@ -480,7 +508,7 @@ def all_subgroups_oracle(group, max_order: int = DEFAULT_MAX_ORDER) -> SubgroupL
     if n > max_order:
         raise OrderCapExceeded(f"group order {n} exceeds the bound {max_order}")
     table = group.table
-    identity = group.identity
+    identity = 0
     whole = frozenset(range(n))
 
     # cyclic subgroups, deduplicated, keyed by a generating element
@@ -519,18 +547,10 @@ def all_subgroups_oracle(group, max_order: int = DEFAULT_MAX_ORDER) -> SubgroupL
     if whole not in found:
         found[whole] = tuple(range(n))
 
-    subs = [
-        Subgroup(elements=tuple(sorted(fs)), order=len(fs), parent_order=n)
-        for fs in found
-    ]
+    subs = [Subgroup(elements=tuple(sorted(fs)), order=len(fs)) for fs in found]
     subs.sort(key=lambda s: (s.order, s.elements))
     counts = Counter(s.order for s in subs)
-    return SubgroupList(
-        parent_name=group.name,
-        parent_order=n,
-        all=subs,
-        counts_by_order=dict(sorted(counts.items())),
-    )
+    return SubgroupList(all=subs, counts_by_order=dict(sorted(counts.items())))
 
 
 # The enumerator the lattice module used before it searched one subgroup per
@@ -556,7 +576,7 @@ def all_subgroups_by_extension(
     if n > max_order:
         raise OrderCapExceeded(f"group order {n} exceeds the bound {max_order}")
     table = group.table
-    identity = group.identity
+    identity = 0
     whole = frozenset(range(n))
 
     # powers[x] = [1, x, x^2, ..., x^(ord x - 1)]; the last one is x^-1
@@ -612,18 +632,10 @@ def all_subgroups_by_extension(
                     found[fs] = gens + (atom_gen,)
                     worklist.append(fs)
 
-    subs = [
-        Subgroup(elements=tuple(sorted(fs)), order=len(fs), parent_order=n)
-        for fs in found
-    ]
+    subs = [Subgroup(elements=tuple(sorted(fs)), order=len(fs)) for fs in found]
     subs.sort(key=lambda s: (s.order, s.elements))
     counts = Counter(s.order for s in subs)
-    return SubgroupList(
-        parent_name=group.name,
-        parent_order=n,
-        all=subs,
-        counts_by_order=dict(sorted(counts.items())),
-    )
+    return SubgroupList(all=subs, counts_by_order=dict(sorted(counts.items())))
 
 
 def brute_force_maximal_independent_sets(g: SimpleGraph) -> list[tuple[int, ...]]:
@@ -917,7 +929,7 @@ def check_group_axioms(group: FiniteGroup, assoc_limit: int = 256) -> None:
             raise GroupConstructionError(f"{group.name}: row {a} is not a permutation")
         if sorted(row[a] for row in t) != ident:
             raise GroupConstructionError(f"{group.name}: column {a} is not a permutation")
-    e = group.identity
+    e = 0  # every group is built with id 0 as its identity
     if list(t[e]) != ident or [row[e] for row in t] != ident:
         raise GroupConstructionError(f"{group.name}: element {e} is not an identity")
     for a in range(n):

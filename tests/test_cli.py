@@ -464,6 +464,11 @@ EXIT_CASES = {
     "mis-cap-underscore-digits": (["embed", "{input}", "--mis-cap", "2_0"], b"0 1\n", None, SystemExit),
     "env-max-order-arabic-indic-digits": (["analyze", "A4"], None, _arabic_indic_max_order, 0),
     "named-group-over-cap": (["analyze", "A4", "--max-order", "10"], None, None, 4),
+    # the cycles of one generator must be disjoint, so no order of
+    # composition is silently assumed
+    "perm-cycles-share-a-point": (
+        ["analyze", "PERM:4:[0 1 2]x[0 2 1],[0 1]x[2 3]"], None, None, 2,
+    ),
     "malformed-10000-generator-product": (["analyze", MALFORMED_PRODUCT], None, None, 2),
     "edge-line-long": (["embed", "{input}"], b"0 1" + b" 2" * 10_000 + b"\n", None, 2),
     "embed-missing-file": (["embed", "{missing}"], None, None, 2),
@@ -553,6 +558,15 @@ def test_a_named_group_over_the_cap_is_named_in_the_refusal(capsys, spec):
     code, _, err = run(capsys, "analyze", spec, "--max-order", "10")
     assert code == 4
     assert err == f"error: {spec}: group order 12 exceeds the bound 10\n"
+
+
+@pytest.mark.parametrize(
+    "spec", ["PERM:4:[0 1 2],[0 1]x[2 3]", "X(PERM:4:[0 1 2],[0 1]x[2 3],Z:2)"]
+)
+def test_a_permutation_closure_over_the_cap_is_named_in_the_refusal(capsys, spec):
+    code, _, err = run(capsys, "analyze", spec, "--max-order", "10")
+    assert code == 4
+    assert err == "error: PERM:4:[0 1 2],[0 1]x[2 3]: permutation closure exceeded 10 elements\n"
 
 
 @pytest.mark.parametrize(

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coprimegraph import cli, coprime
+from coprimegraph.analysis import analyze
 from coprimegraph.coprime import (
     UndefinedCoprimeGraphError,
     _graph_from_orders,
@@ -22,10 +23,13 @@ from coprimegraph.groups import (
     make_dihedral,
     parse_group_spec,
 )
-from coprimegraph.lattice import divisors, is_prime, prime_supports
+from coprimegraph.lattice import all_subgroups, divisors, is_prime, prime_supports
 from coprimegraph.theorems import load_catalog
+import helpers
 from helpers import (
     CYCLIC_EXACT_MODULI,
+    LATTICE_EXPORT_SPECS,
+    build_from_subgroup_list,
     counted_degrees,
     degree_formula,
     gcd_graph_from_orders,
@@ -255,3 +259,30 @@ def test_support_build_matches_the_gcd_build_on_divisor_lists(case):
     n, orders = case
     g = _graph_from_orders("orders", n, orders)
     assert cli._json_text(graph_json(g)) == gcd_build_json(g)
+
+
+# the catalog, the benchmark's lattice-export groups, D_256, S6, and the
+# non-solvable PSL(2,7) and A5 x Z2
+SUBGROUP_LIST_SPECS = sorted(
+    {e.spec for e in load_catalog()}
+    | set(LATTICE_EXPORT_SPECS)
+    | {
+        "D:256",
+        "PERM:6:[0 1 2 3 4 5],[0 1]",
+        "PERM:7:[0 1 2 3 4 5 6],[2 4]x[5 6]",
+        "X(PERM:5:[0 1 2],[2 3 4],Z:2)",
+    }
+)
+
+
+@pytest.mark.parametrize("spec", SUBGROUP_LIST_SPECS)
+def test_counts_build_matches_the_subgroup_list_build(monkeypatch, spec):
+    group = parse_group_spec(spec, 4096)
+    # both builds read one enumeration of the lattice
+    lattice = all_subgroups(group, 4096)
+    for module in (coprime, helpers):
+        monkeypatch.setattr(module, "all_subgroups", lambda *_: lattice)
+    got, want = build(group, 4096), build_from_subgroup_list(group, 4096)
+    assert graph_json(got) == graph_json(want)
+    cap = got.n_vertices
+    assert analyze(got, cap).to_json_dict() == analyze(want, cap).to_json_dict()

@@ -139,7 +139,9 @@ def test_direct_product_s3_s3_center_trivial():
         for a in range(g.order)
         if all(g.table[a][b] == g.table[b][a] for b in range(g.order))
     ]
-    assert center == [g.identity]
+    # the center is the identity alone, and id 0 is the identity
+    assert center == [0]
+    assert list(g.table[0]) == [row[0] for row in g.table] == list(range(g.order))
 
 
 def test_permutation_single_cycle_is_cyclic():
@@ -160,8 +162,8 @@ def test_permutation_s4_closure():
 
 def test_permutation_identity_is_element_zero():
     g = make_permutation_group(4, [(1, 2, 3, 0)])
-    assert g.identity == 0
     assert all(g.table[0][a] == a for a in range(g.order))
+    assert all(row[0] == a for a, row in enumerate(g.table))
 
 
 def test_permutation_rejects_non_permutation():
@@ -298,6 +300,8 @@ def test_ascii_int_reads_exactly_the_signed_ascii_integers(token):
         ("PERM:0:[0 1]", "degree must be positive"),
         ("PERM:3:[0 1],", "empty permutation generator"),
         ("PERM:3:[0 1], ,[1 2]", "empty permutation generator"),
+        ("PERM:4:[0 1 2]x[0 2 1],[0 1]x[2 3]", "cycles share a point in generator '[0 1 2]x[0 2 1]'"),
+        ("PERM:4:[0 1 2 3]x[0 1]", "cycles share a point in generator '[0 1 2 3]x[0 1]'"),
     ],
 )
 def test_parse_group_spec_names_what_is_wrong(text, message):
@@ -310,8 +314,9 @@ LONG_PRODUCT = "X(PERM:3:" + ",".join(["[0 1]"] * 10_000) + ",)"
 
 @pytest.mark.parametrize(
     "text",
-    [LONG_PRODUCT, "Y:" + "3" * 200, "PERM:3:[0 1" + " 2" * 200, "Z:" + "١" * 200, "SD:" + "7," * 200],
-    ids=["product", "unrecognized", "cycle", "integer", "semidirect"],
+    [LONG_PRODUCT, "Y:" + "3" * 200, "PERM:3:[0 1" + " 2" * 200, "Z:" + "١" * 200, "SD:" + "7," * 200,
+     "PERM:3:" + "x".join(["[0 1]"] * 100)],
+    ids=["product", "unrecognized", "cycle", "integer", "semidirect", "shared-point"],
 )
 def test_a_spec_error_quotes_at_most_the_clip_limit(text):
     with pytest.raises(SpecParseError) as info:
@@ -326,6 +331,13 @@ def test_an_order_cap_names_a_long_spec_clipped():
     with pytest.raises(OrderCapExceeded) as info:
         parse_group_spec(text)
     assert str(info.value) == f"{clip(text)}: group order {2 ** 101} exceeds the bound 2048"
+
+
+def test_a_permutation_closure_cap_names_its_spec_clipped():
+    text = "PERM:6:" + ",".join(["[0 1 2 3 4 5]", "[0 1]"] * 20)
+    with pytest.raises(OrderCapExceeded) as info:
+        parse_group_spec(text, max_order=100)
+    assert str(info.value) == f"{clip(text)}: permutation closure exceeded 100 elements"
 
 
 @pytest.mark.parametrize("text,order", [("Z: 30", 30), ("D:+5", 10), ("SD: 7, 3, +2", 21)])

@@ -23,7 +23,6 @@ from coprimegraph.lattice import (
     divisors,
     factorize,
     pi,
-    proper_nontrivial,
 )
 from coprimegraph.theorems import load_catalog
 from helpers import (
@@ -34,6 +33,7 @@ from helpers import (
     counts_json,
     factorize_oracle,
     is_closed_subgroup,
+    proper_nontrivial,
 )
 
 
@@ -238,7 +238,7 @@ def closures(monkeypatch):
     real = lattice._generate
 
     def counting(*args):
-        calls.append(args[2])
+        calls.append(args[1])
         return real(*args)
 
     monkeypatch.setattr(lattice, "_generate", counting)

@@ -7,14 +7,15 @@ from math import gcd, prod
 
 import networkx as nx
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
 
 from coprimegraph import coprime, groups, theorems
-from coprimegraph.analysis import FORBIDDEN_PATTERNS, analyze
+from coprimegraph.analysis import FORBIDDEN_PATTERNS, analyze, vertex_report
 from coprimegraph.coprime import CoprimeGraph, GraphVertex, build, build_cyclic, graph_for_spec
 from coprimegraph.groups import DEFAULT_MAX_ORDER, make_cyclic, parse_group_spec
-from coprimegraph.lattice import pi
+from coprimegraph.errors import OrderCapExceeded
+from coprimegraph.lattice import is_prime, pi
 from coprimegraph.theorems import (
     AUTO_CHECKS,
     MAX_ALPHA_SUPPORTS,
@@ -414,3 +415,70 @@ def test_prime_coloring_check_refuses_a_colour_outside_the_group_primes():
     # a vertex of order 5 inside a group of order 6 takes colour 5
     graph = CoprimeGraph("fake", 6, [GraphVertex(0, 5), GraphVertex(1, 2)], [frozenset()] * 2)
     assert AUTO_CHECKS["smallest-prime-coloring-proper"](graph, None) is False
+
+
+# Generated valid specs of composite order at most GENERATED_MAX_ORDER: the
+# theorems must hold on groups no catalog entry names.
+GENERATED_MAX_ORDER = 240
+# (spec, order) of the small groups X(a,b) takes its factors from
+PRODUCT_FACTORS = (
+    [(f"Z:{n}", n) for n in range(2, 13)]
+    + [(f"D:{n}", 2 * n) for n in range(2, 9)]
+    + [("A4", 12), ("S4", 24), ("Q8", 8), ("S3", 6), ("D12", 12)]
+)
+
+
+@st.composite
+def semidirect_specs(draw):
+    m = draw(st.integers(2, GENERATED_MAX_ORDER // 4))
+    k = draw(st.integers(2, GENERATED_MAX_ORDER // m))
+    i = draw(st.sampled_from([i for i in range(1, m) if gcd(i, m) == 1 and pow(i, k, m) == 1]))
+    return f"SD:{m},{k},{i}"
+
+
+@st.composite
+def product_specs(draw):
+    (a, _), (b, _) = draw(
+        st.tuples(st.sampled_from(PRODUCT_FACTORS), st.sampled_from(PRODUCT_FACTORS)).filter(
+            lambda pair: pair[0][1] * pair[1][1] <= GENERATED_MAX_ORDER
+        )
+    )
+    return f"X({a},{b})"
+
+
+def disjoint_cycles(perm) -> str:
+    """A permutation of 0..d-1 as the spec grammar's disjoint cycles, "" for the identity."""
+    seen, cycles = set(), []
+    for start in range(len(perm)):
+        cycle = [start]
+        while perm[cycle[-1]] != start:
+            cycle.append(perm[cycle[-1]])
+        if start not in seen and len(cycle) > 1:
+            cycles.append("[" + " ".join(map(str, cycle)) + "]")
+        seen.update(cycle)
+    return "x".join(cycles)
+
+
+@st.composite
+def permutation_specs(draw):
+    degree = draw(st.integers(2, 6))
+    perms = draw(st.lists(st.permutations(range(degree)), min_size=1, max_size=3))
+    gens = [text for text in map(disjoint_cycles, perms) if text]
+    assume(gens)
+    return f"PERM:{degree}:" + ",".join(gens)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.one_of(semidirect_specs(), product_specs(), permutation_specs()))
+def test_the_theorems_hold_on_generated_specs(spec):
+    try:
+        order = parse_group_spec(spec, GENERATED_MAX_ORDER).order
+    except OrderCapExceeded:
+        reject()
+    assume(order > 1 and not is_prime(order))
+    graph = graph_for_spec(spec, GENERATED_MAX_ORDER)
+    cap = graph.n_vertices
+    rows = evaluate_entry(CatalogEntry(spec), GENERATED_MAX_ORDER, cap)
+    assert [row.check_id for row in rows] == list(AUTO_CHECKS)
+    assert [row.check_id for row in rows if not row.passed] == []
+    assert analyze(graph, cap).to_json_dict() == vertex_report(graph, cap).to_json_dict()
