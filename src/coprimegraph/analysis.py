@@ -4,10 +4,12 @@ Everything here is exact: clique, independence and chromatic numbers come from
 branch-and-bound searches, planarity verdicts carry either a rotation system
 that passes an Euler face count or a Kuratowski subdivision witness on host
 vertices whose contracted chains equal K5 or K33, checked before it is
-returned.  One ``_Adjacency`` per graph holds the graph's own neighbour sets
-and computes its sweep and maximum clique once each.  A coprime graph built
-from its orders carries each vertex's prime support, and the adjacency groups
-the vertices by them once.  Its independence number is searched over those
+returned.  Both come from a literal K33 or from the left-right test in
+``planarity``, so nothing here needs more than the standard library.  One
+``_Adjacency`` per graph holds the graph's own neighbour sets and computes its
+sweep and maximum clique once each.  A coprime graph built from its orders
+carries each vertex's prime support, and the adjacency groups the vertices by
+them once.  Its independence number is searched over those
 supports, at most 2^k - 1 for k primes, however many vertices share them.
 ``analyze`` reads every other invariant of P(G) but planarity off the support
 weights too, with the paper's theorems as closed forms; ``vertex_report`` runs
@@ -25,8 +27,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 
-import networkx as nx
-
+from . import planarity
 from .errors import CertificateError, EdgeListError, check_exact_cap, clip
 from .lattice import subset_sums
 # re-exported: callers have always caught the exact cap's error from here
@@ -189,10 +190,6 @@ def _members(mask: int) -> list[int]:
         out.append(low.bit_length() - 1)
         mask ^= low
     return out
-
-
-def edge_list(adj: list[set[int]]) -> list[tuple[int, int]]:
-    return [(u, v) for u in range(len(adj)) for v in sorted(adj[u]) if u < v]
 
 
 def connected_components(g) -> list[list[int]]:
@@ -535,30 +532,22 @@ def is_planar(g) -> PlanarityCertificate:
 
     The first triple u < v < w with at least three common neighbours, joined
     to the lowest three of them, is a literal K33: it settles nonplanarity
-    and is the witness.  Only a graph without such a triple goes to
-    networkx's planarity test and, if nonplanar, to its counterexample
+    and is the witness.  Only a graph without such a triple goes to the
+    left-right planarity test of ``planarity``, which sees each vertex's
+    neighbours in ascending order, and, if nonplanar, to its Kuratowski
     search, which deletes edges one at a time and re-tests planarity after
     each.
     """
     adj = _adjacency(g)
-    n = len(adj.sets)
     found = _k3b_triple(adj.masks, 3)
     if found is None:
-        graph = nx.Graph()
-        graph.add_nodes_from(range(n))
-        graph.add_edges_from(edge_list(adj.sets))
-        ok, embedding = nx.check_planarity(graph, counterexample=False)
-        if ok:
-            data = embedding.get_data()
-            rotation = {v: list(data.get(v, [])) for v in range(n)}
-            if not verify_rotation_system(adj, rotation):
+        lists = [sorted(s) for s in adj.sets]
+        rotation = planarity.rotation_system(lists)
+        if rotation is not None:
+            if not verify_rotation_system(adj, dict(enumerate(rotation))):
                 raise CertificateError("planar embedding failed the Euler face check")
-            return PlanarityCertificate(
-                planar=True,
-                rotation=tuple(tuple(rotation[v]) for v in range(n)),
-            )
-        counter = nx.algorithms.planarity.get_counterexample(graph)
-        witness = sorted((min(u, v), max(u, v)) for u, v in counter.edges())
+            return PlanarityCertificate(planar=True, rotation=tuple(map(tuple, rotation)))
+        witness = planarity.kuratowski_edges(lists)
     else:
         *left, common = found
         right = _members(common)[:3]

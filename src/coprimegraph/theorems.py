@@ -17,11 +17,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import reduce
 from importlib import resources
-from itertools import combinations
 from operator import getitem
 from pathlib import Path
-
-import networkx as nx
 
 from .analysis import FORBIDDEN_PATTERNS, INFINITE, AnalysisReport, vertex_report
 from .coprime import CoprimeGraph, graph_for_spec
@@ -188,14 +185,56 @@ def _max_intersecting_support_weight(orders: list[int]) -> int:
     family is a maximum-weight clique of the graph on supports, two supports
     adjacent when they meet.  ``evaluate_entry`` refuses a graph with more
     than MAX_ALPHA_SUPPORTS supports before this search, which takes about
-    0.35 s at that bound (the 126 supports of Z_510510, 7 primes, on a
-    2-vCPU VM) and ten times as long for each further prime.
+    0.06 s at that bound (the 126 supports of Z_510510, 7 primes, on a 2-vCPU
+    VM) and about eight times as long for each further prime.
     """
-    weight = Counter(pi(order) for order in orders)
-    meets = nx.Graph()
-    meets.add_nodes_from((s, {"weight": w}) for s, w in weight.items())
-    meets.add_edges_from((s, t) for s, t in combinations(weight, 2) if s & t)
-    return nx.max_weight_clique(meets)[1]
+    return _max_weight_clique(Counter(pi(order) for order in orders), lambda s, t: bool(s & t))
+
+
+def _max_weight_clique(weight: dict, adjacent) -> int:
+    """The largest total weight of a clique, for positive node weights and
+    ``adjacent(s, t)`` telling whether two distinct nodes are joined.
+
+    This is NetworkX's ``max_weight_clique`` (after Tavares et al. 2015 and
+    Warren and Hicks 2006) on bitmasks, with the nodes numbered by falling
+    degree.  At each search node it covers the candidates by greedy
+    independent sets, lowest number first, each charged its least residual
+    weight, and branches, highest number first, only on the candidates still
+    uncovered once the charges pass what the best clique still needs.
+    """
+    nodes = sorted(weight, key=lambda s: -sum(adjacent(s, t) for t in weight if t != s))
+    weights = [weight[s] for s in nodes]
+    # rows[v]: the nodes joined to v, as a bitmask
+    rows = [sum(1 << j for j, t in enumerate(nodes) if t != s and adjacent(s, t)) for s in nodes]
+    best = 0
+
+    def expand(c_weight: int, candidates: int) -> None:
+        nonlocal best
+        best = max(best, c_weight)
+        residual = weights.copy()
+        branching, charged = candidates, 0
+        while branching:
+            independent, free = [], branching
+            while free:
+                v = (free & -free).bit_length() - 1
+                independent.append(v)
+                free &= ~rows[v] & ~(1 << v)
+            least = min(residual[v] for v in independent)
+            charged += least
+            if charged > best - c_weight:
+                break
+            for v in independent:
+                residual[v] -= least
+                if not residual[v]:
+                    branching &= ~(1 << v)
+        while branching:
+            v = branching.bit_length() - 1
+            branching &= ~(1 << v)
+            candidates &= ~(1 << v)
+            expand(c_weight + weights[v], candidates & rows[v])
+
+    expand(0, (1 << len(nodes)) - 1)
+    return best
 
 
 def _check_alpha_supports(graph: CoprimeGraph, rep: AnalysisReport) -> bool:

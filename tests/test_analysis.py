@@ -12,7 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from coprimegraph import analysis
+from coprimegraph import analysis, planarity
 from coprimegraph.analysis import (
     INFINITE,
     ExactCapExceeded,
@@ -864,15 +864,15 @@ def first_k33_subgraph(adj):
 
 @pytest.fixture
 def counterexample_calls(monkeypatch):
-    """Graphs that is_planar hands to networkx's counterexample search."""
+    """Graphs that is_planar hands to the Kuratowski search."""
     calls = []
-    search = nx.algorithms.planarity.get_counterexample
+    search = planarity.kuratowski_edges
 
-    def counting(graph):
-        calls.append(graph)
-        return search(graph)
+    def counting(adjs):
+        calls.append(adjs)
+        return search(adjs)
 
-    monkeypatch.setattr(nx.algorithms.planarity, "get_counterexample", counting)
+    monkeypatch.setattr(planarity, "kuratowski_edges", counting)
     return calls
 
 
@@ -937,15 +937,15 @@ def test_petersen_witness_is_a_proper_k33_subdivision(counterexample_calls):
 
 @pytest.fixture
 def planarity_tests(monkeypatch):
-    """Graphs that is_planar hands to networkx's planarity test."""
+    """Graphs that is_planar hands to the left-right planarity test."""
     calls = []
-    test = nx.check_planarity
+    test = planarity.rotation_system
 
-    def counting(graph, counterexample=False):
-        calls.append(graph)
-        return test(graph, counterexample)
+    def counting(adjs):
+        calls.append(adjs)
+        return test(adjs)
 
-    monkeypatch.setattr(nx, "check_planarity", counting)
+    monkeypatch.setattr(planarity, "rotation_system", counting)
     return calls
 
 

@@ -25,6 +25,7 @@ from coprimegraph.theorems import (
     VerificationReport,
     _entry_order,
     _max_intersecting_support_weight,
+    _max_weight_clique,
     default_catalog_path,
     evaluate_entry,
     load_catalog,
@@ -349,6 +350,53 @@ def test_alpha_check_matches_the_enumerator_on_order_lists(orders):
     assert _max_intersecting_support_weight(orders) == enumerated_intersecting_support_weight(
         orders
     )
+
+
+def networkx_support_weight(orders):
+    """The alpha check as it was computed before the in-repo search: NetworkX's
+    ``max_weight_clique`` of the supports, two joined when they meet."""
+    weight = {}
+    for order in orders:
+        weight[pi(order)] = weight.get(pi(order), 0) + 1
+    meets = nx.Graph()
+    meets.add_nodes_from((s, {"weight": w}) for s, w in weight.items())
+    meets.add_edges_from((s, t) for s, t in combinations(weight, 2) if s & t)
+    return nx.max_weight_clique(meets)[1]
+
+
+def test_alpha_check_matches_networkx_on_the_catalog():
+    entries = load_catalog()
+    assert len(entries) == 62
+    for entry in entries:
+        orders = graph_for_spec(entry.spec, 420).orders()
+        assert _max_intersecting_support_weight(orders) == networkx_support_weight(orders)
+
+
+def test_alpha_check_matches_networkx_on_every_support_of_z510510():
+    orders = build_cyclic(510510).orders()
+    assert len({pi(order) for order in orders}) == 126
+    assert _max_intersecting_support_weight(orders) == networkx_support_weight(orders) == 63
+
+
+@st.composite
+def weighted_graphs(draw, max_nodes=14):
+    n = draw(st.integers(min_value=0, max_value=max_nodes))
+    weight = draw(st.lists(st.integers(min_value=1, max_value=9), min_size=n, max_size=n))
+    pairs = list(combinations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return weight, {p for p, k in zip(pairs, keep) if k}
+
+
+@settings(max_examples=300, deadline=None)
+@given(weighted_graphs())
+def test_weighted_clique_matches_networkx(graph):
+    weight, edges = graph
+    nodes = dict(enumerate(weight))
+    got = _max_weight_clique(nodes, lambda s, t: (min(s, t), max(s, t)) in edges)
+    oracle = nx.Graph()
+    oracle.add_nodes_from((v, {"weight": w}) for v, w in nodes.items())
+    oracle.add_edges_from(edges)
+    assert got == nx.max_weight_clique(oracle)[1]
 
 
 @pytest.mark.parametrize("k", range(2, 8))
