@@ -164,14 +164,17 @@ def _adjacency(g) -> _Adjacency:
     """The adjacency every public invariant starts from.
 
     Built once through ``adjacency_sets`` from a CoprimeGraph, a SimpleGraph
-    or a list of neighbour sets; an ``_Adjacency`` is returned unchanged, so
-    ``analyze`` pays for it once however many invariants it computes.
+    or a list of neighbour sets, with a SimpleGraph's own ``masks`` as its
+    rows; an ``_Adjacency`` is returned unchanged, so ``analyze`` pays for it
+    once however many invariants it computes.
     """
     if isinstance(g, _Adjacency):
         return g
     sets = adjacency_sets(g)
     supports = getattr(g, "supports", None)
-    if supports is None:
+    if hasattr(g, "masks"):  # a SimpleGraph's own rows
+        masks = g.masks
+    elif supports is None:
         masks = tuple(sum(1 << w for w in s) for s in sets)
     else:  # a vertex of support S is joined to the others inside ~S
         full = len(g.inside) - 1

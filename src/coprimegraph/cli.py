@@ -18,6 +18,7 @@ import argparse
 import functools
 import os
 import sys
+from itertools import chain
 from json import JSONEncoder
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from pathlib import Path
@@ -89,6 +90,21 @@ def _level(depth: int):
     return encoder, "\n" + inner, ",\n" + inner, "\n" + "  " * depth
 
 
+# the exact type of a list's first item -> the types its rows may have, and their brackets
+_ROWS = {list: ({list, tuple}, "[]"), tuple: ({list, tuple}, "[]"), dict: ({dict}, "{}")}
+
+
+def _flat_rows(value) -> str:
+    """The brackets of ``value``'s rows if every item is a non-empty list or
+    tuple of scalars, or every item a non-empty dict of scalars, else "".
+    Each test stops at the first item that fails it."""
+    kinds, brackets = _ROWS.get(type(value[0]), ((), ""))
+    if not (all(map(kinds.__contains__, map(type, value))) and all(value)):
+        return ""
+    items = chain.from_iterable(map(dict.values, value) if brackets == "{}" else value)
+    return brackets if all(map(_is_scalar, map(type, items))) else ""
+
+
 def _encode(value, depth: int) -> str:
     # flatness is tested by exact type, so a dict or list subclass (a Counter,
     # say) takes the recursive path and never reaches the C encoder as a scalar
@@ -110,6 +126,17 @@ def _encode(value, depth: int) -> str:
         encoder, head, sep, tail = _level(depth)
         if type(value) in (list, tuple) and all(map(_is_scalar, map(type, value))):
             body = "".join(encoder(value, 0))[1:-1]
+        elif type(value) in (list, tuple) and (brackets := _flat_rows(value)):
+            # the rows' encoder separates their items by a newline; it escapes
+            # every control character inside a string, so a raw newline after
+            # a closing bracket can only end a row
+            row_encoder, row_head, row_sep, row_tail = _level(depth + 1)
+            opening, closing = brackets
+            rows = "".join(row_encoder(value, 0))[2:-2].replace(
+                closing + row_sep + opening,
+                row_tail + closing + sep + opening + row_head,
+            )
+            body = opening + row_head + rows + row_tail + closing
         else:
             body = sep.join([_encode(v, depth + 1) for v in value])
         return "[" + head + body + tail + "]"
@@ -121,8 +148,9 @@ def _json_text(payload) -> str:
     for payloads whose dict keys are all str.
 
     CPython's C encoder runs only when ``indent`` is None, so this writer
-    recurses over the containers itself and hands each container of scalars
-    to the C encoder of its depth in one call.
+    recurses over the containers itself.  It hands each container of scalars,
+    and each list of such containers (its rows), to the C encoder of its
+    depth in one call, and puts the newlines between rows in with one replace.
     """
     return _encode(payload, 0) + "\n"
 

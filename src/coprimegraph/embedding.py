@@ -5,14 +5,22 @@ vertex with a product of powers of the primes of the sets containing it, and
 takes the modulus to be the lcm of the labels.  Adjacency then matches
 coprimality of labels exactly: two vertices are non-adjacent iff they share a
 maximal independent set iff their labels share a prime.
+
+A ``SimpleGraph`` keeps one adjacency, its bitmask ``masks``, built from its
+edges on first use: the independent-set listing and the certificate check
+read those rows, and so does ``analysis``.  The neighbour sets ``adj`` are
+built only when a caller asks for them.  ``embed`` checks the vertex cap
+before either is built, so a header of 10^9 vertices is refused without
+allocating.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import takewhile
-from math import gcd, lcm
+from itertools import compress, repeat, takewhile
+from math import gcd, lcm, prod
+from operator import eq
 
 from .errors import CertificateError, EdgeListError, MisCapExceeded, clip
 from .groups import ascii_int
@@ -27,20 +35,34 @@ class SimpleGraph:
 
     @staticmethod
     def from_edges(n_vertices: int, edges) -> "SimpleGraph":
-        norm = set()
-        for u, v in edges:
-            if u == v:
-                raise EdgeListError(f"loop at vertex {clip(u)} is not allowed")
-            if not (0 <= u < n_vertices and 0 <= v < n_vertices):
-                raise EdgeListError(
-                    f"edge ({clip(u)},{clip(v)}) out of range 0..{clip(n_vertices - 1)}"
-                )
-            norm.add((min(u, v), max(u, v)))
+        """Each pair as (low, high), checked once over the whole set; the
+        first loop or out-of-range pair in the given order is the one reported."""
+        edges = list(edges)
+        norm = {(u, v) if u < v else (v, u) for u, v in edges}
+        if norm:
+            low, high = zip(*norm)
+            if min(low) < 0 or max(high) >= n_vertices or any(map(eq, low, high)):
+                for u, v in edges:
+                    if u == v:
+                        raise EdgeListError(f"loop at vertex {clip(u)} is not allowed")
+                    if not (0 <= u < n_vertices and 0 <= v < n_vertices):
+                        raise EdgeListError(
+                            f"edge ({clip(u)},{clip(v)}) out of range 0..{clip(n_vertices - 1)}"
+                        )
         return SimpleGraph(n_vertices=n_vertices, edges=frozenset(norm))
 
     @cached_property
+    def masks(self) -> tuple[int, ...]:
+        """Each vertex's neighbours as a bitmask, built once per graph."""
+        rows = [0] * self.n_vertices
+        for a, b in self.edges:
+            rows[a] |= 1 << b
+            rows[b] |= 1 << a
+        return tuple(rows)
+
+    @cached_property
     def adj(self) -> tuple[frozenset[int], ...]:
-        """Each vertex's neighbours, built once per graph."""
+        """Each vertex's neighbours as a set, built on first use."""
         adj: list[set[int]] = [set() for _ in range(self.n_vertices)]
         for a, b in self.edges:
             adj[a].add(b)
@@ -99,10 +121,9 @@ def maximal_independent_sets(g: SimpleGraph, cap: int = DEFAULT_MIS_CAP) -> list
         raise MisCapExceeded(f"{clip(n)} vertices exceed the enumeration cap {cap}")
     if n == 0:
         return []
-    adj = g.adj
     full = (1 << n) - 1
     # non-adjacency masks: cliques there are independent sets here
-    non = [full & ~(1 << v) & ~sum(1 << w for w in adj[v]) for v in range(n)]
+    non = [full ^ row ^ 1 << v for v, row in enumerate(g.masks)]
     out: list[int] = []
     stack = [(0, full, 0)]
     while stack:
@@ -129,8 +150,9 @@ def maximal_independent_sets(g: SimpleGraph, cap: int = DEFAULT_MIS_CAP) -> list
             p &= ~bit
             x |= bit
             cand ^= bit
-    sets = [tuple(v for v in range(n) if m >> v & 1) for m in out]
-    return sorted(sets)
+    # the digits of bin(m), lowest first and "0" made falsy, flag the set's members
+    flags = [bin(m)[:1:-1].encode().replace(b"0", b"\0") for m in out]
+    return sorted(map(tuple, map(compress, repeat(range(n)), flags)))
 
 
 def embed(g: SimpleGraph, cap: int = DEFAULT_MIS_CAP) -> EmbeddingCertificate:
@@ -159,10 +181,7 @@ def embed(g: SimpleGraph, cap: int = DEFAULT_MIS_CAP) -> EmbeddingCertificate:
         support = tuple(sets)
         r = rank.get(support, 0)
         rank[support] = r + 1
-        label = 1
-        for i in support:
-            label *= primes[i] ** (r + 1)
-        labels.append(label)
+        labels.append(prod(map(primes.__getitem__, support)) ** (r + 1))
     modulus = lcm(*labels)
     if max(labels) == modulus:
         modulus *= primes[0]
@@ -192,10 +211,10 @@ def verify_embedding(g: SimpleGraph, cert: EmbeddingCertificate) -> bool:
     for label in labels:
         if not (1 < label < cert.modulus) or cert.modulus % label != 0:
             return False
-    for u, nbrs in enumerate(g.adj):
+    for u, row in enumerate(g.masks):
         label = labels[u]
         for v in range(u + 1, g.n_vertices):
-            if (gcd(label, labels[v]) == 1) != (v in nbrs):
+            if (gcd(label, labels[v]) == 1) != (row >> v & 1):
                 return False
     return True
 
@@ -215,12 +234,10 @@ def parse_edge_list(text: str | bytes) -> SimpleGraph:
             raise EdgeListError(f"not UTF-8 text: {exc}") from None
     edges = []
     declared = None
-    max_id = -1
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        parts = raw.partition("#")[0].split()
+        if not parts:
             continue
-        parts = line.split()
         if parts[0] == "n":
             if len(parts) != 2 or not (parts[1].isascii() and parts[1].isdecimal()):
                 raise EdgeListError(f"line {lineno}: header must be 'n <count>'")
@@ -235,8 +252,7 @@ def parse_edge_list(text: str | bytes) -> SimpleGraph:
         if u < 0 or v < 0:
             raise EdgeListError(f"line {lineno}: vertex ids must be nonnegative")
         edges.append((u, v))
-        max_id = max(max_id, u, v)
-    n = declared if declared is not None else max_id + 1
+    n = declared if declared is not None else max(map(max, edges), default=-1) + 1
     if n < 1:
         raise EdgeListError("edge list defines no vertices")
     return SimpleGraph.from_edges(n, edges)

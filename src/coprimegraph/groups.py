@@ -311,13 +311,14 @@ def _parse_product(s: str) -> _Spec:
     parts = _split_top_level(s[2:-1])
     # commas inside SD and PERM specs also appear at the top level, but their
     # later parts are integers or start with "[", and every spec starts with a
-    # letter: the first later part that does is the only cut that can parse
-    try:
-        cut = next(i for i in range(1, len(parts)) if parts[i].lstrip()[:1].isalpha())
-        left = _parse(",".join(parts[:cut]))
-        right = _parse(",".join(parts[cut:]))
-    except (StopIteration, SpecParseError):
-        raise SpecParseError(f"X needs exactly two factors, got {clip(s)!r}") from None
+    # letter: exactly one later part does, and the product is cut there; a
+    # factor that does not parse then reports its own error
+    cuts = [i for i in range(1, len(parts)) if parts[i].lstrip()[:1].isalpha()]
+    if len(cuts) != 1:
+        raise SpecParseError(f"X needs exactly two factors, got {clip(s)!r}")
+    [cut] = cuts
+    left = _parse(",".join(parts[:cut]))
+    right = _parse(",".join(parts[cut:]))
 
     def make(max_order: int) -> FiniteGroup:
         g, h = left.build(max_order), right.build(max_order)

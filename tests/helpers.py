@@ -29,6 +29,7 @@ from coprimegraph.coprime import (
 from coprimegraph.embedding import EmbeddingCertificate, SimpleGraph, embed, verify_embedding
 from coprimegraph.errors import (
     CertificateError,
+    EdgeListError,
     ExactCapExceeded,
     GroupConstructionError,
     MisCapExceeded,
@@ -41,6 +42,7 @@ from coprimegraph.groups import (
     FiniteGroup,
     _compose,
     _split_top_level,
+    ascii_int,
     make_semidirect_cyclic,
 )
 from coprimegraph.lattice import (
@@ -739,6 +741,66 @@ def embed_oracle(g: SimpleGraph, cap: int = 20) -> EmbeddingCertificate:
         labels=tuple(labels),
         modulus=modulus,
     )
+
+
+# The edge-list parser and edge normalisation the embedding module used
+# before it split each line once and normalised the pairs in one pass, kept
+# verbatim as the oracle for the graph and for the error reported first.
+
+
+def from_edges_oracle(n_vertices: int, edges) -> SimpleGraph:
+    norm = set()
+    for u, v in edges:
+        if u == v:
+            raise EdgeListError(f"loop at vertex {clip(u)} is not allowed")
+        if not (0 <= u < n_vertices and 0 <= v < n_vertices):
+            raise EdgeListError(
+                f"edge ({clip(u)},{clip(v)}) out of range 0..{clip(n_vertices - 1)}"
+            )
+        norm.add((min(u, v), max(u, v)))
+    return SimpleGraph(n_vertices=n_vertices, edges=frozenset(norm))
+
+
+def parse_edge_list_oracle(text: str | bytes) -> SimpleGraph:
+    """Parse the edge-list format: one "u v" pair per line, 0-indexed.
+
+    Blank lines and '#' comments are ignored; an optional header "n <count>"
+    fixes the vertex count, which otherwise is inferred as max id + 1.
+    Counts and ids are ASCII digits, an id with an optional sign.  Bytes are
+    read as UTF-8.
+    """
+    if isinstance(text, bytes):
+        try:
+            text = text.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise EdgeListError(f"not UTF-8 text: {exc}") from None
+    edges = []
+    declared = None
+    max_id = -1
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split()
+        if parts[0] == "n":
+            if len(parts) != 2 or not (parts[1].isascii() and parts[1].isdecimal()):
+                raise EdgeListError(f"line {lineno}: header must be 'n <count>'")
+            declared = int(parts[1])
+            continue
+        if len(parts) != 2:
+            raise EdgeListError(f"line {lineno}: expected 'u v', got {clip(raw)!r}")
+        try:
+            u, v = ascii_int(parts[0]), ascii_int(parts[1])
+        except ValueError:
+            raise EdgeListError(f"line {lineno}: expected integers, got {clip(raw)!r}") from None
+        if u < 0 or v < 0:
+            raise EdgeListError(f"line {lineno}: vertex ids must be nonnegative")
+        edges.append((u, v))
+        max_id = max(max_id, u, v)
+    n = declared if declared is not None else max_id + 1
+    if n < 1:
+        raise EdgeListError("edge list defines no vertices")
+    return from_edges_oracle(n, edges)
 
 
 # The cell-by-cell table builders the groups module used before it built

@@ -411,6 +411,14 @@ EXIT_CASES = {
     "unfactored-cofactor": (["analyze", "Z:100000980001501"], None, None, 4),
     "perm-huge-degree": (["analyze", "PERM:10000000:[0 1]"], None, None, 3),
     "one-factor": (["analyze", "X(Z:2)"], None, None, 2),
+    "three-factors": (["analyze", "X(Z:2,Z:3,Z:5)"], None, None, 2),
+    # a product with one cut reports its factor's own error
+    "product-factor-not-integer": (["analyze", "X(Z:abc,Z:2)"], None, None, 2),
+    "product-factor-cycles-share-a-point": (
+        ["analyze", "X(Z:2,PERM:5:[0 1],[1 2]x[2 3 4])"], None, None, 2,
+    ),
+    # the cap is checked before the graph's rows are built
+    "edge-header-billion-vertices": (["embed", "{input}"], b"n 1000000000\n0 1\n", None, 4),
     "edge-not-integer": (["embed", "{input}"], b"0 a\n", None, 2),
     "edge-loop": (["embed", "{input}"], b"0 0\n", None, 2),
     "edge-out-of-range": (["embed", "{input}"], b"n 2\n0 5\n", None, 2),
@@ -626,8 +634,45 @@ SCALARS = (
     | st.sampled_from([-0.0, math.inf, -math.inf, math.nan])
     | KEYS
 )
+
+
+class Row(list):
+    """A list subclass: encoded as a list, but never as a flat row."""
+
+
+# strings that spell a row boundary of the writer at some depth
+ROW_SCALARS = SCALARS | st.sampled_from(["],\n  [", "},\n    {", "]", "[", "},", "],\n"])
+LIST_ROWS = st.lists(ROW_SCALARS, min_size=1, max_size=4)
+ROW_KEYS = KEYS | st.sampled_from(["],\n  [", "},\n    {"])
+DICT_ROWS = st.dictionaries(ROW_KEYS, ROW_SCALARS, min_size=1, max_size=4)
+FLAT_ROWS = LIST_ROWS | LIST_ROWS.map(tuple) | DICT_ROWS
+# an item that keeps a list from being all flat rows of one kind
+ODD_ROWS = (
+    st.sampled_from([[], (), {}])
+    | st.builds(lambda row: [row], LIST_ROWS)
+    | st.builds(lambda row: {"k": row}, DICT_ROWS)
+    | LIST_ROWS.map(Row)
+    | DICT_ROWS.map(Counter)
+    | FLAT_ROWS
+    | SCALARS
+)
+
+
+@st.composite
+def row_lists(draw):
+    """A list or tuple of flat list-or-tuple rows or of flat dict rows, with
+    an odd item put in at times."""
+    rows = draw(
+        st.lists(LIST_ROWS | LIST_ROWS.map(tuple), min_size=1, max_size=5)
+        | st.lists(DICT_ROWS, min_size=1, max_size=5)
+    )
+    if draw(st.booleans()):
+        rows.insert(draw(st.integers(0, len(rows))), draw(ODD_ROWS))
+    return draw(st.sampled_from([list, tuple]))(rows)
+
+
 JSON_VALUES = st.recursive(
-    SCALARS,
+    SCALARS | row_lists(),
     lambda inner: st.lists(inner, max_size=4)
     | st.lists(inner, max_size=4).map(tuple)
     | st.dictionaries(KEYS, inner, max_size=4)
@@ -647,6 +692,11 @@ def dumps(value):
 @example({"b": Counter({"y": 2, "x": 1}), "a": [1, "é\x00", None, True, -0.0]})
 @example([Counter(), {"z": [1.5, math.nan, -math.inf]}, (10**30, -(10**30))])
 @example({'[]{},:"\\': {"": [{"k": "v"}, [[]]]}})
+@example({"mis": [[0, 2], [1, "],\n    ["], (3,)], "rows": [{"a": "},\n    {"}, {"c": None}]})
+@example([[1], {"a": 1}])
+@example([[1], []])
+@example([{"a": 1}, Counter({"b": 2})])
+@example([[1], Row([2])])
 def test_json_text_is_json_dumps_with_indent_2(value):
     assert _json_text(value) == dumps(value)
 

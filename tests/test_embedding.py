@@ -8,7 +8,7 @@ from itertools import combinations
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coprimegraph.coprime import build_cyclic
@@ -29,6 +29,8 @@ from coprimegraph.groups import ascii_int
 from helpers import (
     brute_force_maximal_independent_sets,
     embed_oracle,
+    from_edges_oracle,
+    parse_edge_list_oracle,
     recursive_maximal_independent_sets,
     trial_division_primes,
 )
@@ -265,6 +267,19 @@ def test_embed_json_is_byte_equal_to_the_oracle(g):
     assert dump(embed(g)) == dump(embed_oracle(g))
 
 
+@given(GRAPHS)
+@settings(max_examples=150, deadline=None)
+def test_masks_are_the_rows_of_the_neighbour_sets(g):
+    assert g.masks == tuple(sum(1 << w for w in nbrs) for nbrs in g.adj)
+
+
+def test_embed_refuses_a_huge_header_before_building_its_rows():
+    g = parse_edge_list("n 1000000000\n0 1\n")
+    with pytest.raises(MisCapExceeded):
+        embed(g)
+    assert "masks" not in g.__dict__ and "adj" not in g.__dict__
+
+
 def test_verify_embedding_reads_every_pair():
     # one wrong pair, the last one checked, is enough to reject
     g = SimpleGraph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
@@ -364,3 +379,75 @@ def test_simple_graph_rejects_loops_and_range():
         SimpleGraph.from_edges(2, [(0, 0)])
     with pytest.raises(ValueError):
         SimpleGraph.from_edges(2, [(0, 5)])
+
+
+# the edge-list parser against the one it replaced
+
+LINE_BREAKS = st.sampled_from(["\n", "\r\n", "\x0c", "\u2028"])
+FILLER_LINES = st.sampled_from(["", "   ", "\t", "# a comment", " # 0 1"])
+EDIT_CHARS = st.sampled_from(list("0123456789 _#+-n\u0663"))
+
+
+@st.composite
+def edge_list_texts(draw):
+    """A valid edge list with comments, blank lines, mixed line breaks and its
+    header before, after or twice, then 0-3 characters inserted, replaced or
+    deleted."""
+    n = draw(st.integers(1, 8))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1])
+    edges = draw(st.lists(pairs, max_size=10))
+    lines = [f"{u} {v}" + draw(st.sampled_from(["", " ", "  # edge"])) for u, v in edges]
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(FILLER_LINES))
+    headers = [f"n {draw(st.integers(max(n - 2, 0), n + 2))}" for _ in range(2)]
+    place = draw(st.sampled_from(["none", "before", "after", "twice"]))
+    if place in ("before", "twice"):
+        lines.insert(0, headers[0])
+    if place in ("after", "twice"):
+        lines.append(headers[1])
+    chars = list("".join(line + draw(LINE_BREAKS) for line in lines))
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(chars)))
+        edit = draw(st.sampled_from(["insert", "replace", "delete"]))
+        if edit == "insert" or i == len(chars):
+            chars.insert(i, draw(EDIT_CHARS))
+        elif edit == "replace":
+            chars[i] = draw(EDIT_CHARS)
+        else:
+            del chars[i]
+    return "".join(chars)
+
+
+def _parsed(parse, text):
+    """The graph with its edges in iteration order, or the error's type and text."""
+    try:
+        g = parse(text)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return g, list(g.edges)
+
+
+@settings(max_examples=400, deadline=None)
+@given(edge_list_texts(), st.booleans())
+@example("n 3\n0 1\n1 2\n", False)
+@example("0 1\r\n\u20281 2\x0c2 0 # c\nn 3\n", False)
+@example("n 5\n0 4\nn 3\n", False)
+@example("0 0\n1 x\n", False)
+@example("0 1 2\nn x\n", True)
+@example("\u0663 1\n", True)
+def test_edge_list_parser_matches_the_previous_parser(text, as_bytes):
+    data = text.encode() if as_bytes else text
+    assert _parsed(parse_edge_list, data) == _parsed(parse_edge_list_oracle, data)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(0, 6),
+    st.lists(st.tuples(st.integers(-2, 8), st.integers(-2, 8)), max_size=8),
+)
+@example(3, [(0, 1), (2, 2), (0, 5)])
+@example(3, [(0, 5), (2, 2)])
+@example(2, [(1, 0), (0, 1), (1, 0)])
+def test_from_edges_matches_the_previous_normalisation(n, edges):
+    new = _parsed(lambda e: SimpleGraph.from_edges(n, iter(e)), edges)
+    assert new == _parsed(lambda e: from_edges_oracle(n, e), edges)

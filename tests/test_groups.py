@@ -531,10 +531,46 @@ def _parse_outcome(text):
 @example("X(X(Z:2),Z:3),Z:5)")
 @example("X(Z:2,é)")
 @example("X( Z:2 , Q8 )")
+@example("X(Z:abc,Z:2)")
+@example("X(Z:2,PERM:5:[0 1],[1 2]x[2 3 4])")
+@example("X(X(Z:2,Z:3,Z:5),Z:7)")
 def test_single_cut_matches_every_cut(text):
     single = _parse_outcome(text)
     with mock.patch.object(groups, "_parse_product", every_cut_parse_product):
-        assert _parse_outcome(text) == single
+        every = _parse_outcome(text)
+    # the later top-level parts of a product that start with a letter
+    s = text.strip()
+    parts = groups._split_top_level(s[2:-1]) if s.startswith("X(") and s.endswith(")") else []
+    cuts = [i for i in range(1, len(parts)) if parts[i].lstrip()[:1].isalpha()]
+    if every[0] != "SpecParseError" or len(cuts) != 1:
+        assert single == every
+    else:
+        # one cut, and a factor there fails: the first failing factor's error
+        factors = ",".join(parts[: cuts[0]]), ",".join(parts[cuts[0] :])
+        assert single == next(e for e in map(_parse_error, factors) if e is not None)
+
+
+def _parse_error(text):
+    try:
+        groups._parse(text)
+    except SpecParseError as exc:
+        return type(exc).__name__, str(exc)
+    return None
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("X(Z:abc,Z:2)", "expected integer for cyclic order, got 'abc'"),
+        ("X(Z:2,PERM:5:[0 1],[1 2]x[2 3 4])", "cycles share a point in generator '[1 2]x[2 3 4]'"),
+        ("X(Z:2,Z:3,Z:5)", "X needs exactly two factors, got 'X(Z:2,Z:3,Z:5)'"),
+        ("X(Z:2)", "X needs exactly two factors, got 'X(Z:2)'"),
+    ],
+)
+def test_a_product_reports_its_factor_error(text, message):
+    with pytest.raises(SpecParseError) as info:
+        parse_group_spec(text)
+    assert str(info.value) == message
 
 
 def test_product_nesting_is_bounded_before_any_recursion():
