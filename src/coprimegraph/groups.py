@@ -10,7 +10,7 @@ from __future__ import annotations
 import re
 from collections.abc import Callable
 from dataclasses import dataclass, replace
-from itertools import accumulate
+from itertools import accumulate, chain
 from math import gcd
 
 from .errors import GroupConstructionError, OrderCapExceeded, SpecParseError, clip
@@ -62,6 +62,11 @@ def make_semidirect_cyclic(m: int, k: int, i: int) -> FiniteGroup:
     Pairs (a, b) are encoded as a*k + b, multiplied by
     (a1, b1)*(a2, b2) = (a1 + a2*i^b1 mod m, b1 + b2 mod k).
     Requires gcd(i, m) = 1 and i^k = 1 mod m, else the action is ill-defined.
+
+    Row (a1, b1) is m blocks of k entries, one per a2, and block a2 is the
+    segment a*k + (b1 + b2 mod k) over b2 for a = a1 + a2*i^b1 mod m.  So
+    the m*k blocks are built once, and each row is joined from the b1
+    blocks in C; the rows share the blocks' int objects.
     """
     if m < 2 or k < 2:
         raise GroupConstructionError(
@@ -72,29 +77,37 @@ def make_semidirect_cyclic(m: int, k: int, i: int) -> FiniteGroup:
         raise GroupConstructionError(f"action parameter i={i} is not a unit mod {m}")
     if pow(i, k, m) != 1:
         raise GroupConstructionError(f"i^k = {pow(i, k, m)} != 1 mod {m}: action not well defined")
-    powers = [pow(i, b, m) for b in range(k)]
-    order = m * k
     cyc = list(range(k))
-    table = []
-    for x in range(order):
-        a1, b1 = divmod(x, k)
-        twist = powers[b1]
-        b_row = cyc[b1:] + cyc[:b1]
-        table.append(tuple(
-            a + b for a in [(a1 + a2 * twist) % m * k for a2 in range(m)] for b in b_row
-        ))
-    return FiniteGroup(name=f"Z{m}:Z{k}(i={i})", order=order, table=tuple(table))
+    # blocks[b1][a] is the row segment of (a, b1 + b2 mod k) over b2, listed
+    # twice so that the m blocks from a1 on are the list rotated by a1
+    blocks = [
+        [tuple(map((a * k).__add__, cyc[b1:] + cyc[:b1])) for a in range(m)] * 2
+        for b1 in range(k)
+    ]
+    # row (a1, b1) takes the blocks at a1 + a2*i^b1 mod m, for a2 in 0..m-1
+    picks = [[a2 * pow(i, b1, m) % m for a2 in range(m)] for b1 in range(k)]
+    table = tuple(
+        tuple(chain.from_iterable(map(blocks[b1][a1:a1 + m].__getitem__, picks[b1])))
+        for a1 in range(m) for b1 in range(k)
+    )
+    return FiniteGroup(name=f"Z{m}:Z{k}(i={i})", order=m * k, table=table)
 
 
 def make_direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
-    """Componentwise product on pairs, encoded as a*|h| + b."""
+    """Componentwise product on pairs, encoded as a*|h| + b.
+
+    Row (a1, b1) is |g| blocks of |h| entries, and block a2 is the segment
+    c*|h| + h[b1][b2] over b2 for c = g[a1][a2].  So the |g|*|h| blocks are
+    built once, and each row is joined from the b1 blocks in C; the rows
+    share the blocks' int objects.
+    """
     hn = h.order
-    order = g.order * hn
-    scaled = [[c * hn for c in grow] for grow in g.table]
+    blocks = [[tuple(map((c * hn).__add__, h_row)) for c in range(g.order)] for h_row in h.table]
     table = tuple(
-        tuple(a + b for a in g_row for b in h_row) for g_row in scaled for h_row in h.table
+        tuple(chain.from_iterable(map(h_blocks.__getitem__, g_row)))
+        for g_row in g.table for h_blocks in blocks
     )
-    return FiniteGroup(name=f"{g.name}x{h.name}", order=order, table=table)
+    return FiniteGroup(name=f"{g.name}x{h.name}", order=g.order * hn, table=table)
 
 
 def _compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:

@@ -168,11 +168,14 @@ def all_subgroups(group: FiniteGroup, max_order: int = DEFAULT_MAX_ORDER) -> Sub
     prime p exactly when x^p is in K for a prime p dividing ord(x).  This
     reaches every solvable subgroup's class, and so G itself exactly when G
     is solvable.  Otherwise the join loop completes the lattice: each
-    representative is joined with each cyclic subgroup until nothing new
+    representative is joined with cyclic subgroups until nothing new
     appears.  That adds the non-solvable classes, since any
     H = <M, a> for a maximal subgroup M of H, so a conjugate of H is
-    <rep(M), a conjugate of a>.  Each representative carries the generators
-    that built it.
+    <rep(M), a conjugate of a>.  For n in N_G(K), <K, nan^-1> = n<K, a>n^-1,
+    so K is joined with the first cyclic subgroup of each N_G(K)-orbit
+    only: every later one would land on a class already seen.  Each
+    representative carries the generators that built it.  S6 takes 1957
+    closures (19,028 joining every cyclic subgroup), A7 2199 and S7 10,108.
     """
     n = group.order
     _check_order(n, group.name, max_order)
@@ -242,16 +245,26 @@ def all_subgroups(group: FiniteGroup, max_order: int = DEFAULT_MAX_ORDER) -> Sub
                 done.update(map(table[x].__getitem__, current))
 
     if whole not in seen:
-        # cyclic subgroups, deduplicated, keyed by a generating element
-        atoms: dict[frozenset[int], int] = {}
-        for x, x_pows in enumerate(powers):
-            atoms.setdefault(frozenset(x_pows), x)
-        for current, gens, _ in reps:
+        # cyclic subgroups, deduplicated, each with its first generator;
+        # atom_of[x] is the index of <x> among them
+        atom_ids: dict[frozenset[int], int] = {}
+        atom_of = [atom_ids.setdefault(frozenset(x_pows), len(atom_ids)) for x_pows in powers]
+        atom_gens = [0] * len(atom_ids)
+        for x in reversed(range(n)):
+            atom_gens[atom_of[x]] = x
+        for current, gens, normal in reps:
             if current == whole:
                 continue
-            for atom_gen in atoms.values():
-                if atom_gen in current:
+            # (row of n, n^-1) for each n in N_G(K)
+            conjugators = [
+                (table[y], powers[y][-1]) for y in (table[x][k] for x in normal for k in current)
+            ]
+            tried = set()
+            for atom, atom_gen in enumerate(atom_gens):
+                if atom in tried or atom_gen in current:
                     continue
+                # <K, n a n^-1> = n <K, a> n^-1 lands in the class of <K, a>
+                tried.update([atom_of[table[row[atom_gen]][inv]] for row, inv in conjugators])
                 joined = _generate(table, gens + (atom_gen,), n)
                 fs = whole if joined is None else joined
                 if fs not in seen:

@@ -16,7 +16,7 @@ from itertools import combinations
 from math import gcd, lcm
 from operator import or_
 
-from coprimegraph import groups
+from coprimegraph import groups, lattice
 from coprimegraph.analysis import _Adjacency, _adjacency, vertex_report
 from coprimegraph.coprime import (
     CoprimeGraph,
@@ -638,6 +638,110 @@ def all_subgroups_by_extension(
     subs.sort(key=lambda s: (s.order, s.elements))
     counts = Counter(s.order for s in subs)
     return SubgroupList(all=subs, counts_by_order=dict(sorted(counts.items())))
+
+
+# The enumerator the lattice module used before its join loop took one cyclic
+# subgroup per normaliser orbit: each representative is joined with every
+# cyclic subgroup.  Its closures go through lattice._generate, so a test can
+# record them.
+
+
+def all_subgroups_joining_every_atom(
+    group: FiniteGroup, max_order: int = DEFAULT_MAX_ORDER
+) -> SubgroupList:
+    """Enumerate every subgroup of the group, one conjugacy class at a time.
+
+    Cyclic extension from one representative K per class, as in
+    ``all_subgroups``; when that misses G, each representative is joined
+    with each cyclic subgroup outside it until nothing new appears.
+    """
+    n = group.order
+    if n > max_order:
+        raise OrderCapExceeded(f"group order {n} exceeds the bound {max_order}")
+    table = group.table
+    whole = frozenset(range(n))
+
+    # powers[x] = [1, x, x^2, ..., x^(ord x - 1)]; the last one is x^-1
+    powers = []
+    for x in range(n):
+        x_pows = [0]
+        y = x
+        while y != 0:
+            x_pows.append(y)
+            y = table[y][x]
+        powers.append(x_pows)
+    order_primes = {o: [p for p, _ in factorize(o)] for o in {len(p) for p in powers}}
+
+    seen: set[frozenset[int]] = set()
+    # (K, generators of K, one x per coset xK in N_G(K)) per class
+    reps: list[tuple[frozenset[int], tuple[int, ...], list[int]]] = []
+
+    def add_class(rep: frozenset[int], gens: tuple[int, ...]) -> None:
+        # x normalises K iff x g x^-1 is in K for each generator g of K
+        normal = []
+        done: set[int] = set()
+        for x in range(n):
+            if x in done:
+                continue
+            row_x = table[x]
+            inv_x = powers[x][-1]
+            if all(table[row_x[g]][inv_x] in rep for g in gens):
+                normal.append(x)
+            # every element of the coset xK gets the same answer as x
+            done.update(map(row_x.__getitem__, rep))
+        reps.append((rep, gens, normal))
+        if len(normal) * len(rep) == n:
+            seen.add(rep)
+            return
+        # one conjugate gKg^-1 per coset gN_G(K)
+        normaliser = [table[x][k] for x in normal for k in rep]
+        done = set()
+        for g in range(n):
+            if g in done:
+                continue
+            row_g = table[g]
+            inv_g = powers[g][-1]
+            seen.add(frozenset(table[y][inv_g] for y in map(row_g.__getitem__, rep)))
+            done.update(map(row_g.__getitem__, normaliser))
+
+    add_class(frozenset([0]), ())
+    for current, gens, normal in reps:
+        done = set(current)
+        for x in normal:
+            if x in done:
+                continue
+            x_pows = powers[x]
+            # as x is not in K, at most one prime p of ord(x) has x^p in K
+            o = len(x_pows)
+            p = next((p for p in order_primes[o] if x_pows[p % o] in current), 0)
+            if p:
+                bigger = frozenset(table[x_pows[i]][k] for i in range(p) for k in current)
+                done |= bigger
+                if bigger not in seen:
+                    add_class(bigger, gens + (x,))
+            else:
+                done.update(map(table[x].__getitem__, current))
+
+    if whole not in seen:
+        # cyclic subgroups, deduplicated, keyed by a generating element
+        atoms: dict[frozenset[int], int] = {}
+        for x, x_pows in enumerate(powers):
+            atoms.setdefault(frozenset(x_pows), x)
+        for current, gens, _ in reps:
+            if current == whole:
+                continue
+            for atom_gen in atoms.values():
+                if atom_gen in current:
+                    continue
+                joined = lattice._generate(table, gens + (atom_gen,), n)
+                fs = whole if joined is None else joined
+                if fs not in seen:
+                    add_class(fs, gens + (atom_gen,))
+
+    subs = [Subgroup(tuple(sorted(fs)), len(fs)) for fs in seen]
+    subs.sort(key=lambda s: (s.order, s.elements))
+    counts = Counter(s.order for s in subs)
+    return SubgroupList(subs, dict(sorted(counts.items())))
 
 
 def brute_force_maximal_independent_sets(g: SimpleGraph) -> list[tuple[int, ...]]:

@@ -3,6 +3,7 @@
 import hashlib
 import re
 import tracemalloc
+from math import gcd
 from unittest import mock
 
 import pytest
@@ -417,13 +418,42 @@ TABLE_SPECS = sorted(
 )
 
 
-@pytest.mark.parametrize("spec", TABLE_SPECS + ["D:2", "SD:3,2,2", "X(Z:1,S3)"])
+@pytest.mark.parametrize("spec", TABLE_SPECS + ["D:2", "SD:3,2,2", "X(Z:1,S3)", "X(S3,Z:1)"])
 def test_row_builders_match_the_cell_by_cell_tables(monkeypatch, spec):
     fast = parse_group_spec(spec, 4096)
     monkeypatch.setattr(groups, "make_dihedral", cell_by_cell_dihedral)
     monkeypatch.setattr(groups, "make_semidirect_cyclic", cell_by_cell_semidirect_cyclic)
     monkeypatch.setattr(groups, "make_direct_product", cell_by_cell_direct_product)
     assert parse_group_spec(spec, 4096) == fast
+
+
+@st.composite
+def semidirect_triples(draw):
+    """A valid m, k, i for SD: i is any unit with i^k = 1 mod m, shifted by
+    a multiple of m, which the builder reduces."""
+    m = draw(st.integers(min_value=2, max_value=40))
+    k = draw(st.integers(min_value=2, max_value=8))
+    i = draw(st.sampled_from([i for i in range(m) if gcd(i, m) == 1 and pow(i, k, m) == 1]))
+    return m, k, i + m * draw(st.integers(min_value=-2, max_value=2))
+
+
+@settings(max_examples=80, deadline=None)
+@given(semidirect_triples())
+def test_semidirect_blocks_match_the_cell_by_cell_table(triple):
+    assert make_semidirect_cyclic(*triple) == cell_by_cell_semidirect_cyclic(*triple)
+
+
+PRODUCT_FACTORS = ["Z:1", "Z:2", "Z:5", "D:3", "D:4", "Q8", "A4", "SD:7,3,2", "X(Z:2,Z:2)"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(PRODUCT_FACTORS), st.sampled_from(PRODUCT_FACTORS))
+@example("Z:1", "D:3")
+@example("D:3", "Z:1")
+@example("Z:1", "Z:1")
+def test_product_blocks_match_the_cell_by_cell_table(left, right):
+    g, h = parse_group_spec(left), parse_group_spec(right)
+    assert make_direct_product(g, h) == cell_by_cell_direct_product(g, h)
 
 
 # the named groups built from permutations, alone or as a factor

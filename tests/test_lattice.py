@@ -28,6 +28,7 @@ from coprimegraph.theorems import load_catalog
 from helpers import (
     LATTICE_EXPORT_SPECS,
     all_subgroups_by_extension,
+    all_subgroups_joining_every_atom,
     all_subgroups_oracle,
     brute_force_subgroups,
     counts_json,
@@ -272,15 +273,49 @@ def test_class_expansion_matches_the_per_subgroup_enumerator(closures, spec):
 
 def test_s5_joins_one_representative_per_class(closures):
     # S5 has 156 subgroups in 19 conjugacy classes; joining each subgroup with
-    # each cyclic subgroup ran 9561 closures, one representative per class 1079
+    # each cyclic subgroup ran 9561 closures, one representative per class with
+    # each cyclic subgroup 1079, and with one per normaliser orbit 205
     sl = all_subgroups(parse_group_spec("PERM:5:[0 1 2 3 4],[0 1]"))
     assert len(sl.all) == 156
-    assert len(closures) == 1079
+    assert len(closures) == 205
+
+
+A5 = "PERM:5:[0 1 2],[2 3 4]"
+S5 = "PERM:5:[0 1 2 3 4],[0 1]"
+A6 = "PERM:6:[0 1 2],[1 2 3 4 5]"
+S6 = "PERM:6:[0 1 2 3 4 5],[0 1]"
+# PSL(2,7) = GL(3,2), of order 168, with 179 subgroups
+PSL27 = "PERM:7:[0 1 2 3 4 5 6],[2 4]x[5 6]"
+A7 = "PERM:7:[0 1 2],[0 1 2 3 4 5 6]"
+
+
+@pytest.mark.parametrize(
+    "spec, joining_every_atom, per_orbit",
+    [(A5, 225, 48), (S5, 1079, 205), (PSL27, 1017, 148), (A6, 3307, 403), (S6, 19028, 1957)],
+)
+def test_join_loop_runs_one_closure_per_normaliser_orbit(
+    closures, spec, joining_every_atom, per_orbit
+):
+    g = parse_group_spec(spec)
+    want = all_subgroups_joining_every_atom(g)
+    oracle_closures = list(closures)
+    closures.clear()
+    got = all_subgroups(g)
+    assert got.all == want.all
+    assert got.counts_by_order == want.counts_by_order
+    assert (len(oracle_closures), len(closures)) == (joining_every_atom, per_orbit)
+    # the closures run are some of the oracle's, in its order, and each
+    # representative is joined from the same generators
+    remaining = iter(oracle_closures)
+    assert all(gens in remaining for gens in closures)
+    assert list(dict.fromkeys(gens[:-1] for gens in closures)) == list(
+        dict.fromkeys(gens[:-1] for gens in oracle_closures)
+    )
 
 
 def test_s6_has_1455_subgroups():
     # OEIS A005432; the counts agree with the join-saturation oracle
-    sl = all_subgroups(parse_group_spec("PERM:6:[0 1 2 3 4 5],[0 1]"))
+    sl = all_subgroups(parse_group_spec(S6))
     assert len(sl.all) == 1455
     assert sl.counts_by_order == {
         1: 1, 2: 75, 3: 40, 4: 255, 5: 36, 6: 280, 8: 255, 9: 10, 10: 36, 12: 150,
@@ -290,9 +325,21 @@ def test_s6_has_1455_subgroups():
 
 
 def test_a5_has_59_subgroups():
-    sl = all_subgroups(parse_group_spec("PERM:5:[0 1 2],[2 3 4]"))
+    sl = all_subgroups(parse_group_spec(A5))
     assert len(sl.all) == 59
     assert sl.counts_by_order == {1: 1, 2: 15, 3: 10, 4: 5, 5: 6, 6: 10, 10: 6, 12: 5, 60: 1}
+
+
+def test_a7_has_3786_subgroups(closures):
+    # OEIS A029725
+    sl = all_subgroups(parse_group_spec(A7, 2520), 2520)
+    assert len(sl.all) == 3786
+    assert sl.counts_by_order == {
+        1: 1, 2: 105, 3: 175, 4: 455, 5: 126, 6: 735, 7: 120, 8: 315, 9: 70, 10: 126,
+        12: 455, 18: 70, 20: 126, 21: 120, 24: 525, 36: 105, 60: 63, 72: 35, 120: 21,
+        168: 30, 360: 7, 2520: 1,
+    }
+    assert len(closures) == 2199
 
 
 @st.composite
@@ -309,12 +356,15 @@ def test_random_permutation_groups_match_the_oracle(closures):
     @given(small_permutation_groups())
     @example(make_permutation_group(5, [(1, 2, 3, 4, 0), (1, 0, 2, 3, 4)]))
     def check(group):
+        joining_every_atom = all_subgroups_joining_every_atom(group)
         closures.clear()
         got = all_subgroups(group)
         assert got.all == all_subgroups_oracle(group).all
         by_extension = all_subgroups_by_extension(group)
         assert got.all == by_extension.all
         assert got.counts_by_order == by_extension.counts_by_order
+        assert got.all == joining_every_atom.all
+        assert got.counts_by_order == joining_every_atom.counts_by_order
         # A5 and S5, of order 60 and 120, are the only subgroups of S5 that
         # are not solvable; only they need the join loop
         assert bool(closures) == (group.order >= 60)
