@@ -6,10 +6,12 @@ that passes an Euler face count or a Kuratowski subdivision witness on host
 vertices whose contracted chains equal K5 or K33, checked before it is
 returned.  Both come from a literal K33 or from the left-right test in
 ``planarity``, so nothing here needs more than the standard library.  One
-``_Adjacency`` per graph holds the graph's own neighbour sets and computes its
-sweep and maximum clique once each.  A coprime graph built from its orders
-carries each vertex's prime support, and the adjacency groups the vertices by
-them once.  Its independence number is searched over those
+``_Adjacency`` per graph holds the graph's own bitmask rows, which counts and
+edge tests read, and the neighbour sets built from them, which only the
+sweep, the colouring search and the rotation-system check walk; it computes
+its sweep and maximum clique once each.  A coprime graph built from its
+orders carries each vertex's prime support, and the adjacency groups the
+vertices by them once.  Its independence number is searched over those
 supports, at most 2^k - 1 for k primes, however many vertices share them.
 ``analyze`` reads every other invariant of P(G) but planarity off the support
 weights too, with the paper's theorems as closed forms; ``vertex_report`` runs
@@ -29,7 +31,7 @@ from itertools import combinations
 
 from . import planarity
 from .errors import CertificateError, EdgeListError, check_exact_cap, clip
-from .lattice import subset_sums
+from .lattice import members, subset_sums
 # re-exported: callers have always caught the exact cap's error from here
 from .errors import ExactCapExceeded  # noqa: F401
 
@@ -63,9 +65,10 @@ def adjacency_sets(g) -> tuple[frozenset[int], ...]:
 
 @dataclass(frozen=True)
 class _Adjacency:
-    """One graph's adjacency: neighbour sets and the same rows as bitmasks.
+    """One graph's adjacency: its bitmask rows, the graph's own ``masks`` (a
+    raw list's derived once), and the neighbour sets built from them.
 
-    A coprime graph also brings its vertex orders and a graph its name.  One
+    A coprime graph also brings its vertex orders and its name.  One
     built from its orders brings the primes of their lcm, each vertex's
     support over them and ``inside[X]``, from which ``independence_number``
     and ``analyze`` work on prime supports; one made from adjacency alone
@@ -164,35 +167,18 @@ def _adjacency(g) -> _Adjacency:
     """The adjacency every public invariant starts from.
 
     Built once through ``adjacency_sets`` from a CoprimeGraph, a SimpleGraph
-    or a list of neighbour sets, with a SimpleGraph's own ``masks`` as its
-    rows; an ``_Adjacency`` is returned unchanged, so ``analyze`` pays for it
-    once however many invariants it computes.
+    or a list of neighbour sets, with a graph's own ``masks`` as its rows: only
+    a raw list's are derived here.  An ``_Adjacency`` is returned unchanged,
+    so ``analyze`` pays for it once however many invariants it computes.
     """
     if isinstance(g, _Adjacency):
         return g
     sets = adjacency_sets(g)
-    supports = getattr(g, "supports", None)
-    if hasattr(g, "masks"):  # a SimpleGraph's own rows
-        masks = g.masks
-    elif supports is None:
-        masks = tuple(sum(1 << w for w in s) for s in sets)
-    else:  # a vertex of support S is joined to the others inside ~S
-        full = len(g.inside) - 1
-        masks = tuple(g.inside[full ^ s] & ~(1 << v) for v, s in enumerate(supports))
-    source = getattr(g, "source", "graph")
-    if hasattr(g, "orders"):
-        return _Adjacency(sets, masks, tuple(g.orders()), g.primes, supports, g.inside, source)
-    return _Adjacency(sets, masks, source=source)
-
-
-def _members(mask: int) -> list[int]:
-    """The vertices of a bitmask, lowest first."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
+    if isinstance(g, (list, tuple)):
+        return _Adjacency(sets, tuple(sum(1 << w for w in s) for s in sets))
+    if not hasattr(g, "orders"):  # a SimpleGraph
+        return _Adjacency(sets, g.masks)
+    return _Adjacency(sets, g.masks, tuple(g.orders()), g.primes, g.supports, g.inside, g.source)
 
 
 def connected_components(g) -> list[list[int]]:
@@ -260,7 +246,7 @@ def maximum_clique(g, cap: int = DEFAULT_EXACT_CAP) -> list[int]:
     """An exact maximum clique, as a sorted vertex list."""
     adj = _adjacency(g)
     check_exact_cap(len(adj.masks), cap)
-    return _members(adj.clique)
+    return members(adj.clique)
 
 
 def clique_number(g, cap: int = DEFAULT_EXACT_CAP) -> int:
@@ -404,7 +390,7 @@ def chromatic_number(g, cap: int = DEFAULT_EXACT_CAP) -> int:
     k-colourability search succeeds.  That search never passes the DSATUR
     greedy colour count, where its first descent already succeeds."""
     adj = _adjacency(g)
-    check_exact_cap(len(adj.sets), cap)
+    check_exact_cap(len(adj.masks), cap)
     k = adj.clique.bit_count()
     while not _k_colorable(adj.sets, k):
         k += 1
@@ -496,10 +482,11 @@ def verify_kuratowski_witness(
     Every witness edge must lie on a chain, so a disjoint cycle is refused.
     Returns (kind, branch vertices) or None.
     """
-    host = _adjacency(g).sets
+    host = _adjacency(g).masks
     wadj: dict[int, set[int]] = {}
     for u, v in witness_edges:
-        if not (0 <= u < len(host) and v in host[u]):
+        # both ends checked before the shift, which a negative v would fail
+        if not (0 <= u < len(host) and 0 <= v < len(host) and host[u] >> v & 1):
             return None
         wadj.setdefault(u, set()).add(v)
         wadj.setdefault(v, set()).add(u)
@@ -544,7 +531,7 @@ def is_planar(g) -> PlanarityCertificate:
     adj = _adjacency(g)
     found = _k3b_triple(adj.masks, 3)
     if found is None:
-        lists = [sorted(s) for s in adj.sets]
+        lists = list(map(members, adj.masks))
         rotation = planarity.rotation_system(lists)
         if rotation is not None:
             if not verify_rotation_system(adj, dict(enumerate(rotation))):
@@ -553,7 +540,7 @@ def is_planar(g) -> PlanarityCertificate:
         witness = planarity.kuratowski_edges(lists)
     else:
         *left, common = found
-        right = _members(common)[:3]
+        right = members(common)[:3]
         witness = sorted((min(u, x), max(u, x)) for u in left for x in right)
     verdict = verify_kuratowski_witness(adj, witness)
     if verdict is None:
@@ -582,7 +569,7 @@ def contains_complete_bipartite(g, a: int, b: int) -> bool:
         raise ValueError(f"need a <= b, got a={a}, b={b}")
     adj = _adjacency(g)
     if a == 1:
-        return any(len(s) >= b for s in adj.sets)
+        return any(m.bit_count() >= b for m in adj.masks)
     if a == 2:
         return any((mu & mv).bit_count() >= b for mu, mv in combinations(adj.masks, 2))
     return _k3b_triple(adj.masks, b) is not None
@@ -667,7 +654,7 @@ def _summary(
 def _profile(adj: _Adjacency) -> tuple[list[int], int, tuple[int, ...] | None]:
     """The degrees, component count and 2-colouring, from the sweep."""
     structure = adj.structure
-    return [len(s) for s in adj.sets], len(structure.components), structure.coloring
+    return [m.bit_count() for m in adj.masks], len(structure.components), structure.coloring
 
 
 def _core_shape(degrees: list[int], n_components: int, coloring) -> ShapeDescriptor:
@@ -803,10 +790,10 @@ def vertex_report(g, exact_cap: int = DEFAULT_EXACT_CAP) -> AnalysisReport:
     the oracle for ``analyze``.
     """
     adj = _adjacency(g)
-    n = len(adj.sets)
+    n = len(adj.masks)
     check_exact_cap(n, exact_cap)
     structure = adj.structure
-    edges = sum(len(s) for s in adj.sets) // 2
+    edges = sum(m.bit_count() for m in adj.masks) // 2
     preds = shape_predicates(adj)
     connected = preds["connected"]
     diam = structure.diameters[0] if connected else INFINITE
@@ -869,12 +856,12 @@ def _order_report(adj: _Adjacency, classes: dict[int, int], exact_cap: int) -> A
     degrees = [inside[full ^ s] for s in support]
     edges = sum(degrees) // 2
 
-    clique = [_members(classes[1 << i])[0] for i in range(k)]
+    clique = [members(classes[1 << i])[0] for i in range(k)]
     by_colour: dict[int, int] = {}
     for s, m in classes.items():
         by_colour[s & -s] = by_colour.get(s & -s, 0) | m
     if not all(masks[u] >> v & 1 for u, v in combinations(clique, 2)) or any(
-        masks[v] & c for c in by_colour.values() for v in _members(c)
+        masks[v] & c for c in by_colour.values() for v in members(c)
     ):
         raise CertificateError("prime clique or smallest-prime colouring failed its re-check")
 
@@ -935,7 +922,7 @@ def analyze(g, exact_cap: int = DEFAULT_EXACT_CAP) -> AnalysisReport:
     alone among them, gets ``vertex_report``.
     """
     adj = _adjacency(g)
-    n = len(adj.sets)
+    n = len(adj.masks)
     check_exact_cap(n, exact_cap)
     classes = adj.classes
     if classes is None:

@@ -3,18 +3,20 @@
 Vertices are the nontrivial proper subgroups of a group; two vertices are
 adjacent exactly when their orders are coprime: when their prime supports are
 disjoint.  Adjacency depends only on the order labels, which makes the divisor
-fast path for cyclic groups possible, and the build takes no gcd.
+fast path for cyclic groups possible, and the build takes no gcd.  A graph
+keeps one bitmask row per vertex and builds its neighbour sets on first use.
 """
 
 from __future__ import annotations
 
-from itertools import compress
+from functools import cached_property
 from math import lcm, prod
 from typing import NamedTuple
 
 from .errors import UndefinedCoprimeGraphError, check_exact_cap, clip
 from .groups import DEFAULT_MAX_ORDER, FiniteGroup, cyclic_spec_order, parse_group_spec
-from .lattice import all_subgroups, divisors, factorize, is_prime, pi, prime_supports, subset_sums
+from .lattice import all_subgroups, divisors, factorize, is_prime, pi, prime_supports
+from .lattice import neighbour_sets, subset_sums
 
 
 class GraphVertex(NamedTuple):
@@ -23,14 +25,15 @@ class GraphVertex(NamedTuple):
 
 
 class CoprimeGraph:
-    """Immutable graph on subgroup vertices with coprime-order adjacency."""
+    """Immutable graph on subgroup vertices with coprime-order adjacency, kept
+    as one bitmask row per vertex in ``masks``; ``adj`` is built on first use."""
 
     def __init__(
         self,
         source: str,
         parent_order: int,
         vertices: list[GraphVertex],
-        adjacency: list[frozenset[int]],
+        masks: list[int],
         supports: list[int] | None = None,
         inside: list[int] | None = None,
         primes: tuple[int, ...] | None = None,
@@ -38,18 +41,20 @@ class CoprimeGraph:
         self.source = source
         self.parent_order = parent_order
         self.vertices = tuple(vertices)
-        self.adj = tuple(adjacency)
-        # what _graph_from_orders built the adjacency from, else None: each
+        self.masks = tuple(masks)
+        # what _graph_from_orders built the rows from, else None: each
         # vertex's support over ``primes``, those of lcm(orders), and inside[X]
         self.supports, self.inside, self.primes = supports, inside, primes
         self.n_vertices = len(self.vertices)
-        self.n_edges = sum(len(s) for s in self.adj) // 2
+        self.n_edges = sum(m.bit_count() for m in self.masks) // 2
 
-    def neighbors(self, v: int) -> frozenset[int]:
-        return self.adj[v]
+    @cached_property
+    def adj(self) -> tuple[frozenset[int], ...]:
+        """Each vertex's neighbours as a set, built on first use."""
+        return neighbour_sets(self.masks)
 
     def degree(self, v: int) -> int:
-        return len(self.adj[v])
+        return self.masks[v].bit_count()
 
     def edges(self) -> list[tuple[int, int]]:
         return [(u, v) for u in range(self.n_vertices) for v in sorted(self.adj[u]) if u < v]
@@ -63,7 +68,7 @@ class CoprimeGraph:
 
 def _graph_from_orders(source: str, parent_order: int, orders: list[int]) -> CoprimeGraph:
     """A vertex of support S, the primes of lcm(orders) dividing its order, is
-    joined to the vertices of ``inside[~S]``, those whose support lies in ~S."""
+    joined to the other vertices of ``inside[~S]``, those supported in ~S."""
     n = len(orders)
     vertices = list(map(GraphVertex, range(n), orders))
     distinct = list(dict.fromkeys(orders))
@@ -75,13 +80,8 @@ def _graph_from_orders(source: str, parent_order: int, orders: list[int]) -> Cop
     for v, s in enumerate(supports):
         inside[s] |= 1 << v
     inside = subset_sums(inside, len(primes))
-    # the digits of bin(inside[~S]), lowest first and "0" made falsy, flag S's neighbours;
-    # through a set filled in id order, each frozenset iterates as one built edge by edge
-    ids = list(range(n))
-    flags = {s: bin(inside[full ^ s])[:1:-1].encode().replace(b"0", b"\0") for s in set(supports)}
-    near = {s: frozenset(set(compress(ids, f))) for s, f in flags.items()}
-    adjacency = [near[s] - {v} if s == 0 else near[s] for v, s in enumerate(supports)]
-    return CoprimeGraph(source, parent_order, vertices, adjacency, supports, inside, primes)
+    masks = [inside[full ^ s] & ~(1 << v) for v, s in enumerate(supports)]
+    return CoprimeGraph(source, parent_order, vertices, masks, supports, inside, primes)
 
 
 def _require_defined(name: str, order: int) -> None:

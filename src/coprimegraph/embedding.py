@@ -9,21 +9,22 @@ maximal independent set iff their labels share a prime.
 A ``SimpleGraph`` keeps one adjacency, its bitmask ``masks``, built from its
 edges on first use: the independent-set listing and the certificate check
 read those rows, and so does ``analysis``.  The neighbour sets ``adj`` are
-built only when a caller asks for them.  ``embed`` checks the vertex cap
-before either is built, so a header of 10^9 vertices is refused without
-allocating.
+built from the rows, as a CoprimeGraph's are, only when a caller asks for
+them.  ``embed`` checks the vertex cap before either is built, so a header
+of 10^9 vertices is refused without allocating.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress, repeat, takewhile
+from itertools import takewhile
 from math import gcd, lcm, prod
 from operator import eq
 
 from .errors import CertificateError, EdgeListError, MisCapExceeded, clip
 from .groups import ascii_int
+from .lattice import members, neighbour_sets
 
 
 @dataclass(frozen=True)
@@ -63,11 +64,7 @@ class SimpleGraph:
     @cached_property
     def adj(self) -> tuple[frozenset[int], ...]:
         """Each vertex's neighbours as a set, built on first use."""
-        adj: list[set[int]] = [set() for _ in range(self.n_vertices)]
-        for a, b in self.edges:
-            adj[a].add(b)
-            adj[b].add(a)
-        return tuple(map(frozenset, adj))
+        return neighbour_sets(self.masks)
 
 
 @dataclass(frozen=True)
@@ -150,9 +147,7 @@ def maximal_independent_sets(g: SimpleGraph, cap: int = DEFAULT_MIS_CAP) -> list
             p &= ~bit
             x |= bit
             cand ^= bit
-    # the digits of bin(m), lowest first and "0" made falsy, flag the set's members
-    flags = [bin(m)[:1:-1].encode().replace(b"0", b"\0") for m in out]
-    return sorted(map(tuple, map(compress, repeat(range(n)), flags)))
+    return sorted(map(tuple, map(members, out)))
 
 
 def embed(g: SimpleGraph, cap: int = DEFAULT_MIS_CAP) -> EmbeddingCertificate:

@@ -1,10 +1,11 @@
-"""Subgroup lattice enumeration and prime-divisor helpers."""
+"""Subgroup lattice enumeration, prime-divisor and shared bitmask helpers."""
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import compress
 
 from .errors import OrderCapExceeded, clip
 from .groups import DEFAULT_MAX_ORDER, FiniteGroup, _check_order
@@ -96,6 +97,26 @@ def subset_sums(values: list[int], k: int) -> list[int]:
             if x & bit:
                 sums[x] += sums[x ^ bit]
     return sums
+
+
+@lru_cache(maxsize=None)  # 0..n-1 for n a power of two, shared so members() makes no ints
+def _ids(n: int) -> list[int]:
+    return list(range(n))
+
+
+def members(mask: int) -> list[int]:
+    """The set bits of a non-negative bitmask, lowest first."""
+    # the digits of bin(mask), lowest first and "0" made falsy, flag the members
+    flags = bin(mask)[:1:-1].encode().replace(b"0", b"\0")
+    return list(compress(_ids(1 << len(flags).bit_length()), flags))
+
+
+def neighbour_sets(masks) -> tuple[frozenset[int], ...]:
+    """One frozenset per bitmask row, built once per distinct row.  Each is
+    filled through a set in ascending order, so its iteration order depends
+    only on its members, and is the one the sets of P(G) have always had."""
+    sets = {m: frozenset(set(members(m))) for m in dict.fromkeys(masks)}
+    return tuple(map(sets.__getitem__, masks))
 
 
 def divisors(n: int) -> list[int]:

@@ -258,17 +258,13 @@ def _check_alpha_supports(graph: CoprimeGraph, rep: AnalysisReport) -> bool:
 def _check_prime_coloring(graph: CoprimeGraph, rep: AnalysisReport) -> bool:
     """Coloring by the smallest prime dividing the order must be proper and
     use at most one color per prime of the group order."""
-    color = {}
-    for v in graph.vertices:
-        color[v.vid] = min(pi(v.order))
-    if set(color.values()) - set(graph.parent_primes()):
+    color = [min(pi(v.order)) for v in graph.vertices]
+    if set(color) - graph.parent_primes():
         return False
-    return all(
-        color[u] != color[v]
-        for u in range(graph.n_vertices)
-        for v in graph.neighbors(u)
-        if u < v
-    )
+    same: dict[int, int] = {}  # colour -> the bitmask of its vertices
+    for v, c in enumerate(color):
+        same[c] = same.get(c, 0) | 1 << v
+    return not any(row & same[c] for row, c in zip(graph.masks, color))
 
 
 def _check_core_not_cycle(graph: CoprimeGraph, rep: AnalysisReport) -> bool:

@@ -12,7 +12,7 @@ from collections import Counter
 from collections.abc import Iterator
 from dataclasses import replace
 from functools import reduce
-from itertools import combinations
+from itertools import combinations, compress
 from math import gcd, lcm
 from operator import or_
 
@@ -242,10 +242,14 @@ def counted_degrees(graph) -> dict[int, int]:
 
 # The builder the coprime module used before it built P(G) from prime-support
 # masks: one gcd per pair of distinct orders.  Kept verbatim as the oracle for
-# the adjacency and for the order in which each neighbour set iterates.
+# the adjacency and for the order in which each neighbour set iterates; the
+# graph it returns is built on the rows of the neighbour sets it returns
+# alongside, which it fills edge by edge and never from rows.
 
 
-def gcd_graph_from_orders(source: str, parent_order: int, orders: list[int]) -> CoprimeGraph:
+def gcd_graph_from_orders(
+    source: str, parent_order: int, orders: list[int]
+) -> tuple[CoprimeGraph, list[frozenset[int]]]:
     n = len(orders)
     vertices = [GraphVertex(vid=i, order=orders[i]) for i in range(n)]
     # vertices of one order are twins: one gcd per pair of distinct orders
@@ -260,12 +264,51 @@ def gcd_graph_from_orders(source: str, parent_order: int, orders: list[int]) -> 
             mine += members[j]
             near[j] += own
     adjacency: list[frozenset[int]] = [frozenset()] * n
+    rows = [0] * n
     for ids, near_ids in zip(members, near):
         # through a set, so each frozenset iterates as one built edge by edge
         shared = frozenset(set(near_ids))
+        row = sum(1 << w for w in shared)
         for v in ids:
             adjacency[v] = shared - {v} if v in shared else shared
-    return CoprimeGraph(source, parent_order, vertices, adjacency)
+            rows[v] = row & ~(1 << v)
+    return CoprimeGraph(source, parent_order, vertices, rows), adjacency
+
+
+# The neighbour sets as the coprime module built them eagerly before a graph
+# kept rows: one frozenset per support, flagged by the digits of
+# bin(inside[~S]) and filled through a set in id order.  Kept verbatim as the
+# oracle for the sets and the order in which they iterate.
+
+
+def eager_support_adjacency(orders: list[int]) -> list[frozenset[int]]:
+    n = len(orders)
+    distinct = list(dict.fromkeys(orders))
+    primes = tuple(sorted(pi(lcm(*distinct))))
+    support_of = dict(zip(distinct, prime_supports(distinct, primes)))
+    supports = [support_of[order] for order in orders]
+    full = (1 << len(primes)) - 1
+    inside = [0] * (full + 1)
+    for v, s in enumerate(supports):
+        inside[s] |= 1 << v
+    inside = lattice.subset_sums(inside, len(primes))
+    ids = list(range(n))
+    flags = {s: bin(inside[full ^ s])[:1:-1].encode().replace(b"0", b"\0") for s in set(supports)}
+    near = {s: frozenset(set(compress(ids, f))) for s, f in flags.items()}
+    return [near[s] - {v} if s == 0 else near[s] for v, s in enumerate(supports)]
+
+
+# The loop the analysis module used to list a bitmask's vertices, kept as the
+# oracle for lattice.members.
+
+
+def members_by_lowest_bit(mask: int) -> list[int]:
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 # The build the coprime module used before it read the lattice's counts by

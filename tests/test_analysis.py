@@ -310,7 +310,7 @@ def test_squarefree_cyclic_alpha_closed_form(k):
 def test_hand_made_coprime_graph_falls_back_to_the_vertex_search():
     # orders 30, 2 and 3 with no edges: by their supports 2 -- 3 would be one
     vertices = [GraphVertex(v, order) for v, order in enumerate((30, 2, 3))]
-    g = CoprimeGraph("hand", 30, vertices, [frozenset()] * 3)
+    g = CoprimeGraph("hand", 30, vertices, [0] * 3)
     assert analysis._adjacency(g).classes is None
     assert independence_number(g) == 3
 
@@ -451,7 +451,7 @@ def test_order_report_matches_vertex_report_on_order_multisets(case, left_out):
 def test_hand_made_coprime_graph_takes_the_vertex_level_report():
     # orders 30, 2 and 3 with no edges: by their supports 2 -- 3 would be one
     vertices = [GraphVertex(v, order) for v, order in enumerate((30, 2, 3))]
-    fast, slow, sweeps = both_reports(CoprimeGraph("hand", 30, vertices, [frozenset()] * 3))
+    fast, slow, sweeps = both_reports(CoprimeGraph("hand", 30, vertices, [0] * 3))
     assert fast == slow
     assert sweeps == 1
 
@@ -476,7 +476,7 @@ def test_an_order_1_vertex_takes_the_vertex_level_report():
 def test_coprime_graph_from_adjacency_alone_takes_the_vertex_level_report():
     # the edges are the coprime pairs, but the graph carries no supports
     built = build_cyclic(360)
-    g = CoprimeGraph("Z360", 360, list(built.vertices), list(built.adj))
+    g = CoprimeGraph("Z360", 360, list(built.vertices), list(built.masks))
     fast, slow, sweeps = both_reports(g)
     assert fast == slow == both_reports(built)[0]
     assert sweeps == 1
@@ -715,6 +715,9 @@ PRISM = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3), (1, 4), (2, 5)]
         pytest.param([], id="empty"),
         pytest.param([(0, 0)], id="loop"),
         pytest.param([(0, 13)], id="edge-not-in-host"),
+        pytest.param([(0, -1)], id="negative-end"),
+        pytest.param([(-1, 0)], id="negative-start"),
+        pytest.param([(0, 14)], id="end-out-of-range"),
         pytest.param([(0, 1)], id="degree-1"),
         pytest.param([(0, 1), (1, 2), (0, 2)], id="no-branch-vertex"),
         # vertex 0 of degree 4 has a chain 0-10-11-0 back to itself

@@ -3,7 +3,7 @@
 from math import gcd, prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coprimegraph import cli, coprime
@@ -23,7 +23,7 @@ from coprimegraph.groups import (
     make_dihedral,
     parse_group_spec,
 )
-from coprimegraph.lattice import all_subgroups, divisors, is_prime, prime_supports
+from coprimegraph.lattice import all_subgroups, divisors, is_prime, members, prime_supports
 from coprimegraph.theorems import load_catalog
 import helpers
 from helpers import (
@@ -32,7 +32,9 @@ from helpers import (
     build_from_subgroup_list,
     counted_degrees,
     degree_formula,
+    eager_support_adjacency,
     gcd_graph_from_orders,
+    members_by_lowest_bit,
     small_graph_isomorphic,
     trial_division_primes,
 )
@@ -147,8 +149,8 @@ def test_gcd_adjacency_property(n):
     orders = [v.order for v in g.vertices]
     for u in range(g.n_vertices):
         for v in range(u + 1, g.n_vertices):
-            assert (v in g.neighbors(u)) == (gcd(orders[u], orders[v]) == 1)
-        assert u not in g.neighbors(u)
+            assert (v in g.adj[u]) == (gcd(orders[u], orders[v]) == 1)
+        assert u not in g.adj[u]
 
 
 def test_graphs_of_isomorphic_constructions_are_isomorphic():
@@ -192,7 +194,7 @@ def test_json_export_shape():
 def test_twin_classes_give_the_pairwise_gcd_adjacency(orders):
     g = _graph_from_orders("orders", 1, orders)
     for u in range(len(orders)):
-        assert g.neighbors(u) == {
+        assert g.adj[u] == {
             v for v in range(len(orders)) if v != u and gcd(orders[u], orders[v]) == 1
         }
 
@@ -214,10 +216,12 @@ def test_one_support_per_distinct_order_and_no_gcd(monkeypatch, spec):
 
 def gcd_build_json(g) -> str:
     """The JSON export of the gcd build on g's orders, after checking that g
-    has its neighbour sets, each iterating in the same order."""
-    oracle = gcd_graph_from_orders(g.source, g.parent_order, g.orders())
-    assert g.adj == oracle.adj
-    assert [list(s) for s in g.adj] == [list(s) for s in oracle.adj]
+    has its rows and the gcd build's own neighbour sets, each iterating in
+    the same order."""
+    oracle, sets = gcd_graph_from_orders(g.source, g.parent_order, g.orders())
+    assert g.masks == oracle.masks
+    assert g.adj == tuple(sets)
+    assert [list(s) for s in g.adj] == [list(s) for s in sets]
     return cli._json_text(graph_json(oracle))
 
 
@@ -242,6 +246,41 @@ def test_support_build_matches_the_gcd_build_on_cyclic_exact_moduli(capsys, n):
 def test_support_build_matches_the_gcd_build_on_primorials(capsys, k):
     n = prod(trial_division_primes(k))
     assert_same_as_gcd_build(capsys, build_cyclic(n), [f"Z:{n}"])
+
+
+@pytest.mark.parametrize("spec", LATTICE_EXPORT_SPECS)
+def test_support_build_matches_the_gcd_build_on_lattice_export_specs(capsys, spec):
+    g = graph_for_spec(spec, 4096)
+    assert_same_as_gcd_build(capsys, g, [spec, "--max-order", "4096"])
+
+
+# the neighbour sets read off the rows, against the eager per-support build
+
+ROW_SPECS = (
+    [e.spec for e in load_catalog()]
+    + [f"Z:{n}" for n in CYCLIC_EXACT_MODULI]
+    + [f"Z:{prod(trial_division_primes(k))}" for k in range(2, 13)]
+    + LATTICE_EXPORT_SPECS
+)
+
+
+@pytest.mark.parametrize("spec", ROW_SPECS)
+def test_neighbour_sets_match_the_eager_support_build(spec):
+    g = graph_for_spec(spec, 4096)
+    want = eager_support_adjacency(g.orders())
+    assert g.masks == tuple(sum(1 << w for w in s) for s in want)
+    assert [list(s) for s in g.adj] == [list(s) for s in want]
+    assert g.n_edges == sum(map(len, want)) // 2
+    assert [g.degree(v) for v in range(g.n_vertices)] == list(map(len, want))
+
+
+@given(st.integers(min_value=0, max_value=1 << 5000))
+@example(0)
+@example((1 << 4100) - 1)
+@example(1 << 4100)
+@settings(max_examples=200, deadline=None)
+def test_members_lists_the_set_bits_lowest_first(mask):
+    assert members(mask) == members_by_lowest_bit(mask)
 
 
 @st.composite

@@ -117,7 +117,7 @@ def test_embedded_triangle_is_induced_in_cyclic_graph():
     order_to_vid = {v.order: v.vid for v in graph.vertices}
     vids = [order_to_vid[label] for label in cert.labels]
     for i, j in combinations(range(3), 2):
-        assert vids[j] in graph.neighbors(vids[i])
+        assert vids[j] in graph.adj[vids[i]]
 
 
 def test_embedded_path_is_induced_in_cyclic_graph():
@@ -128,7 +128,7 @@ def test_embedded_path_is_induced_in_cyclic_graph():
     vids = [order_to_vid[label] for label in cert.labels]
     for u in range(3):
         for v in range(u + 1, 3):
-            assert (vids[v] in graph.neighbors(vids[u])) == ((u, v) in g.edges)
+            assert (vids[v] in graph.adj[vids[u]]) == ((u, v) in g.edges)
 
 
 def test_verify_embedding_rejects_shared_prime_on_edge():

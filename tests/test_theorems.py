@@ -139,7 +139,7 @@ def _hand_graph(parent_order, orders, edges):
         adj[u].add(v)
         adj[v].add(u)
     vertices = [GraphVertex(vid, order) for vid, order in enumerate(orders)]
-    return CoprimeGraph("hand", parent_order, vertices, [frozenset(s) for s in adj])
+    return CoprimeGraph("hand", parent_order, vertices, [sum(1 << w for w in s) for s in adj])
 
 
 def test_full_support_isolation_check_matches_induced_subgraph_oracle():
@@ -461,7 +461,7 @@ def test_render_table_prints_each_failing_check():
 
 def test_prime_coloring_check_refuses_a_colour_outside_the_group_primes():
     # a vertex of order 5 inside a group of order 6 takes colour 5
-    graph = CoprimeGraph("fake", 6, [GraphVertex(0, 5), GraphVertex(1, 2)], [frozenset()] * 2)
+    graph = CoprimeGraph("fake", 6, [GraphVertex(0, 5), GraphVertex(1, 2)], [0] * 2)
     assert AUTO_CHECKS["smallest-prime-coloring-proper"](graph, None) is False
 
 
