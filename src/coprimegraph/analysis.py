@@ -6,18 +6,16 @@ that passes an Euler face count or a Kuratowski subdivision witness on host
 vertices whose contracted chains equal K5 or K33, checked before it is
 returned.  Both come from a literal K33 or from the left-right test in
 ``planarity``, so nothing here needs more than the standard library.  One
-``_Adjacency`` per graph holds the graph's own bitmask rows, which counts and
-edge tests read, and the neighbour sets built from them, which only the
-sweep, the colouring search and the rotation-system check walk; it computes
-its sweep and maximum clique once each.  A coprime graph built from its
-orders carries each vertex's prime support, and the adjacency groups the
-vertices by them once.  Its independence number is searched over those
-supports, at most 2^k - 1 for k primes, however many vertices share them.
-``analyze`` reads every other invariant of P(G) but planarity off the support
-weights too, with the paper's theorems as closed forms; ``vertex_report`` runs
-the vertex-level solvers instead, for any other graph (one made from adjacency
-alone among them) and as the oracle.  ``--exact-cap`` bounds the vertex count
-before either runs.
+``_Adjacency`` per graph holds the graph's own bitmask rows, which every
+solver reads, and computes its sweep and maximum clique once each; no
+neighbour set is built.  A coprime graph built from its orders carries each
+vertex's prime support, and the adjacency groups the vertices by them once.
+Its independence number is searched over those supports, at most 2^k - 1 for
+k primes, however many vertices share them.  ``analyze`` reads every other
+invariant of P(G) but planarity off the support weights too, with the paper's
+theorems as closed forms; ``vertex_report`` runs the vertex-level solvers
+instead, for any other graph (one made from adjacency alone among them) and as
+the oracle.  ``--exact-cap`` bounds the vertex count before either runs.
 """
 
 from __future__ import annotations
@@ -47,7 +45,8 @@ def adjacency_sets(g) -> tuple[frozenset[int], ...]:
     SimpleGraph, or a list or tuple of neighbour collections, frozen once.
 
     A raw list is checked to describe a simple graph: every neighbour is a
-    vertex id, none is the vertex itself, and each lists the other.
+    vertex id, none is the vertex itself, and each lists the other.  No
+    solver reads the sets; ``_adjacency`` calls this only on a raw list.
     """
     if not isinstance(g, (list, tuple)):
         return g.adj
@@ -66,7 +65,7 @@ def adjacency_sets(g) -> tuple[frozenset[int], ...]:
 @dataclass(frozen=True)
 class _Adjacency:
     """One graph's adjacency: its bitmask rows, the graph's own ``masks`` (a
-    raw list's derived once), and the neighbour sets built from them.
+    raw list's derived once), which every solver here reads.
 
     A coprime graph also brings its vertex orders and its name.  One
     built from its orders brings the primes of their lcm, each vertex's
@@ -76,7 +75,6 @@ class _Adjacency:
     maximum ``clique`` are computed on first use and kept with the adjacency.
     """
 
-    sets: tuple[frozenset[int], ...]
     masks: tuple[int, ...]
     orders: tuple[int, ...] | None = None
     primes: tuple[int, ...] | None = None
@@ -122,63 +120,73 @@ class _Structure:
 
 
 def _structure(adj: _Adjacency) -> _Structure:
-    """Components, diameters, girth and 2-colouring from one sweep.
+    """Components, diameters, girth and 2-colouring from one sweep on rows.
 
-    A BFS from root s ends at a vertex of greatest distance, so that distance
-    is s's eccentricity.  A non-tree edge (u, w), seen from u with w already
-    found at the same or the next level, bounds the shortest cycle through s
-    by dist(u) + dist(w) + 1, and the minimum over all roots is the girth;
-    once it is 3 nothing shorter can follow.  The BFS from a component's
-    least vertex also gives the component and its distance parities.
+    A BFS from root s goes a level at a time: the next level is the union of
+    the current level's rows, less the vertices already found, and the last
+    level's index is s's eccentricity.  Over the rows of level d, ``once``
+    collects the vertices joined to a member and ``twice`` those joined to
+    two.  An edge inside the level bounds the shortest cycle through s by
+    2d + 1, and a vertex of the next level joined to two members by 2d + 2;
+    the minimum over all roots is the girth.  The BFS from a component's
+    least vertex also gives the component and its distance parities, which
+    colour it properly unless an edge lies inside a level (an odd cycle).
     """
-    sets = adj.sets
-    n = len(sets)
+    masks = adj.masks
+    n = len(masks)
     comp_of = [-1] * n
     components: list[tuple[int, ...]] = []
     diameters: list[int] = []
-    parity = [0] * n
+    odd_levels = 0
+    odd = False
     best = INFINITE
     for s in range(n):
-        dist = [-1] * n
-        dist[s] = 0
-        order = [s]
-        for u in order:
-            du = dist[u]
-            for w in sets[u]:
-                dw = dist[w]
-                if dw < 0:
-                    dist[w] = du + 1
-                    order.append(w)
-                elif best > 3 and dw >= du and du + dw + 1 < best:
-                    best = du + dw + 1
-        if comp_of[s] < 0:
-            for v in order:
+        first = comp_of[s] < 0
+        seen = level = 1 << s
+        d = -1
+        while level:
+            d += 1
+            once = twice = 0
+            for u in members(level):
+                twice |= once & masks[u]
+                once |= masks[u]
+            if once & level:
+                best = min(best, 2 * d + 1)
+                odd |= first
+            elif twice & ~seen:
+                best = min(best, 2 * d + 2)
+            if first and d & 1:
+                odd_levels |= level
+            level = once & ~seen
+            seen |= level
+        if first:
+            component = members(seen)
+            for v in component:
                 comp_of[v] = len(components)
-                parity[v] = dist[v] & 1
-            components.append(tuple(sorted(order)))
+            components.append(tuple(component))
             diameters.append(0)
         c = comp_of[s]
-        diameters[c] = max(diameters[c], dist[order[-1]])
-    odd = any(parity[u] == parity[w] for u in range(n) for w in sets[u])
-    return _Structure(tuple(components), tuple(diameters), best, None if odd else tuple(parity))
+        diameters[c] = max(diameters[c], d)
+    coloring = None if odd else tuple(odd_levels >> v & 1 for v in range(n))
+    return _Structure(tuple(components), tuple(diameters), best, coloring)
 
 
 def _adjacency(g) -> _Adjacency:
     """The adjacency every public invariant starts from.
 
-    Built once through ``adjacency_sets`` from a CoprimeGraph, a SimpleGraph
-    or a list of neighbour sets, with a graph's own ``masks`` as its rows: only
-    a raw list's are derived here.  An ``_Adjacency`` is returned unchanged,
-    so ``analyze`` pays for it once however many invariants it computes.
+    Built once from a CoprimeGraph, a SimpleGraph or a list of neighbour sets,
+    with a graph's own ``masks`` as its rows: only a raw list's are derived
+    here, once ``adjacency_sets`` has checked it.  An ``_Adjacency`` is
+    returned unchanged, so ``analyze`` pays for it once however many
+    invariants it computes.
     """
     if isinstance(g, _Adjacency):
         return g
-    sets = adjacency_sets(g)
     if isinstance(g, (list, tuple)):
-        return _Adjacency(sets, tuple(sum(1 << w for w in s) for s in sets))
+        return _Adjacency(tuple(sum(1 << w for w in s) for s in adjacency_sets(g)))
     if not hasattr(g, "orders"):  # a SimpleGraph
-        return _Adjacency(sets, g.masks)
-    return _Adjacency(sets, g.masks, tuple(g.orders()), g.primes, g.supports, g.inside, g.source)
+        return _Adjacency(g.masks)
+    return _Adjacency(g.masks, tuple(g.orders()), g.primes, g.supports, g.inside, g.source)
 
 
 def connected_components(g) -> list[list[int]]:
@@ -392,7 +400,8 @@ def chromatic_number(g, cap: int = DEFAULT_EXACT_CAP) -> int:
     adj = _adjacency(g)
     check_exact_cap(len(adj.masks), cap)
     k = adj.clique.bit_count()
-    while not _k_colorable(adj.sets, k):
+    lists = list(map(members, adj.masks))
+    while not _k_colorable(lists, k):
         k += 1
     return k
 
@@ -437,34 +446,32 @@ def verify_rotation_system(g, rotation: dict[int, list[int]]) -> bool:
     exceeds 2, since a rotation system of genus g gives 2 - 2g, so the check
     is that the counts summed over the C components reach 2C.
     """
-    sets = _adjacency(g).sets
-    n = len(sets)
+    masks = _adjacency(g).masks
+    n = len(masks)
     if set(rotation) != set(range(n)):
         return False
     for v in range(n):
-        if sorted(rotation[v]) != sorted(sets[v]):
+        if sorted(rotation[v]) != members(masks[v]):
             return False
-    edges = sum(len(s) for s in sets) // 2
-    isolated = sum(1 for s in sets if not s)
-    faces = _count_faces(rotation, [v for v in range(n) if sets[v]]) + isolated
-    return n - edges + faces == 2 * _component_count(sets)
+    edges = sum(m.bit_count() for m in masks) // 2
+    isolated = masks.count(0)
+    faces = _count_faces(rotation, [v for v in range(n) if masks[v]]) + isolated
+    return n - edges + faces == 2 * _component_count(masks)
 
 
-def _component_count(sets) -> int:
-    """The number of components, by one search from each unseen vertex."""
-    seen = [False] * len(sets)
+def _component_count(masks) -> int:
+    """The number of components, by one search on the rows per component."""
+    unseen = (1 << len(masks)) - 1
     count = 0
-    for root in range(len(sets)):
-        if seen[root]:
-            continue
+    while unseen:
         count += 1
-        seen[root] = True
-        stack = [root]
-        while stack:
-            for w in sets[stack.pop()]:
-                if not seen[w]:
-                    seen[w] = True
-                    stack.append(w)
+        level = unseen & -unseen
+        while level:
+            unseen &= ~level
+            reach = 0
+            for v in members(level):
+                reach |= masks[v]
+            level = reach & unseen
     return count
 
 

@@ -16,7 +16,7 @@ from typing import NamedTuple
 from .errors import UndefinedCoprimeGraphError, check_exact_cap, clip
 from .groups import DEFAULT_MAX_ORDER, FiniteGroup, cyclic_spec_order, parse_group_spec
 from .lattice import all_subgroups, divisors, factorize, is_prime, pi, prime_supports
-from .lattice import neighbour_sets, subset_sums
+from .lattice import members, neighbour_sets, subset_sums
 
 
 class GraphVertex(NamedTuple):
@@ -80,7 +80,9 @@ def _graph_from_orders(source: str, parent_order: int, orders: list[int]) -> Cop
     for v, s in enumerate(supports):
         inside[s] |= 1 << v
     inside = subset_sums(inside, len(primes))
-    masks = [inside[full ^ s] & ~(1 << v) for v, s in enumerate(supports)]
+    masks = [inside[full ^ s] for s in supports]  # one row object per support
+    for v in members(inside[0]):  # only a vertex of support 0 is in its own row
+        masks[v] &= ~(1 << v)
     return CoprimeGraph(source, parent_order, vertices, masks, supports, inside, primes)
 
 

@@ -17,7 +17,7 @@ from math import gcd, lcm
 from operator import or_
 
 from coprimegraph import groups, lattice
-from coprimegraph.analysis import _Adjacency, _adjacency, vertex_report
+from coprimegraph.analysis import INFINITE, _Adjacency, _adjacency, _Structure, vertex_report
 from coprimegraph.coprime import (
     CoprimeGraph,
     GraphVertex,
@@ -52,6 +52,7 @@ from coprimegraph.lattice import (
     divisors,
     factorize,
     is_prime,
+    neighbour_sets,
     pi,
     prime_supports,
 )
@@ -419,6 +420,53 @@ def girth_oracle(adj) -> float:
     return best
 
 
+# The structure sweep the analysis module ran before it swept bitmask rows:
+# one vertex-by-vertex BFS per root over the neighbour sets.  Kept verbatim,
+# on the sets instead of the adjacency that held them, as the oracle for
+# ``analysis._structure``.
+
+
+def structure_by_sets(sets) -> _Structure:
+    """Components, diameters, girth and 2-colouring from one sweep.
+
+    A BFS from root s ends at a vertex of greatest distance, so that distance
+    is s's eccentricity.  A non-tree edge (u, w), seen from u with w already
+    found at the same or the next level, bounds the shortest cycle through s
+    by dist(u) + dist(w) + 1, and the minimum over all roots is the girth;
+    once it is 3 nothing shorter can follow.  The BFS from a component's
+    least vertex also gives the component and its distance parities.
+    """
+    n = len(sets)
+    comp_of = [-1] * n
+    components: list[tuple[int, ...]] = []
+    diameters: list[int] = []
+    parity = [0] * n
+    best = INFINITE
+    for s in range(n):
+        dist = [-1] * n
+        dist[s] = 0
+        order = [s]
+        for u in order:
+            du = dist[u]
+            for w in sets[u]:
+                dw = dist[w]
+                if dw < 0:
+                    dist[w] = du + 1
+                    order.append(w)
+                elif best > 3 and dw >= du and du + dw + 1 < best:
+                    best = du + dw + 1
+        if comp_of[s] < 0:
+            for v in order:
+                comp_of[v] = len(components)
+                parity[v] = dist[v] & 1
+            components.append(tuple(sorted(order)))
+            diameters.append(0)
+        c = comp_of[s]
+        diameters[c] = max(diameters[c], dist[order[-1]])
+    odd = any(parity[u] == parity[w] for u in range(n) for w in sets[u])
+    return _Structure(tuple(components), tuple(diameters), best, None if odd else tuple(parity))
+
+
 def kuratowski_witness_oracle(
     g, witness_edges: list[tuple[int, int]]
 ) -> tuple[str, tuple[int, ...]] | None:
@@ -432,7 +480,7 @@ def kuratowski_witness_oracle(
     degree-2 chains contract to exactly the simple edge set of K5, or to a
     complete bipartite 3+3 graph.  Returns (kind, branch vertices) or None.
     """
-    host = _adjacency(g).sets
+    host = neighbour_sets(_adjacency(g).masks)
     wadj: dict[int, set[int]] = {}
     for u, v in witness_edges:
         if u == v or v not in host[u]:
@@ -1210,8 +1258,8 @@ ISO_CAP = 16
 
 def small_graph_isomorphic(g1, g2, cap: int = ISO_CAP) -> bool:
     """Exact isomorphism test by backtracking with degree pruning."""
-    a1 = _adjacency(g1).sets
-    a2 = _adjacency(g2).sets
+    a1 = neighbour_sets(_adjacency(g1).masks)
+    a2 = neighbour_sets(_adjacency(g2).masks)
     n = len(a1)
     if n != len(a2):
         return False

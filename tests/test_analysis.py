@@ -12,7 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from coprimegraph import analysis, planarity
+from coprimegraph import analysis, coprime, embedding, lattice, planarity
 from coprimegraph.analysis import (
     INFINITE,
     ExactCapExceeded,
@@ -44,7 +44,7 @@ from coprimegraph.coprime import (
 from coprimegraph.embedding import SimpleGraph
 from coprimegraph.errors import CertificateError, EdgeListError
 from coprimegraph.groups import make_dihedral, parse_group_spec
-from coprimegraph.lattice import pi
+from coprimegraph.lattice import members, neighbour_sets, pi
 from coprimegraph.theorems import CatalogEntry, evaluate_entry, load_catalog
 from helpers import (
     alpha_oracle,
@@ -57,6 +57,7 @@ from helpers import (
     parent_support_classes,
     rescanning_k_colorable,
     small_graph_isomorphic,
+    structure_by_sets,
 )
 
 
@@ -359,10 +360,13 @@ def test_support_family_search_is_not_bounded_by_the_recursion_limit():
 
 
 def assert_k_colorable_matches_the_rescanning_search(g):
-    adj = analysis._adjacency(g)
-    omega = analysis._max_clique_masks(adj.masks, len(adj.sets)).bit_count()
-    for k in range(omega, dsatur_color_count(adj.sets) + 1):
-        assert analysis._k_colorable(adj.sets, k) == rescanning_k_colorable(adj.sets, k), k
+    # chromatic_number hands the search its rows' member lists, not the sets
+    masks = analysis._adjacency(g).masks
+    lists = list(map(members, masks))
+    omega = analysis._max_clique_masks(masks, len(masks)).bit_count()
+    for k in range(omega, dsatur_color_count(g.adj) + 1):
+        assert analysis._k_colorable(g.adj, k) == rescanning_k_colorable(g.adj, k), k
+        assert analysis._k_colorable(lists, k) == rescanning_k_colorable(g.adj, k), k
 
 
 def test_k_colorable_matches_the_rescanning_search_on_the_catalog(catalog_graphs):
@@ -432,6 +436,14 @@ def test_order_report_matches_vertex_report_on_lattice_groups(spec):
     assert sweeps == 0
 
 
+def test_order_report_matches_vertex_report_on_s6():
+    # 1453 vertices: the vertex-level report, whose sweep, colouring search
+    # and rotation-system check run on the rows, against the order-level one
+    fast, slow, sweeps = both_reports(graph_for_spec("PERM:6:[0 1 2 3 4 5],[0 1]", 720))
+    assert fast == slow
+    assert sweeps == 0
+
+
 @settings(max_examples=200, deadline=None)
 @given(order_multisets(), st.one_of(st.none(), st.sampled_from(SMALL_PRIMES)))
 def test_order_report_matches_vertex_report_on_order_multisets(case, left_out):
@@ -486,35 +498,52 @@ def test_coprime_graph_from_adjacency_alone_takes_the_vertex_level_report():
 
 
 @pytest.fixture
-def adjacency_calls(monkeypatch):
-    """Graphs handed to adjacency_sets, the only builder of an adjacency."""
+def adjacencies(monkeypatch):
+    """Every _Adjacency made, one per graph an invariant is asked of."""
+    made = []
+
+    class Counting(analysis._Adjacency):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    monkeypatch.setattr(analysis, "_Adjacency", Counting)
+    return made
+
+
+@pytest.fixture
+def set_builds(monkeypatch):
+    """Rows handed to neighbour_sets, under every name a module imports it by."""
     calls = []
-    build_sets = analysis.adjacency_sets
+    build_sets = lattice.neighbour_sets
 
-    def counting(g):
-        calls.append(g)
-        return build_sets(g)
+    def counting(masks):
+        calls.append(masks)
+        return build_sets(masks)
 
-    monkeypatch.setattr(analysis, "adjacency_sets", counting)
+    for module in (lattice, coprime, embedding):
+        monkeypatch.setattr(module, "neighbour_sets", counting)
     return calls
 
 
 @pytest.mark.parametrize("n", [4, 30, 210])
-def test_analyze_builds_the_adjacency_once(adjacency_calls, n):
+def test_analyze_builds_the_adjacency_once(adjacencies, set_builds, n):
+    # every solver runs on the rows, so no neighbour set is ever built
     analyze(build_cyclic(n))
-    assert len(adjacency_calls) == 1
+    assert len(adjacencies) == 1
+    assert set_builds == []
 
 
-def test_catalog_entry_builds_the_adjacency_once(adjacency_calls):
+def test_catalog_entry_builds_the_adjacency_once(adjacencies):
     rows = evaluate_entry(CatalogEntry(spec="S3xS3", order=36))
     assert rows and all(r.passed for r in rows)
-    assert len(adjacency_calls) == 1
+    assert len(adjacencies) == 1
 
 
 def test_adjacency_sets_is_the_graphs_own_adjacency():
     for g in (build_cyclic(30), SimpleGraph.from_edges(3, [(0, 1), (1, 2)])):
         assert adjacency_sets(g) is g.adj
-        assert analysis._adjacency(g).sets is g.adj
+        assert analysis._adjacency(g).masks is g.masks
 
 
 @pytest.mark.parametrize(
@@ -1016,6 +1045,58 @@ def test_structure_sweep_matches_networkx(adj):
         assert preds["connected"] == nx.is_connected(graph)
         assert preds["tree"] == nx.is_tree(graph)
         assert preds["forest"] == nx.is_forest(graph)
+
+
+# the sweep on rows against the sweep on neighbour sets
+
+
+def assert_sweep_matches_the_set_sweep(g):
+    adj = analysis._adjacency(g)
+    oracle = structure_by_sets(neighbour_sets(adj.masks))
+    # repr also tells an int girth from a float one, which the JSON would show
+    assert repr(adj.structure) == repr(oracle)
+
+
+def test_sweep_matches_the_set_sweep_on_the_catalog(catalog_graphs):
+    for spec, g in catalog_graphs.items():
+        assert_sweep_matches_the_set_sweep(g)
+
+
+@pytest.mark.parametrize("n", CYCLIC_EXACT_MODULI + (900,))
+def test_sweep_matches_the_set_sweep_on_cyclic_moduli(n):
+    assert_sweep_matches_the_set_sweep(build_cyclic(n))
+
+
+def test_sweep_matches_the_set_sweep_on_a_product_group():
+    assert_sweep_matches_the_set_sweep(graph_for_spec("X(S3,S4)", 4096))
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_graphs(min_vertices=0, max_vertices=16))
+def test_sweep_matches_the_set_sweep_on_random_graphs(adj):
+    assert_sweep_matches_the_set_sweep(adj)
+
+
+@st.composite
+def false_twin_blowups(draw):
+    """A random small graph with each vertex replaced by 1-3 pairwise
+    non-adjacent copies of it, the copies spread over shuffled ids."""
+    base = draw(small_graphs(min_vertices=1, max_vertices=8))
+    copies = draw(st.lists(st.integers(1, 3), min_size=len(base), max_size=len(base)))
+    origin = [v for v, c in enumerate(copies) for _ in range(c)]
+    ids = draw(st.permutations(range(len(origin))))
+    edges = [
+        (ids[a], ids[b])
+        for a, b in combinations(range(len(origin)), 2)
+        if origin[b] in base[origin[a]]
+    ]
+    return adj_of(edges, len(origin))
+
+
+@settings(max_examples=300, deadline=None)
+@given(false_twin_blowups())
+def test_sweep_matches_the_set_sweep_on_false_twin_blowups(adj):
+    assert_sweep_matches_the_set_sweep(adj)
 
 
 # forbidden subgraphs
