@@ -6,10 +6,11 @@ that passes an Euler face count or a Kuratowski subdivision witness on host
 vertices whose contracted chains equal K5 or K33, checked before it is
 returned.  Both come from a literal K33 or from the left-right test in
 ``planarity``, so nothing here needs more than the standard library.  One
-``_Adjacency`` per graph holds the graph's own bitmask rows, which every
-solver reads, and computes its sweep and maximum clique once each; no
-neighbour set is built.  A coprime graph built from its orders carries each
-vertex's prime support, and the adjacency groups the vertices by them once.
+``_Adjacency`` per graph holds the graph's own bitmask rows, its only
+adjacency, which every solver reads, and computes its sweep, its maximum
+clique and the member lists of its rows once each.  A coprime graph built
+from its orders carries each vertex's prime support, and the adjacency
+groups the vertices by them once.
 Its independence number is searched over those supports, at most 2^k - 1 for
 k primes, however many vertices share them.  ``analyze`` reads every other
 invariant of P(G) but planarity off the support weights too, with the paper's
@@ -41,15 +42,11 @@ FORBIDDEN_PATTERNS = ("K12", "K13", "K14", "K22", "K23", "K33", "K5")
 
 
 def adjacency_sets(g) -> tuple[frozenset[int], ...]:
-    """A graph's neighbour sets: its own ``adj`` for a CoprimeGraph or a
-    SimpleGraph, or a list or tuple of neighbour collections, frozen once.
-
-    A raw list is checked to describe a simple graph: every neighbour is a
-    vertex id, none is the vertex itself, and each lists the other.  No
-    solver reads the sets; ``_adjacency`` calls this only on a raw list.
+    """A raw list or tuple of neighbour collections, frozen once and checked
+    to describe a simple graph: every neighbour is a vertex id, none is the
+    vertex itself, and each lists the other.  ``_adjacency`` reads its rows
+    off the sets; no solver reads the sets themselves.
     """
-    if not isinstance(g, (list, tuple)):
-        return g.adj
     sets = tuple(map(frozenset, g))
     n = len(sets)
     for v, s in enumerate(sets):
@@ -71,8 +68,9 @@ class _Adjacency:
     built from its orders brings the primes of their lcm, each vertex's
     support over them and ``inside[X]``, from which ``independence_number``
     and ``analyze`` work on prime supports; one made from adjacency alone
-    brings none.  The ``structure`` sweep, the support ``classes`` and the
-    maximum ``clique`` are computed on first use and kept with the adjacency.
+    brings none.  The ``structure`` sweep, the support ``classes``, the
+    maximum ``clique`` and the rows' member ``lists`` are computed on first
+    use and kept with the adjacency.
     """
 
     masks: tuple[int, ...]
@@ -101,6 +99,12 @@ class _Adjacency:
     def clique(self) -> int:
         """A maximum clique, as a vertex bitmask."""
         return _max_clique_masks(self.masks, len(self.masks))
+
+    @cached_property
+    def lists(self) -> list[list[int]]:
+        """Each row's members, ascending: what the colouring search and the
+        planarity test walk.  Neither changes them."""
+        return list(map(members, self.masks))
 
 
 @dataclass(frozen=True)
@@ -400,8 +404,7 @@ def chromatic_number(g, cap: int = DEFAULT_EXACT_CAP) -> int:
     adj = _adjacency(g)
     check_exact_cap(len(adj.masks), cap)
     k = adj.clique.bit_count()
-    lists = list(map(members, adj.masks))
-    while not _k_colorable(lists, k):
+    while not _k_colorable(adj.lists, k):
         k += 1
     return k
 
@@ -538,13 +541,12 @@ def is_planar(g) -> PlanarityCertificate:
     adj = _adjacency(g)
     found = _k3b_triple(adj.masks, 3)
     if found is None:
-        lists = list(map(members, adj.masks))
-        rotation = planarity.rotation_system(lists)
+        rotation = planarity.rotation_system(adj.lists)
         if rotation is not None:
             if not verify_rotation_system(adj, dict(enumerate(rotation))):
                 raise CertificateError("planar embedding failed the Euler face check")
             return PlanarityCertificate(planar=True, rotation=tuple(map(tuple, rotation)))
-        witness = planarity.kuratowski_edges(lists)
+        witness = planarity.kuratowski_edges(adj.lists)
     else:
         *left, common = found
         right = members(common)[:3]

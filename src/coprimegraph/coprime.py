@@ -3,20 +3,19 @@
 Vertices are the nontrivial proper subgroups of a group; two vertices are
 adjacent exactly when their orders are coprime: when their prime supports are
 disjoint.  Adjacency depends only on the order labels, which makes the divisor
-fast path for cyclic groups possible, and the build takes no gcd.  A graph
-keeps one bitmask row per vertex and builds its neighbour sets on first use.
+fast path for cyclic groups possible, and the build takes no gcd.  A graph's
+one adjacency is a bitmask row per vertex; its edges are listed from the rows.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
 from math import lcm, prod
 from typing import NamedTuple
 
 from .errors import UndefinedCoprimeGraphError, check_exact_cap, clip
 from .groups import DEFAULT_MAX_ORDER, FiniteGroup, cyclic_spec_order, parse_group_spec
 from .lattice import all_subgroups, divisors, factorize, is_prime, pi, prime_supports
-from .lattice import members, neighbour_sets, subset_sums
+from .lattice import members, subset_sums
 
 
 class GraphVertex(NamedTuple):
@@ -26,7 +25,7 @@ class GraphVertex(NamedTuple):
 
 class CoprimeGraph:
     """Immutable graph on subgroup vertices with coprime-order adjacency, kept
-    as one bitmask row per vertex in ``masks``; ``adj`` is built on first use."""
+    as one bitmask row per vertex in ``masks``."""
 
     def __init__(
         self,
@@ -48,16 +47,14 @@ class CoprimeGraph:
         self.n_vertices = len(self.vertices)
         self.n_edges = sum(m.bit_count() for m in self.masks) // 2
 
-    @cached_property
-    def adj(self) -> tuple[frozenset[int], ...]:
-        """Each vertex's neighbours as a set, built on first use."""
-        return neighbour_sets(self.masks)
-
     def degree(self, v: int) -> int:
         return self.masks[v].bit_count()
 
     def edges(self) -> list[tuple[int, int]]:
-        return [(u, v) for u in range(self.n_vertices) for v in sorted(self.adj[u]) if u < v]
+        """Each edge once, as (u, v) with u < v, by u and then v: one
+        ``members`` call per distinct row, then its members above u."""
+        lists = {m: members(m) for m in dict.fromkeys(self.masks)}
+        return [(u, v) for u, m in enumerate(self.masks) if m for v in lists[m] if v > u]
 
     def orders(self) -> list[int]:
         return [vx.order for vx in self.vertices]

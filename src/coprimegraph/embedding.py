@@ -8,10 +8,9 @@ maximal independent set iff their labels share a prime.
 
 A ``SimpleGraph`` keeps one adjacency, its bitmask ``masks``, built from its
 edges on first use: the independent-set listing and the certificate check
-read those rows, and so does ``analysis``.  The neighbour sets ``adj`` are
-built from the rows, as a CoprimeGraph's are, only when a caller asks for
-them.  ``embed`` checks the vertex cap before either is built, so a header
-of 10^9 vertices is refused without allocating.
+read those rows, and so does ``analysis``.  ``embed`` checks the vertex cap
+before they are built, so a header of 10^9 vertices is refused without
+allocating.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from operator import eq
 
 from .errors import CertificateError, EdgeListError, MisCapExceeded, clip
 from .groups import ascii_int
-from .lattice import members, neighbour_sets
+from .lattice import members
 
 
 @dataclass(frozen=True)
@@ -60,11 +59,6 @@ class SimpleGraph:
             rows[a] |= 1 << b
             rows[b] |= 1 << a
         return tuple(rows)
-
-    @cached_property
-    def adj(self) -> tuple[frozenset[int], ...]:
-        """Each vertex's neighbours as a set, built on first use."""
-        return neighbour_sets(self.masks)
 
 
 @dataclass(frozen=True)

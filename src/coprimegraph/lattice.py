@@ -1,4 +1,5 @@
-"""Subgroup lattice enumeration, prime-divisor and shared bitmask helpers."""
+"""Subgroup lattice enumeration, prime-divisor helpers, and the bitmask
+helpers that build a graph's rows and list their members."""
 
 from __future__ import annotations
 
@@ -109,14 +110,6 @@ def members(mask: int) -> list[int]:
     # the digits of bin(mask), lowest first and "0" made falsy, flag the members
     flags = bin(mask)[:1:-1].encode().replace(b"0", b"\0")
     return list(compress(_ids(1 << len(flags).bit_length()), flags))
-
-
-def neighbour_sets(masks) -> tuple[frozenset[int], ...]:
-    """One frozenset per bitmask row, built once per distinct row.  Each is
-    filled through a set in ascending order, so its iteration order depends
-    only on its members, and is the one the sets of P(G) have always had."""
-    sets = {m: frozenset(set(members(m))) for m in dict.fromkeys(masks)}
-    return tuple(map(sets.__getitem__, masks))
 
 
 def divisors(n: int) -> list[int]:

@@ -52,7 +52,7 @@ from coprimegraph.lattice import (
     divisors,
     factorize,
     is_prime,
-    neighbour_sets,
+    members,
     pi,
     prime_supports,
 )
@@ -243,9 +243,8 @@ def counted_degrees(graph) -> dict[int, int]:
 
 # The builder the coprime module used before it built P(G) from prime-support
 # masks: one gcd per pair of distinct orders.  Kept verbatim as the oracle for
-# the adjacency and for the order in which each neighbour set iterates; the
-# graph it returns is built on the rows of the neighbour sets it returns
-# alongside, which it fills edge by edge and never from rows.
+# the adjacency; the graph it returns is built on the rows of the neighbour
+# sets it returns alongside, which it fills edge by edge and never from rows.
 
 
 def gcd_graph_from_orders(
@@ -279,7 +278,7 @@ def gcd_graph_from_orders(
 # The neighbour sets as the coprime module built them eagerly before a graph
 # kept rows: one frozenset per support, flagged by the digits of
 # bin(inside[~S]) and filled through a set in id order.  Kept verbatim as the
-# oracle for the sets and the order in which they iterate.
+# oracle for the rows.
 
 
 def eager_support_adjacency(orders: list[int]) -> list[frozenset[int]]:
@@ -310,6 +309,15 @@ def members_by_lowest_bit(mask: int) -> list[int]:
         out.append(low.bit_length() - 1)
         mask ^= low
     return out
+
+
+# A graph's only adjacency is its bitmask rows; the tests read them as sets.
+
+
+def neighbour_sets(masks) -> tuple[frozenset[int], ...]:
+    """One frozenset per bitmask row, built once per distinct row."""
+    sets = {m: frozenset(members(m)) for m in dict.fromkeys(masks)}
+    return tuple(map(sets.__getitem__, masks))
 
 
 # The build the coprime module used before it read the lattice's counts by
@@ -840,7 +848,7 @@ def brute_force_maximal_independent_sets(g: SimpleGraph) -> list[tuple[int, ...]
     n = g.n_vertices
     if n > 12:
         raise ValueError("brute-force MIS oracle is limited to n <= 12")
-    adj = [sum(1 << w for w in g.adj[v]) for v in range(n)]
+    adj = g.masks
     independent = [
         bits
         for bits in range(1 << n)
@@ -879,7 +887,7 @@ def recursive_maximal_independent_sets(g: SimpleGraph, cap: int = 20) -> list[tu
         raise MisCapExceeded(f"{n} vertices exceed the enumeration cap {cap}")
     if n == 0:
         return []
-    adj = g.adj
+    adj = neighbour_sets(g.masks)
     full = (1 << n) - 1
     # non-adjacency masks: cliques there are independent sets here
     non = [full & ~(1 << v) & ~sum(1 << w for w in adj[v]) for v in range(n)]

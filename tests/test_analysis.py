@@ -12,7 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from coprimegraph import analysis, coprime, embedding, lattice, planarity
+from coprimegraph import analysis, planarity
 from coprimegraph.analysis import (
     INFINITE,
     ExactCapExceeded,
@@ -44,7 +44,7 @@ from coprimegraph.coprime import (
 from coprimegraph.embedding import SimpleGraph
 from coprimegraph.errors import CertificateError, EdgeListError
 from coprimegraph.groups import make_dihedral, parse_group_spec
-from coprimegraph.lattice import members, neighbour_sets, pi
+from coprimegraph.lattice import members, pi
 from coprimegraph.theorems import CatalogEntry, evaluate_entry, load_catalog
 from helpers import (
     alpha_oracle,
@@ -53,6 +53,7 @@ from helpers import (
     girth_oracle,
     kuratowski_witness_oracle,
     min_vertex_cover_oracle,
+    neighbour_sets,
     omega_oracle,
     parent_support_classes,
     rescanning_k_colorable,
@@ -152,7 +153,7 @@ ORACLE_GRAPHS += [
     adj_of([(u, v) for u in range(5) for v in range(u + 1, 5)], 5),
 ]
 for _n in (4, 6, 8, 9, 10, 12, 16, 30, 36, 60):
-    ORACLE_GRAPHS.append([set(s) for s in build_cyclic(_n).adj])
+    ORACLE_GRAPHS.append([set(s) for s in neighbour_sets(build_cyclic(_n).masks)])
 # DSATUR's greedy colouring uses 4 colours here but chi = omega = 3, so the
 # colourability search must succeed below the greedy count
 DSATUR_GAP = adj_of(
@@ -263,7 +264,7 @@ def support_alpha(g):
 
 def vertex_alpha(g):
     """alpha by maximum clique on the complement: a plain list has no orders."""
-    return independence_number(adjacency_sets(g), cap=g.n_vertices)
+    return independence_number(neighbour_sets(g.masks), cap=g.n_vertices)
 
 
 def test_support_alpha_matches_vertex_search_on_the_catalog(catalog_graphs):
@@ -364,9 +365,10 @@ def assert_k_colorable_matches_the_rescanning_search(g):
     masks = analysis._adjacency(g).masks
     lists = list(map(members, masks))
     omega = analysis._max_clique_masks(masks, len(masks)).bit_count()
-    for k in range(omega, dsatur_color_count(g.adj) + 1):
-        assert analysis._k_colorable(g.adj, k) == rescanning_k_colorable(g.adj, k), k
-        assert analysis._k_colorable(lists, k) == rescanning_k_colorable(g.adj, k), k
+    sets = neighbour_sets(masks)
+    for k in range(omega, dsatur_color_count(sets) + 1):
+        assert analysis._k_colorable(sets, k) == rescanning_k_colorable(sets, k), k
+        assert analysis._k_colorable(lists, k) == rescanning_k_colorable(sets, k), k
 
 
 def test_k_colorable_matches_the_rescanning_search_on_the_catalog(catalog_graphs):
@@ -377,6 +379,33 @@ def test_k_colorable_matches_the_rescanning_search_on_the_catalog(catalog_graphs
 @pytest.mark.parametrize("n", CYCLIC_EXACT_MODULI)
 def test_k_colorable_matches_the_rescanning_search_on_cyclic_moduli(n):
     assert_k_colorable_matches_the_rescanning_search(build_cyclic(n))
+
+
+def test_vertex_report_reads_one_unchanged_member_list_per_graph(monkeypatch, catalog_graphs):
+    # the colouring search and the planarity test, the Kuratowski search on
+    # Z_900 among them, all get the adjacency's lists, and leave them as built
+    readers = {
+        (analysis, "_k_colorable"): [],
+        (planarity, "rotation_system"): [],
+        (planarity, "kuratowski_edges"): [],
+    }
+    for (module, name), calls in readers.items():
+        def recording(lists, *args, calls=calls, reader=getattr(module, name)):
+            calls.append(lists)
+            return reader(lists, *args)
+
+        monkeypatch.setattr(module, name, recording)
+    for g in [*catalog_graphs.values(), build_cyclic(900)]:
+        for calls in readers.values():
+            calls.clear()
+        adj = analysis._adjacency(g)
+        lists = adj.lists
+        vertex_report(adj, g.n_vertices)
+        assert lists == list(map(members, g.masks)), g.source
+        got = [c for calls in readers.values() for c in calls]
+        assert got and all(c is lists for c in got), g.source
+    # Z_900, the last graph, took the Kuratowski search
+    assert readers[planarity, "kuratowski_edges"]
 
 
 @st.composite
@@ -511,27 +540,13 @@ def adjacencies(monkeypatch):
     return made
 
 
-@pytest.fixture
-def set_builds(monkeypatch):
-    """Rows handed to neighbour_sets, under every name a module imports it by."""
-    calls = []
-    build_sets = lattice.neighbour_sets
-
-    def counting(masks):
-        calls.append(masks)
-        return build_sets(masks)
-
-    for module in (lattice, coprime, embedding):
-        monkeypatch.setattr(module, "neighbour_sets", counting)
-    return calls
-
-
 @pytest.mark.parametrize("n", [4, 30, 210])
-def test_analyze_builds_the_adjacency_once(adjacencies, set_builds, n):
-    # every solver runs on the rows, so no neighbour set is ever built
-    analyze(build_cyclic(n))
+def test_analyze_builds_the_adjacency_once(adjacencies, n):
+    # every solver runs on the graph's own rows, not on a copy of them
+    g = build_cyclic(n)
+    analyze(g)
     assert len(adjacencies) == 1
-    assert set_builds == []
+    assert adjacencies[0].masks is g.masks
 
 
 def test_catalog_entry_builds_the_adjacency_once(adjacencies):
@@ -540,10 +555,13 @@ def test_catalog_entry_builds_the_adjacency_once(adjacencies):
     assert len(adjacencies) == 1
 
 
-def test_adjacency_sets_is_the_graphs_own_adjacency():
+def test_a_graphs_own_rows_are_its_adjacency():
     for g in (build_cyclic(30), SimpleGraph.from_edges(3, [(0, 1), (1, 2)])):
-        assert adjacency_sets(g) is g.adj
         assert analysis._adjacency(g).masks is g.masks
+        assert not hasattr(g, "adj")
+        # adjacency_sets takes raw neighbour lists only
+        with pytest.raises(TypeError):
+            adjacency_sets(g)
 
 
 @pytest.mark.parametrize(
@@ -639,7 +657,7 @@ def test_invariants_agree_on_every_graph_form(spec):
     graph = build(parse_group_spec(spec))
     forms = [
         graph,
-        adjacency_sets(graph),
+        neighbour_sets(graph.masks),
         SimpleGraph.from_edges(graph.n_vertices, graph.edges()),
     ]
     for name, invariant in INVARIANTS.items():
@@ -924,7 +942,7 @@ def test_catalog_witnesses_are_k33_subgraphs(nonplanar_catalog_graphs, counterex
         assert not cert.planar, spec
         assert cert.witness_kind == "K33", spec
         assert len(cert.witness_edges) == 9, spec
-        assert list(cert.witness_edges) == first_k33_subgraph(adjacency_sets(graph)), spec
+        assert list(cert.witness_edges) == first_k33_subgraph(neighbour_sets(graph.masks)), spec
         assert verify_kuratowski_witness(graph, list(cert.witness_edges)) == (
             "K33",
             cert.witness_branch_vertices,
@@ -934,7 +952,7 @@ def test_catalog_witnesses_are_k33_subgraphs(nonplanar_catalog_graphs, counterex
 
 def test_networkx_counterexample_verifies_on_catalog(nonplanar_catalog_graphs):
     for spec, graph in nonplanar_catalog_graphs.items():
-        counter = nx.algorithms.planarity.get_counterexample(nx_graph(adjacency_sets(graph)))
+        counter = nx.algorithms.planarity.get_counterexample(nx_graph(neighbour_sets(graph.masks)))
         assert verify_kuratowski_witness(graph, list(counter.edges())) is not None, spec
 
 

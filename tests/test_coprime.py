@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from coprimegraph import cli, coprime
 from coprimegraph.analysis import analyze
 from coprimegraph.coprime import (
+    CoprimeGraph,
+    GraphVertex,
     UndefinedCoprimeGraphError,
     _graph_from_orders,
     build,
@@ -35,6 +37,7 @@ from helpers import (
     eager_support_adjacency,
     gcd_graph_from_orders,
     members_by_lowest_bit,
+    neighbour_sets,
     small_graph_isomorphic,
     trial_division_primes,
 )
@@ -147,10 +150,11 @@ def test_gcd_adjacency_property(n):
         return
     g = build_cyclic(n)
     orders = [v.order for v in g.vertices]
+    sets = neighbour_sets(g.masks)
     for u in range(g.n_vertices):
         for v in range(u + 1, g.n_vertices):
-            assert (v in g.adj[u]) == (gcd(orders[u], orders[v]) == 1)
-        assert u not in g.adj[u]
+            assert (v in sets[u]) == (gcd(orders[u], orders[v]) == 1)
+        assert u not in sets[u]
 
 
 def test_graphs_of_isomorphic_constructions_are_isomorphic():
@@ -193,8 +197,9 @@ def test_json_export_shape():
 @settings(max_examples=200, deadline=None)
 def test_twin_classes_give_the_pairwise_gcd_adjacency(orders):
     g = _graph_from_orders("orders", 1, orders)
+    sets = neighbour_sets(g.masks)
     for u in range(len(orders)):
-        assert g.adj[u] == {
+        assert sets[u] == {
             v for v in range(len(orders)) if v != u and gcd(orders[u], orders[v]) == 1
         }
 
@@ -216,12 +221,10 @@ def test_one_support_per_distinct_order_and_no_gcd(monkeypatch, spec):
 
 def gcd_build_json(g) -> str:
     """The JSON export of the gcd build on g's orders, after checking that g
-    has its rows and the gcd build's own neighbour sets, each iterating in
-    the same order."""
+    has its rows and that they hold the gcd build's own neighbour sets."""
     oracle, sets = gcd_graph_from_orders(g.source, g.parent_order, g.orders())
     assert g.masks == oracle.masks
-    assert g.adj == tuple(sets)
-    assert [list(s) for s in g.adj] == [list(s) for s in sets]
+    assert neighbour_sets(g.masks) == tuple(sets)
     return cli._json_text(graph_json(oracle))
 
 
@@ -254,7 +257,7 @@ def test_support_build_matches_the_gcd_build_on_lattice_export_specs(capsys, spe
     assert_same_as_gcd_build(capsys, g, [spec, "--max-order", "4096"])
 
 
-# the neighbour sets read off the rows, against the eager per-support build
+# the rows and the edges read off them, against the eager per-support build
 
 ROW_SPECS = (
     [e.spec for e in load_catalog()]
@@ -269,7 +272,7 @@ def test_neighbour_sets_match_the_eager_support_build(spec):
     g = graph_for_spec(spec, 4096)
     want = eager_support_adjacency(g.orders())
     assert g.masks == tuple(sum(1 << w for w in s) for s in want)
-    assert [list(s) for s in g.adj] == [list(s) for s in want]
+    assert g.edges() == [(u, v) for u in range(len(want)) for v in sorted(want[u]) if u < v]
     assert g.n_edges == sum(map(len, want)) // 2
     assert [g.degree(v) for v in range(g.n_vertices)] == list(map(len, want))
 
@@ -292,12 +295,36 @@ def divisor_lists(draw):
     return n, sorted(orders)
 
 
-@given(divisor_lists())
-@settings(max_examples=200, deadline=None)
-def test_support_build_matches_the_gcd_build_on_divisor_lists(case):
+@st.composite
+def symmetric_rows(draw):
+    """A CoprimeGraph made straight from the rows of a random simple graph,
+    every vertex of order 1: ``edges()`` reads the rows alone."""
+    n = draw(st.integers(min_value=0, max_value=30))
+    ids = st.integers(min_value=0, max_value=max(n - 1, 0))
+    rows = [0] * n
+    for u, v in draw(st.lists(st.tuples(ids, ids), max_size=120)):
+        if u != v:
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+    return CoprimeGraph("rows", 1, [GraphVertex(v, 1) for v in range(n)], rows)
+
+
+def divisor_graph(case):
     n, orders = case
-    g = _graph_from_orders("orders", n, orders)
-    assert cli._json_text(graph_json(g)) == gcd_build_json(g)
+    return _graph_from_orders("orders", n, orders)
+
+
+@given(st.one_of(divisor_lists().map(divisor_graph), symmetric_rows()))
+# README's hand-built graph, and one whose order-1 vertex is the only one
+# with its own bit cleared from its row
+@example(CoprimeGraph("hand", 6, [GraphVertex(0, 2), GraphVertex(1, 3)], [0b10, 0b01]))
+@example(_graph_from_orders("orders", 6, [1, 2, 3, 6]))
+@settings(max_examples=400, deadline=None)
+def test_support_build_matches_the_gcd_build_on_divisor_lists(g):
+    sets = neighbour_sets(g.masks)
+    assert g.edges() == [(u, v) for u in range(g.n_vertices) for v in sorted(sets[u]) if u < v]
+    if g.supports is not None:  # built from its orders
+        assert cli._json_text(graph_json(g)) == gcd_build_json(g)
 
 
 # the catalog, the benchmark's lattice-export groups, D_256, S6, and the

@@ -30,6 +30,7 @@ from helpers import (
     brute_force_maximal_independent_sets,
     embed_oracle,
     from_edges_oracle,
+    neighbour_sets,
     parse_edge_list_oracle,
     recursive_maximal_independent_sets,
     trial_division_primes,
@@ -117,7 +118,7 @@ def test_embedded_triangle_is_induced_in_cyclic_graph():
     order_to_vid = {v.order: v.vid for v in graph.vertices}
     vids = [order_to_vid[label] for label in cert.labels]
     for i, j in combinations(range(3), 2):
-        assert vids[j] in graph.adj[vids[i]]
+        assert vids[j] in neighbour_sets(graph.masks)[vids[i]]
 
 
 def test_embedded_path_is_induced_in_cyclic_graph():
@@ -128,7 +129,7 @@ def test_embedded_path_is_induced_in_cyclic_graph():
     vids = [order_to_vid[label] for label in cert.labels]
     for u in range(3):
         for v in range(u + 1, 3):
-            assert (vids[v] in graph.adj[vids[u]]) == ((u, v) in g.edges)
+            assert (vids[v] in neighbour_sets(graph.masks)[vids[u]]) == ((u, v) in g.edges)
 
 
 def test_verify_embedding_rejects_shared_prime_on_edge():
@@ -226,10 +227,11 @@ def test_embed_verify_roundtrip_random(args):
     for u in range(n):
         for v in range(u + 1, n):
             assert (gcd(cert.labels[u], cert.labels[v]) == 1) == ((u, v) in g.edges)
-    # neighbours against a scan of the edge set; the cached adjacency leaves
+    # neighbours against a scan of the edge set; the cached rows leave
     # equality and hashing to the fields
+    sets = neighbour_sets(g.masks)
     for u in range(n):
-        assert g.adj[u] == {b if a == u else a for a, b in g.edges if u in (a, b)}
+        assert sets[u] == {b if a == u else a for a, b in g.edges if u in (a, b)}
     fresh = SimpleGraph.from_edges(n, edges)
     assert g == fresh and hash(g) == hash(fresh)
 
@@ -270,14 +272,18 @@ def test_embed_json_is_byte_equal_to_the_oracle(g):
 @given(GRAPHS)
 @settings(max_examples=150, deadline=None)
 def test_masks_are_the_rows_of_the_neighbour_sets(g):
-    assert g.masks == tuple(sum(1 << w for w in nbrs) for nbrs in g.adj)
+    # each row against a scan of the edge set
+    assert g.masks == tuple(
+        sum(1 << (b if a == u else a) for a, b in g.edges if u in (a, b))
+        for u in range(g.n_vertices)
+    )
 
 
 def test_embed_refuses_a_huge_header_before_building_its_rows():
     g = parse_edge_list("n 1000000000\n0 1\n")
     with pytest.raises(MisCapExceeded):
         embed(g)
-    assert "masks" not in g.__dict__ and "adj" not in g.__dict__
+    assert "masks" not in g.__dict__
 
 
 def test_verify_embedding_reads_every_pair():
@@ -364,9 +370,13 @@ def test_an_edge_list_error_quotes_a_long_line_clipped(text):
 
 def test_neighbors_are_the_cached_adjacency():
     g = SimpleGraph.from_edges(4, [(0, 1), (1, 2), (3, 1)])
-    assert g.adj == (frozenset({1}), frozenset({0, 2, 3}), frozenset({1}), frozenset({1}))
-    assert g.adj is g.adj
-    assert not hasattr(g, "neighbors")
+    assert g.masks == (0b10, 0b1101, 0b10, 0b10)
+    assert neighbour_sets(g.masks) == (
+        frozenset({1}), frozenset({0, 2, 3}), frozenset({1}), frozenset({1})
+    )
+    # the rows are built once and are the only adjacency
+    assert g.masks is g.masks
+    assert not hasattr(g, "neighbors") and not hasattr(g, "adj")
 
 
 def test_embed_refuses_a_graph_without_vertices():

@@ -12,9 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coprimegraph import planarity
-from coprimegraph.analysis import adjacency_sets
 from coprimegraph.coprime import build_cyclic, graph_for_spec
 from coprimegraph.theorems import load_catalog
+from helpers import neighbour_sets
 
 
 def networkx_planarity(adj):
@@ -114,7 +114,7 @@ def test_the_port_matches_networkx_on_the_catalog():
     entries = load_catalog()
     assert len(entries) == 62
     for entry in entries:
-        planar += assert_same_as_networkx(adjacency_sets(graph_for_spec(entry.spec, 420)))
+        planar += assert_same_as_networkx(neighbour_sets(graph_for_spec(entry.spec, 420).masks))
     assert planar == 62 - 18
 
 
@@ -122,7 +122,7 @@ def test_the_port_matches_networkx_on_named_nonplanar_graphs():
     petersen = adj_of(nx.petersen_graph().edges(), 10)
     k5 = adj_of(combinations(range(5), 2), 5)
     k33 = adj_of([(u, v) for u in range(3) for v in range(3, 6)], 6)
-    for adj in (adjacency_sets(build_cyclic(900)), k5, k33, petersen):
+    for adj in (neighbour_sets(build_cyclic(900).masks), k5, k33, petersen):
         assert not assert_same_as_networkx(adj)
 
 
