@@ -190,7 +190,7 @@ def _adjacency(g) -> _Adjacency:
         return _Adjacency(tuple(sum(1 << w for w in s) for s in adjacency_sets(g)))
     if not hasattr(g, "orders"):  # a SimpleGraph
         return _Adjacency(g.masks)
-    return _Adjacency(g.masks, tuple(g.orders()), g.primes, g.supports, g.inside, g.source)
+    return _Adjacency(g.masks, g.orders, g.primes, g.supports, g.inside, g.source)
 
 
 def connected_components(g) -> list[list[int]]:
@@ -231,26 +231,32 @@ def _greedy_color_order(masks, candidates: int) -> tuple[list[int], list[int]]:
 
 
 def _max_clique_masks(masks, n: int) -> int:
+    """A maximum clique, as a vertex bitmask: branch and bound on greedy
+    colour bounds, one ``_greedy_color_order`` per search node, branching on
+    the last-coloured candidate first.  The search keeps its own stack of
+    suspended nodes (clique size, clique, candidates left, colour order,
+    bounds, next position), one per vertex of the current clique, so its
+    depth is not bounded by Python's recursion limit."""
     best_mask = 0
     best = 0
-
-    def expand(size: int, current: int, candidates: int) -> None:
-        nonlocal best, best_mask
-        order, bounds = _greedy_color_order(masks, candidates)
-        for i in range(len(order) - 1, -1, -1):
-            if size + bounds[i] <= best:
-                return
+    order, bounds = _greedy_color_order(masks, (1 << n) - 1)
+    stack = [(0, 0, (1 << n) - 1, order, bounds, len(order) - 1)]
+    while stack:
+        size, current, candidates, order, bounds, i = stack.pop()
+        while i >= 0 and size + bounds[i] > best:
             v = order[i]
             bit = 1 << v
             new_candidates = candidates & masks[v]
+            candidates &= ~bit
+            i -= 1
             if new_candidates:
-                expand(size + 1, current | bit, new_candidates)
+                stack.append((size, current, candidates, order, bounds, i))
+                size, current, candidates = size + 1, current | bit, new_candidates
+                order, bounds = _greedy_color_order(masks, candidates)
+                i = len(order) - 1
             elif size + 1 > best:
                 best = size + 1
                 best_mask = current | bit
-            candidates &= ~bit
-
-    expand(0, 0, (1 << n) - 1)
     return best_mask
 
 

@@ -2,15 +2,17 @@
 
 Vertices are the nontrivial proper subgroups of a group; two vertices are
 adjacent exactly when their orders are coprime: when their prime supports are
-disjoint.  Adjacency depends only on the order labels, which makes the divisor
-fast path for cyclic groups possible, and the build takes no gcd.  A graph's
-one adjacency is a bitmask row per vertex; its edges are listed from the rows.
+disjoint.  Adjacency depends only on the orders, which makes the divisor fast
+path for cyclic groups possible, and the build takes no gcd.  A graph is its
+``orders`` and its ``masks``, both indexed by vertex: vertex i is position i,
+with order ``orders[i]`` and bitmask row ``masks[i]``.  Its edges are listed
+from the rows.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from math import lcm, prod
-from typing import NamedTuple
 
 from .errors import UndefinedCoprimeGraphError, check_exact_cap, clip
 from .groups import DEFAULT_MAX_ORDER, FiniteGroup, cyclic_spec_order, parse_group_spec
@@ -18,20 +20,15 @@ from .lattice import all_subgroups, divisors, factorize, is_prime, pi, prime_sup
 from .lattice import members, subset_sums
 
 
-class GraphVertex(NamedTuple):
-    vid: int
-    order: int
-
-
 class CoprimeGraph:
-    """Immutable graph on subgroup vertices with coprime-order adjacency, kept
-    as one bitmask row per vertex in ``masks``."""
+    """Immutable graph on subgroup vertices with coprime-order adjacency:
+    vertex i has order ``orders[i]`` and bitmask row ``masks[i]``."""
 
     def __init__(
         self,
         source: str,
         parent_order: int,
-        vertices: list[GraphVertex],
+        orders: list[int],
         masks: list[int],
         supports: list[int] | None = None,
         inside: list[int] | None = None,
@@ -39,12 +36,12 @@ class CoprimeGraph:
     ):
         self.source = source
         self.parent_order = parent_order
-        self.vertices = tuple(vertices)
+        self.orders = tuple(orders)
         self.masks = tuple(masks)
         # what _graph_from_orders built the rows from, else None: each
         # vertex's support over ``primes``, those of lcm(orders), and inside[X]
         self.supports, self.inside, self.primes = supports, inside, primes
-        self.n_vertices = len(self.vertices)
+        self.n_vertices = len(self.orders)
         self.n_edges = sum(m.bit_count() for m in self.masks) // 2
 
     def degree(self, v: int) -> int:
@@ -56,9 +53,6 @@ class CoprimeGraph:
         lists = {m: members(m) for m in dict.fromkeys(self.masks)}
         return [(u, v) for u, m in enumerate(self.masks) if m for v in lists[m] if v > u]
 
-    def orders(self) -> list[int]:
-        return [vx.order for vx in self.vertices]
-
     def parent_primes(self) -> frozenset[int]:
         return pi(self.parent_order)
 
@@ -66,8 +60,6 @@ class CoprimeGraph:
 def _graph_from_orders(source: str, parent_order: int, orders: list[int]) -> CoprimeGraph:
     """A vertex of support S, the primes of lcm(orders) dividing its order, is
     joined to the other vertices of ``inside[~S]``, those supported in ~S."""
-    n = len(orders)
-    vertices = list(map(GraphVertex, range(n), orders))
     distinct = list(dict.fromkeys(orders))
     primes = tuple(sorted(pi(lcm(*distinct))))
     support_of = dict(zip(distinct, prime_supports(distinct, primes)))
@@ -80,7 +72,7 @@ def _graph_from_orders(source: str, parent_order: int, orders: list[int]) -> Cop
     masks = [inside[full ^ s] for s in supports]  # one row object per support
     for v in members(inside[0]):  # only a vertex of support 0 is in its own row
         masks[v] &= ~(1 << v)
-    return CoprimeGraph(source, parent_order, vertices, masks, supports, inside, primes)
+    return CoprimeGraph(source, parent_order, orders, masks, supports, inside, primes)
 
 
 def _require_defined(name: str, order: int) -> None:
@@ -137,18 +129,15 @@ def graph_for_spec(spec: str, max_order: int, exact_cap: int | None = None) -> C
 
 def _vertex_labels(graph: CoprimeGraph) -> list[str]:
     """Order labels, suffixed with an index when several vertices share one."""
-    counts: dict[int, int] = {}
-    for vx in graph.vertices:
-        counts[vx.order] = counts.get(vx.order, 0) + 1
-    seen: dict[int, int] = {}
+    counts = Counter(graph.orders)
+    seen: Counter[int] = Counter()
     labels = []
-    for vx in graph.vertices:
-        if counts[vx.order] == 1:
-            labels.append(str(vx.order))
+    for order in graph.orders:
+        if counts[order] == 1:
+            labels.append(str(order))
         else:
-            k = seen.get(vx.order, 0)
-            seen[vx.order] = k + 1
-            labels.append(f"{vx.order}#{k}")
+            labels.append(f"{order}#{seen[order]}")
+            seen[order] += 1
     return labels
 
 
@@ -157,8 +146,8 @@ def to_dot(graph: CoprimeGraph, comments: list[str] | None = None) -> str:
     lines = [f'graph "P({graph.source})" {{']
     for line in comments or []:
         lines.append(f"  // {line}")
-    for vx, label in zip(graph.vertices, _vertex_labels(graph)):
-        lines.append(f'  v{vx.vid} [label="{label}"];')
+    for v, label in enumerate(_vertex_labels(graph)):
+        lines.append(f'  v{v} [label="{label}"];')
     for u, v in graph.edges():
         lines.append(f"  v{u} -- v{v};")
     lines.append("}")
@@ -166,10 +155,11 @@ def to_dot(graph: CoprimeGraph, comments: list[str] | None = None) -> str:
 
 
 def graph_json(graph: CoprimeGraph) -> dict:
-    """JSON shape: {source, parent_order, vertices: [{id, order}], edges: [[u,v]]}."""
+    """JSON shape: {source, parent_order, vertices: [{id, order}], edges: [[u,v]]}:
+    vertex i has id i, and the writer encodes ``edges()``'s tuples as arrays."""
     return {
         "source": graph.source,
         "parent_order": graph.parent_order,
-        "vertices": [{"id": vx.vid, "order": vx.order} for vx in graph.vertices],
-        "edges": [[u, v] for u, v in graph.edges()],
+        "vertices": [{"id": v, "order": order} for v, order in enumerate(graph.orders)],
+        "edges": graph.edges(),
     }

@@ -158,13 +158,13 @@ def embed(g: SimpleGraph, cap: int = DEFAULT_MIS_CAP) -> EmbeddingCertificate:
         raise ValueError("embedding needs at least one vertex")
     mis = maximal_independent_sets(g, cap)
     primes = first_primes(len(mis))
-    members: list[list[int]] = [[] for _ in range(g.n_vertices)]
+    in_sets: list[list[int]] = [[] for _ in range(g.n_vertices)]  # v -> the sets holding v
     for i, s in enumerate(mis):
         for v in s:
-            members[v].append(i)
+            in_sets[v].append(i)
     rank: dict[tuple[int, ...], int] = {}
     labels = []
-    for v, sets in enumerate(members):
+    for v, sets in enumerate(in_sets):
         if not sets:
             raise CertificateError(f"vertex {v} missed by all maximal independent sets")
         support = tuple(sets)

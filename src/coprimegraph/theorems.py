@@ -152,7 +152,7 @@ def expectation_values(rep: AnalysisReport) -> dict:
 
 def _full_support_vertices(graph: CoprimeGraph) -> list[int]:
     target = graph.parent_primes()
-    return [v.vid for v in graph.vertices if pi(v.order) == target]
+    return [v for v, order in enumerate(graph.orders) if pi(order) == target]
 
 
 def _check_connectivity(graph: CoprimeGraph, rep: AnalysisReport) -> bool:
@@ -177,7 +177,7 @@ def _check_full_support_isolated(graph: CoprimeGraph, rep: AnalysisReport) -> bo
     return sum(1 for comp in rep.components if not full.issuperset(comp)) <= 1
 
 
-def _max_intersecting_support_weight(orders: list[int]) -> int:
+def _max_intersecting_support_weight(orders: tuple[int, ...]) -> int:
     """Largest total weight of a pairwise-intersecting family of prime supports.
 
     A vertex's support is the prime set of its order, and a support's weight
@@ -250,15 +250,15 @@ def _check_alpha_supports(graph: CoprimeGraph, rep: AnalysisReport) -> bool:
     two of 2, 3 and 5 are pairwise non-coprime, while each prime class has 17.
     """
     largest_class = max(
-        sum(1 for order in graph.orders() if order % p == 0) for p in graph.parent_primes()
+        sum(1 for order in graph.orders if order % p == 0) for p in graph.parent_primes()
     )
-    return largest_class <= rep.alpha == _max_intersecting_support_weight(graph.orders())
+    return largest_class <= rep.alpha == _max_intersecting_support_weight(graph.orders)
 
 
 def _check_prime_coloring(graph: CoprimeGraph, rep: AnalysisReport) -> bool:
     """Coloring by the smallest prime dividing the order must be proper and
     use at most one color per prime of the group order."""
-    color = [min(pi(v.order)) for v in graph.vertices]
+    color = [min(pi(order)) for order in graph.orders]
     if set(color) - graph.parent_primes():
         return False
     same: dict[int, int] = {}  # colour -> the bitmask of its vertices
@@ -331,7 +331,7 @@ def evaluate_entry(
                     "declared order mismatch",
                 )
             ]
-        supports = len(set(map(pi, graph.orders())))
+        supports = len(set(map(pi, graph.orders)))
         if supports > MAX_ALPHA_SUPPORTS:
             raise ExactCapExceeded(
                 f"{supports} prime supports exceed the alpha check's bound {MAX_ALPHA_SUPPORTS}"

@@ -16,11 +16,10 @@ from itertools import combinations, compress
 from math import gcd, lcm
 from operator import or_
 
-from coprimegraph import groups, lattice
+from coprimegraph import analysis, groups, lattice
 from coprimegraph.analysis import INFINITE, _Adjacency, _adjacency, _Structure, vertex_report
 from coprimegraph.coprime import (
     CoprimeGraph,
-    GraphVertex,
     _graph_from_orders,
     _require_defined,
     build,
@@ -234,7 +233,7 @@ def min_vertex_cover_oracle(adj) -> int:
 
 def counted_degrees(graph) -> dict[int, int]:
     """Vertex order -> degree, recounted edge by edge from gcds."""
-    orders = [v.order for v in graph.vertices]
+    orders = graph.orders
     out = {}
     for i, o in enumerate(orders):
         out[o] = sum(1 for j, p in enumerate(orders) if j != i and gcd(o, p) == 1)
@@ -251,7 +250,6 @@ def gcd_graph_from_orders(
     source: str, parent_order: int, orders: list[int]
 ) -> tuple[CoprimeGraph, list[frozenset[int]]]:
     n = len(orders)
-    vertices = [GraphVertex(vid=i, order=orders[i]) for i in range(n)]
     # vertices of one order are twins: one gcd per pair of distinct orders
     classes: dict[int, list[int]] = {}
     for v, order in enumerate(orders):
@@ -272,7 +270,7 @@ def gcd_graph_from_orders(
         for v in ids:
             adjacency[v] = shared - {v} if v in shared else shared
             rows[v] = row & ~(1 << v)
-    return CoprimeGraph(source, parent_order, vertices, rows), adjacency
+    return CoprimeGraph(source, parent_order, orders, rows), adjacency
 
 
 # The neighbour sets as the coprime module built them eagerly before a graph
@@ -876,6 +874,34 @@ def trial_division_primes(k: int) -> list[int]:
     return primes
 
 
+def recursive_max_clique_masks(masks, n: int) -> int:
+    """The maximum-clique search as it was before it kept its own stack, one
+    Python frame per clique vertex: the oracle for its result and its visit
+    order.  It calls ``analysis._greedy_color_order`` through the module, so
+    a test can record the candidate sets of both searches."""
+    best_mask = 0
+    best = 0
+
+    def expand(size: int, current: int, candidates: int) -> None:
+        nonlocal best, best_mask
+        order, bounds = analysis._greedy_color_order(masks, candidates)
+        for i in range(len(order) - 1, -1, -1):
+            if size + bounds[i] <= best:
+                return
+            v = order[i]
+            bit = 1 << v
+            new_candidates = candidates & masks[v]
+            if new_candidates:
+                expand(size + 1, current | bit, new_candidates)
+            elif size + 1 > best:
+                best = size + 1
+                best_mask = current | bit
+            candidates &= ~bit
+
+    expand(0, 0, (1 << n) - 1)
+    return best_mask
+
+
 def recursive_maximal_independent_sets(g: SimpleGraph, cap: int = 20) -> list[tuple[int, ...]]:
     """All maximal independent sets, sorted lexicographically.
 
@@ -1335,11 +1361,11 @@ def check_degree_theorem(n_max: int) -> VerificationReport:
             continue
         graph = build_cyclic(n)
         mismatches = []
-        for v in graph.vertices:
-            got = graph.degree(v.vid)
-            want = degree_formula(n, v.order)
+        for v, order in enumerate(graph.orders):
+            got = graph.degree(v)
+            want = degree_formula(n, order)
             if got != want:
-                mismatches.append((v.order, want, got))
+                mismatches.append((order, want, got))
         rows.append(
             CheckRow(
                 f"Z{n}",

@@ -143,7 +143,7 @@ def test_criterion_06_connectivity_criterion(catalog_reports):
     t0 = time.perf_counter()
     failures = []
     for spec, (group, lattice, graph, rep) in catalog_reports.items():
-        full = [v for v in graph.vertices if pi(v.order) == graph.parent_primes()]
+        full = [order for order in graph.orders if pi(order) == graph.parent_primes()]
         if rep.is_connected != (not full):
             failures.append(f"{spec}: connectivity mismatch")
         if rep.is_connected and rep.diameter not in (1, 2, 3):
@@ -192,7 +192,7 @@ def test_criterion_08_planarity_certificates():
             if not verify_rotation_system(graph, rotation):
                 failures.append(f"P(Z{n}): embedding failed the Euler check")
     z210 = build_cyclic(210)
-    vid = {vx.order: vx.vid for vx in z210.vertices}
+    vid = {order: v for v, order in enumerate(z210.orders)}
     witness = []
     for path in Z210_K33_PATHS:
         for a, b in zip(path, path[1:]):
@@ -229,10 +229,10 @@ def test_criterion_09_forbidden_subgraph_clauses():
         ("Z30 is K22-free", not contains_complete_bipartite(build_cyclic(30), 2, 2)),
     ]
     z30 = build_cyclic(30)
-    (two,) = [vx.vid for vx in z30.vertices if vx.order == 2]
-    coprime_to_two = [vx.order for vx in z30.vertices if gcd(2, vx.order) == 1]
+    (two,) = [v for v, order in enumerate(z30.orders) if order == 2]
+    coprime_to_two = [order for order in z30.orders if gcd(2, order) == 1]
     z30_sets = neighbour_sets(z30.masks)
-    neighbors = sorted(z30.vertices[v].order for v in z30_sets[two])
+    neighbors = sorted(z30.orders[v] for v in z30_sets[two])
     clauses += [
         ("Z30 contains K13", contains_complete_bipartite(z30, 1, 3)),
         ("Z30 order-2 vertex has neighbors 3, 5, 15",

@@ -35,7 +35,6 @@ from coprimegraph.analysis import (
 )
 from coprimegraph.coprime import (
     CoprimeGraph,
-    GraphVertex,
     _graph_from_orders,
     build,
     build_cyclic,
@@ -56,6 +55,7 @@ from helpers import (
     neighbour_sets,
     omega_oracle,
     parent_support_classes,
+    recursive_max_clique_masks,
     rescanning_k_colorable,
     small_graph_isomorphic,
     structure_by_sets,
@@ -311,8 +311,7 @@ def test_squarefree_cyclic_alpha_closed_form(k):
 
 def test_hand_made_coprime_graph_falls_back_to_the_vertex_search():
     # orders 30, 2 and 3 with no edges: by their supports 2 -- 3 would be one
-    vertices = [GraphVertex(v, order) for v, order in enumerate((30, 2, 3))]
-    g = CoprimeGraph("hand", 30, vertices, [0] * 3)
+    g = CoprimeGraph("hand", 30, [30, 2, 3], [0] * 3)
     assert analysis._adjacency(g).classes is None
     assert independence_number(g) == 3
 
@@ -427,6 +426,56 @@ def test_k_colorable_search_is_not_bounded_by_the_recursion_limit():
     assert chromatic_number(path, cap=n) == 2
 
 
+def assert_clique_search_matches_the_recursive_search(masks):
+    # the same clique, and the same candidate sets coloured in the same order
+    calls = []
+    greedy = analysis._greedy_color_order
+
+    def recording(masks, candidates):
+        calls.append(candidates)
+        return greedy(masks, candidates)
+
+    with mock.patch.object(analysis, "_greedy_color_order", recording):
+        got = analysis._max_clique_masks(masks, len(masks))
+        visits, calls = calls, []
+        want = recursive_max_clique_masks(masks, len(masks))
+    assert got == want
+    assert visits == calls
+
+
+def complement(masks):
+    full = (1 << len(masks)) - 1
+    return [full & ~(1 << v) & ~m for v, m in enumerate(masks)]
+
+
+def test_clique_search_matches_the_recursive_search_on_the_catalog(catalog_graphs):
+    for spec, g in catalog_graphs.items():
+        assert_clique_search_matches_the_recursive_search(g.masks)
+        assert_clique_search_matches_the_recursive_search(complement(g.masks))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=0, max_value=32), st.randoms(use_true_random=False))
+def test_clique_search_matches_the_recursive_search_on_random_graphs(n, rng):
+    density = rng.random()
+    pairs = [(u, v) for u, v in combinations(range(n), 2) if rng.random() < density]
+    masks = SimpleGraph.from_edges(n, pairs).masks
+    assert_clique_search_matches_the_recursive_search(masks)
+    assert_clique_search_matches_the_recursive_search(complement(masks))
+
+
+def test_clique_search_is_not_bounded_by_the_recursion_limit():
+    n = sys.getrecursionlimit() + 100
+    complete = analysis._Adjacency(tuple(complement([0] * n)))
+    assert clique_number(complete, cap=n) == n
+
+
+def test_complement_clique_search_is_not_bounded_by_the_recursion_limit():
+    # alpha of a graph without orders is a clique search on the complement
+    n = sys.getrecursionlimit() + 200
+    assert independence_number(SimpleGraph.from_edges(n, []), cap=n) == n
+
+
 # the order-level report against vertex_report, its oracle
 
 LATTICE_EXPORT_SPECS = (
@@ -491,8 +540,7 @@ def test_order_report_matches_vertex_report_on_order_multisets(case, left_out):
 
 def test_hand_made_coprime_graph_takes_the_vertex_level_report():
     # orders 30, 2 and 3 with no edges: by their supports 2 -- 3 would be one
-    vertices = [GraphVertex(v, order) for v, order in enumerate((30, 2, 3))]
-    fast, slow, sweeps = both_reports(CoprimeGraph("hand", 30, vertices, [0] * 3))
+    fast, slow, sweeps = both_reports(CoprimeGraph("hand", 30, [30, 2, 3], [0] * 3))
     assert fast == slow
     assert sweeps == 1
 
@@ -517,7 +565,7 @@ def test_an_order_1_vertex_takes_the_vertex_level_report():
 def test_coprime_graph_from_adjacency_alone_takes_the_vertex_level_report():
     # the edges are the coprime pairs, but the graph carries no supports
     built = build_cyclic(360)
-    g = CoprimeGraph("Z360", 360, list(built.vertices), list(built.masks))
+    g = CoprimeGraph("Z360", 360, list(built.orders), list(built.masks))
     fast, slow, sweeps = both_reports(g)
     assert fast == slow == both_reports(built)[0]
     assert sweeps == 1
@@ -680,7 +728,7 @@ def test_invariants_agree_on_every_graph_form(spec):
 def test_planar_certificate_z210_is_refused():
     # P(Z_210) contains a literal K33: orders {2, 3, 6} against {5, 7, 35}
     g = build_cyclic(210)
-    vid = {v.order: v.vid for v in g.vertices}
+    vid = {order: v for v, order in enumerate(g.orders)}
     literal = [(vid[a], vid[b]) for a in (2, 3, 6) for b in (5, 7, 35)]
     assert verify_kuratowski_witness(g, literal)[0] == "K33"
     cert = is_planar(g)
@@ -730,9 +778,8 @@ def test_nonplanar_witness_verified_and_tamper_rejected():
     # dropping one witness edge breaks the subdivision degree profile
     assert verify_kuratowski_witness(g, list(cert.witness_edges)[1:]) is None
     # an edge not present in the host graph is rejected outright
-    orders = {v.vid: v.order for v in g.vertices}
-    u = next(v for v in orders if orders[v] == 2)
-    w = next(v for v in orders if orders[v] == 6)
+    u = g.orders.index(2)
+    w = g.orders.index(6)
     assert verify_kuratowski_witness(g, [(u, w)] + list(cert.witness_edges)) is None
 
 

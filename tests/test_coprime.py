@@ -10,7 +10,6 @@ from coprimegraph import cli, coprime
 from coprimegraph.analysis import analyze
 from coprimegraph.coprime import (
     CoprimeGraph,
-    GraphVertex,
     UndefinedCoprimeGraphError,
     _graph_from_orders,
     build,
@@ -44,7 +43,7 @@ from helpers import (
 
 
 def degrees_by_order(graph):
-    return sorted((v.order, graph.degree(v.vid)) for v in graph.vertices)
+    return sorted((order, graph.degree(v)) for v, order in enumerate(graph.orders))
 
 
 def test_a4_is_k44():
@@ -52,7 +51,7 @@ def test_a4_is_k44():
     assert g.n_vertices == 8
     assert g.n_edges == 16
     # parts: four order-3 subgroups vs three order-2 plus the order-4 one
-    assert all(g.degree(v.vid) == 4 for v in g.vertices)
+    assert all(g.degree(v) == 4 for v in range(g.n_vertices))
 
 
 def test_d12_is_k_1_10_plus_three_isolated():
@@ -76,8 +75,8 @@ def test_build_rejects_trivial_and_prime_order():
 
 def test_build_cyclic_36():
     g = build_cyclic(36)
-    assert [v.order for v in g.vertices] == [2, 3, 4, 6, 9, 12, 18]
-    edges = {(g.vertices[u].order, g.vertices[v].order) for u, v in g.edges()}
+    assert g.orders == (2, 3, 4, 6, 9, 12, 18)
+    edges = {(g.orders[u], g.orders[v]) for u, v in g.edges()}
     assert edges == {(2, 3), (2, 9), (3, 4), (4, 9)}
 
 
@@ -89,7 +88,7 @@ def test_build_cyclic_30():
 
 def test_build_cyclic_4_single_vertex():
     g = build_cyclic(4)
-    assert [v.order for v in g.vertices] == [2]
+    assert g.orders == (2,)
     assert g.n_edges == 0
 
 
@@ -101,7 +100,7 @@ def test_build_cyclic_rejects(n):
 
 def test_duplicate_orders_make_distinct_vertices():
     g = build(parse_group_spec("Q8"))
-    assert [v.order for v in g.vertices] == [2, 4, 4, 4]
+    assert g.orders == (2, 4, 4, 4)
     assert g.n_edges == 0
 
 
@@ -115,7 +114,7 @@ def test_fast_path_matches_generic_pipeline():
         fast = build_cyclic(n)
         slow = build(make_cyclic(n))
         assert (fast.source, fast.parent_order) == (slow.source, slow.parent_order)
-        assert [v.order for v in fast.vertices] == [v.order for v in slow.vertices]
+        assert fast.orders == slow.orders
         assert fast.edges() == slow.edges()
 
 
@@ -149,7 +148,7 @@ def test_gcd_adjacency_property(n):
     if is_prime(n):
         return
     g = build_cyclic(n)
-    orders = [v.order for v in g.vertices]
+    orders = g.orders
     sets = neighbour_sets(g.masks)
     for u in range(g.n_vertices):
         for v in range(u + 1, g.n_vertices):
@@ -190,7 +189,24 @@ def test_json_export_shape():
         {"id": 2, "order": 4},
         {"id": 3, "order": 6},
     ]
-    assert payload["edges"] == [[0, 1], [1, 2]]
+    assert payload["edges"] == [(0, 1), (1, 2)]
+
+
+def test_a_hand_built_graph_exports_vertex_i_at_position_i():
+    # no vertex carries an id of its own, so the exports cannot relabel the
+    # rows: the order-3 vertex's edges go to orders 2 and 4, both coprime to 3
+    g = CoprimeGraph("hand", 12, [2, 3, 4], [0b010, 0b101, 0b010])
+    assert to_dot(g).splitlines()[1:-1] == [
+        '  v0 [label="2"];',
+        '  v1 [label="3"];',
+        '  v2 [label="4"];',
+        "  v0 -- v1;",
+        "  v1 -- v2;",
+    ]
+    payload = graph_json(g)
+    assert payload["vertices"] == [{"id": v, "order": o} for v, o in enumerate((2, 3, 4))]
+    orders = g.orders
+    assert all(gcd(orders[u], orders[v]) == 1 for u, v in payload["edges"])
 
 
 @given(st.lists(st.integers(min_value=1, max_value=60), max_size=25))
@@ -215,14 +231,14 @@ def test_one_support_per_distinct_order_and_no_gcd(monkeypatch, spec):
     group = parse_group_spec(spec)
     monkeypatch.setattr(coprime, "prime_supports", counting)
     g = build(group)
-    assert calls == [list(dict.fromkeys(g.orders()))]
+    assert calls == [list(dict.fromkeys(g.orders))]
     assert not hasattr(coprime, "gcd")
 
 
 def gcd_build_json(g) -> str:
     """The JSON export of the gcd build on g's orders, after checking that g
     has its rows and that they hold the gcd build's own neighbour sets."""
-    oracle, sets = gcd_graph_from_orders(g.source, g.parent_order, g.orders())
+    oracle, sets = gcd_graph_from_orders(g.source, g.parent_order, g.orders)
     assert g.masks == oracle.masks
     assert neighbour_sets(g.masks) == tuple(sets)
     return cli._json_text(graph_json(oracle))
@@ -270,7 +286,7 @@ ROW_SPECS = (
 @pytest.mark.parametrize("spec", ROW_SPECS)
 def test_neighbour_sets_match_the_eager_support_build(spec):
     g = graph_for_spec(spec, 4096)
-    want = eager_support_adjacency(g.orders())
+    want = eager_support_adjacency(g.orders)
     assert g.masks == tuple(sum(1 << w for w in s) for s in want)
     assert g.edges() == [(u, v) for u in range(len(want)) for v in sorted(want[u]) if u < v]
     assert g.n_edges == sum(map(len, want)) // 2
@@ -306,7 +322,7 @@ def symmetric_rows(draw):
         if u != v:
             rows[u] |= 1 << v
             rows[v] |= 1 << u
-    return CoprimeGraph("rows", 1, [GraphVertex(v, 1) for v in range(n)], rows)
+    return CoprimeGraph("rows", 1, [1] * n, rows)
 
 
 def divisor_graph(case):
@@ -317,7 +333,7 @@ def divisor_graph(case):
 @given(st.one_of(divisor_lists().map(divisor_graph), symmetric_rows()))
 # README's hand-built graph, and one whose order-1 vertex is the only one
 # with its own bit cleared from its row
-@example(CoprimeGraph("hand", 6, [GraphVertex(0, 2), GraphVertex(1, 3)], [0b10, 0b01]))
+@example(CoprimeGraph("hand", 6, [2, 3], [0b10, 0b01]))
 @example(_graph_from_orders("orders", 6, [1, 2, 3, 6]))
 @settings(max_examples=400, deadline=None)
 def test_support_build_matches_the_gcd_build_on_divisor_lists(g):

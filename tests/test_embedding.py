@@ -115,7 +115,7 @@ def test_embed_worked_five_vertex_example_uses_prime_powers():
 def test_embedded_triangle_is_induced_in_cyclic_graph():
     cert = embed(complete_graph(3))
     graph = build_cyclic(cert.modulus)
-    order_to_vid = {v.order: v.vid for v in graph.vertices}
+    order_to_vid = {order: v for v, order in enumerate(graph.orders)}
     vids = [order_to_vid[label] for label in cert.labels]
     for i, j in combinations(range(3), 2):
         assert vids[j] in neighbour_sets(graph.masks)[vids[i]]
@@ -125,7 +125,7 @@ def test_embedded_path_is_induced_in_cyclic_graph():
     g = SimpleGraph.from_edges(3, [(0, 1), (1, 2)])
     cert = embed(g)
     graph = build_cyclic(cert.modulus)
-    order_to_vid = {v.order: v.vid for v in graph.vertices}
+    order_to_vid = {order: v for v, order in enumerate(graph.orders)}
     vids = [order_to_vid[label] for label in cert.labels]
     for u in range(3):
         for v in range(u + 1, 3):

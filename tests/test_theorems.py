@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from coprimegraph import coprime, groups, theorems
 from coprimegraph.analysis import FORBIDDEN_PATTERNS, analyze, vertex_report
-from coprimegraph.coprime import CoprimeGraph, GraphVertex, build, build_cyclic, graph_for_spec
+from coprimegraph.coprime import CoprimeGraph, build, build_cyclic, graph_for_spec
 from coprimegraph.groups import DEFAULT_MAX_ORDER, make_cyclic, parse_group_spec
 from coprimegraph.errors import OrderCapExceeded
 from coprimegraph.lattice import is_prime, pi
@@ -124,7 +124,7 @@ def test_auto_checks_cover_the_structural_statements():
 def _rest_is_one_block(graph) -> bool:
     """The slow path: every full-support vertex is isolated and the induced
     subgraph on the other vertices has at most one component."""
-    full = {v.vid for v in graph.vertices if pi(v.order) == graph.parent_primes()}
+    full = {v for v, order in enumerate(graph.orders) if pi(order) == graph.parent_primes()}
     if any(graph.degree(v) for v in full):
         return False
     rest = nx.Graph()
@@ -138,8 +138,7 @@ def _hand_graph(parent_order, orders, edges):
     for u, v in edges:
         adj[u].add(v)
         adj[v].add(u)
-    vertices = [GraphVertex(vid, order) for vid, order in enumerate(orders)]
-    return CoprimeGraph("hand", parent_order, vertices, [sum(1 << w for w in s) for s in adj])
+    return CoprimeGraph("hand", parent_order, orders, [sum(1 << w for w in s) for s in adj])
 
 
 def test_full_support_isolation_check_matches_induced_subgraph_oracle():
@@ -304,8 +303,8 @@ def test_alpha_check_holds_where_alpha_exceeds_every_prime_class(spec):
     assert len(witness) == 19
     assert all(gcd(a, b) > 1 for a, b in combinations(witness, 2))
     graph = build(parse_group_spec(spec))
-    assert sorted(graph.orders()) == divisors
-    assert max(sum(o % p == 0 for o in graph.orders()) for p in (2, 3, 5)) == 17
+    assert sorted(graph.orders) == divisors
+    assert max(sum(o % p == 0 for o in graph.orders) for p in (2, 3, 5)) == 17
     rows = evaluate_entry(CatalogEntry(spec, 900, expect={"alpha": 19}))
     assert len(rows) == len(AUTO_CHECKS) + 1
     assert all(r.passed for r in rows), [r for r in rows if not r.passed]
@@ -336,7 +335,7 @@ def test_alpha_check_matches_the_enumerator_on_the_catalog():
     entries = load_catalog()
     assert len(entries) == 62
     for entry in entries:
-        orders = graph_for_spec(entry.spec, 420).orders()
+        orders = graph_for_spec(entry.spec, 420).orders
         want = enumerated_intersecting_support_weight(orders)
         assert _max_intersecting_support_weight(orders) == want, entry.spec
 
@@ -368,12 +367,12 @@ def test_alpha_check_matches_networkx_on_the_catalog():
     entries = load_catalog()
     assert len(entries) == 62
     for entry in entries:
-        orders = graph_for_spec(entry.spec, 420).orders()
+        orders = graph_for_spec(entry.spec, 420).orders
         assert _max_intersecting_support_weight(orders) == networkx_support_weight(orders)
 
 
 def test_alpha_check_matches_networkx_on_every_support_of_z510510():
-    orders = build_cyclic(510510).orders()
+    orders = build_cyclic(510510).orders
     assert len({pi(order) for order in orders}) == 126
     assert _max_intersecting_support_weight(orders) == networkx_support_weight(orders) == 63
 
@@ -404,7 +403,7 @@ def test_alpha_of_a_primorial_is_the_supports_through_one_prime(k):
     # the supports that hold 2, less the full one, meet pairwise; an
     # intersecting family holds at most one of each complementary pair
     graph = build_cyclic(prod((2, 3, 5, 7, 11, 13, 17)[:k]))
-    assert _max_intersecting_support_weight(graph.orders()) == 2 ** (k - 1) - 1
+    assert _max_intersecting_support_weight(graph.orders) == 2 ** (k - 1) - 1
 
 
 def test_more_supports_than_the_alpha_bound_is_one_build_row(monkeypatch):
@@ -426,7 +425,7 @@ def test_every_support_of_seven_primes_is_within_the_alpha_bound():
     # 2 * 510510 has a proper subgroup of order 510510, so all 2^7 - 1
     # nonempty prime sets are supports
     n = 2 * 510510
-    assert len({pi(order) for order in build_cyclic(n).orders()}) == MAX_ALPHA_SUPPORTS
+    assert len({pi(order) for order in build_cyclic(n).orders}) == MAX_ALPHA_SUPPORTS
     rows = evaluate_entry(CatalogEntry(f"Z:{n}"), n, 5000)
     assert len(rows) == len(AUTO_CHECKS)
     assert all(r.passed for r in rows), [r for r in rows if not r.passed]
@@ -461,7 +460,7 @@ def test_render_table_prints_each_failing_check():
 
 def test_prime_coloring_check_refuses_a_colour_outside_the_group_primes():
     # a vertex of order 5 inside a group of order 6 takes colour 5
-    graph = CoprimeGraph("fake", 6, [GraphVertex(0, 5), GraphVertex(1, 2)], [0] * 2)
+    graph = CoprimeGraph("fake", 6, [5, 2], [0] * 2)
     assert AUTO_CHECKS["smallest-prime-coloring-proper"](graph, None) is False
 
 
