@@ -8,8 +8,10 @@ returned.  Both come from a literal K33 or from the left-right test in
 ``planarity``, so nothing here needs more than the standard library.  One
 ``_Adjacency`` per graph holds the graph's own bitmask rows, its only
 adjacency, which every solver reads, and computes its sweep, its maximum
-clique and the member lists of its rows once each.  A coprime graph built
-from its orders carries each vertex's prime support, and the adjacency
+clique and the member lists of its rows once each.  It groups the vertices by
+equal row once: such vertices are false twins, and the sweep, the member lists
+and the colouring search each work once per distinct row.  A coprime graph
+built from its orders carries each vertex's prime support, and the adjacency
 groups the vertices by them once.
 Its independence number is searched over those supports, at most 2^k - 1 for
 k primes, however many vertices share them.  ``analyze`` reads every other
@@ -69,8 +71,15 @@ class _Adjacency:
     support over them and ``inside[X]``, from which ``independence_number``
     and ``analyze`` work on prime supports; one made from adjacency alone
     brings none.  The ``structure`` sweep, the support ``classes``, the
-    maximum ``clique`` and the rows' member ``lists`` are computed on first
-    use and kept with the adjacency.
+    maximum ``clique``, the ``rows`` grouping, the rows' member ``lists`` and
+    the twin ``quotient`` are computed on first use and kept with the
+    adjacency.
+
+    Vertices with equal rows are false twins: neither row holds its own
+    vertex, so they are not adjacent, and every other vertex is joined to
+    both or to neither.  ``rows`` groups them by reading ``masks`` alone,
+    never the orders or supports, so the solvers that use it still do not
+    know the support rule that ``verify`` checks them against.
     """
 
     masks: tuple[int, ...]
@@ -101,15 +110,35 @@ class _Adjacency:
         return _max_clique_masks(self.masks, len(self.masks))
 
     @cached_property
+    def rows(self) -> dict[int, int]:
+        """Each distinct row -> its least vertex, in vertex order."""
+        first: dict[int, int] = {}
+        for v, m in enumerate(self.masks):
+            first.setdefault(m, v)
+        return first
+
+    @cached_property
     def lists(self) -> list[list[int]]:
-        """Each row's members, ascending: what the colouring search and the
-        planarity test walk.  Neither changes them."""
-        return list(map(members, self.masks))
+        """Each row's members, ascending: what the planarity test and the
+        rotation-system check walk.  Vertices with equal rows share one list
+        object, and no reader changes it."""
+        shared = {m: members(m) for m in self.rows}
+        return [shared[m] for m in self.masks]
+
+    @cached_property
+    def quotient(self) -> list[list[int]]:
+        """The member lists of the graph induced on each distinct row's least
+        vertex, renumbered in vertex order: what the colouring search walks.
+        False twins can share a colour, so its chromatic number is the
+        graph's."""
+        index = {v: i for i, v in enumerate(self.rows.values())}
+        keep = sum(1 << v for v in index)
+        return [[index[w] for w in members(self.masks[v] & keep)] for v in index]
 
 
 @dataclass(frozen=True)
 class _Structure:
-    """What one BFS from every vertex tells about a graph.
+    """What one BFS from every vertex, up to false twins, tells about a graph.
 
     ``components`` are sorted and listed by least vertex, ``diameters`` is
     one per component, and ``coloring`` is the parity of the distance from
@@ -135,8 +164,16 @@ def _structure(adj: _Adjacency) -> _Structure:
     the minimum over all roots is the girth.  The BFS from a component's
     least vertex also gives the component and its distance parities, which
     colour it properly unless an edge lies inside a level (an odd cycle).
+
+    Only a component's least vertex and the least vertex of each distinct
+    row are roots.  A later vertex whose row was already swept is a false
+    twin of that row's root: every other vertex is at the same distance
+    from both, and the two are at distance 2, so their eccentricities are
+    equal, and swapping them maps a shortest cycle through one onto a cycle
+    of the same length through the other.
     """
     masks = adj.masks
+    first_of_row = adj.rows
     n = len(masks)
     comp_of = [-1] * n
     components: list[tuple[int, ...]] = []
@@ -146,6 +183,8 @@ def _structure(adj: _Adjacency) -> _Structure:
     best = INFINITE
     for s in range(n):
         first = comp_of[s] < 0
+        if not first and first_of_row[masks[s]] != s:
+            continue
         seen = level = 1 << s
         d = -1
         while level:
@@ -406,11 +445,16 @@ def _k_colorable(adj, k: int) -> bool:
 def chromatic_number(g, cap: int = DEFAULT_EXACT_CAP) -> int:
     """Exact chromatic number: the first k >= omega for which the
     k-colourability search succeeds.  That search never passes the DSATUR
-    greedy colour count, where its first descent already succeeds."""
+    greedy colour count, where its first descent already succeeds.
+
+    Omega is the maximum clique of the full rows.  The search runs on the
+    twin ``quotient``, one vertex per distinct row: a colouring of it gives
+    each false twin its row's colour, so the k values tried are the same as
+    on the whole graph."""
     adj = _adjacency(g)
     check_exact_cap(len(adj.masks), cap)
     k = adj.clique.bit_count()
-    while not _k_colorable(adj.lists, k):
+    while not _k_colorable(adj.quotient, k):
         k += 1
     return k
 
@@ -455,13 +499,13 @@ def verify_rotation_system(g, rotation: dict[int, list[int]]) -> bool:
     exceeds 2, since a rotation system of genus g gives 2 - 2g, so the check
     is that the counts summed over the C components reach 2C.
     """
-    masks = _adjacency(g).masks
+    adj = _adjacency(g)
+    masks = adj.masks
     n = len(masks)
     if set(rotation) != set(range(n)):
         return False
-    for v in range(n):
-        if sorted(rotation[v]) != members(masks[v]):
-            return False
+    if any(sorted(rotation[v]) != row for v, row in enumerate(adj.lists)):
+        return False
     edges = sum(m.bit_count() for m in masks) // 2
     isolated = masks.count(0)
     faces = _count_faces(rotation, [v for v in range(n) if masks[v]]) + isolated

@@ -73,6 +73,7 @@ def _factorize(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
+@lru_cache(maxsize=1024)  # verify asks it of every vertex's order in several checks
 def pi(n: int) -> frozenset[int]:
     """Set of distinct prime divisors of n (empty for n = 1)."""
     return frozenset(p for p, _ in factorize(n))

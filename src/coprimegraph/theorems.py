@@ -22,10 +22,9 @@ from pathlib import Path
 
 from .analysis import FORBIDDEN_PATTERNS, INFINITE, AnalysisReport, vertex_report
 from .coprime import CoprimeGraph, graph_for_spec
-# perfbench/tracing.py times coprime.build through this name until its hook moves to .coprime
-from .coprime import build  # noqa: F401
+from .coprime import build
 from .errors import CatalogError, CoprimeGraphError, ExactCapExceeded
-from .groups import DEFAULT_MAX_ORDER, parse_group_spec, spec_order
+from .groups import DEFAULT_MAX_ORDER, FiniteGroup, parse_group_spec, spec_order
 from .lattice import pi
 
 DEFAULT_CATALOG_MAX_ORDER = 200
@@ -302,15 +301,17 @@ def evaluate_entry(
     entry: CatalogEntry,
     max_order: int = DEFAULT_MAX_ORDER,
     exact_cap: int = DEFAULT_CATALOG_EXACT_CAP,
+    group: FiniteGroup | None = None,
 ) -> list[CheckRow]:
     """All automatic and data-driven checks for one catalog entry.
 
     The report is ``vertex_report``'s, from the vertex-level solvers, so the
     checks test the paper's theorems rather than the closed forms
-    ``analyze`` reads off prime supports.  The package's own errors (a bad
-    spec, a cap, an undefined graph, a failed certificate) become a single
-    failing row instead of aborting the suite; any other exception is a bug
-    and propagates.
+    ``analyze`` reads off prime supports.  ``group`` is the entry's group
+    when the caller has already built it from the spec under ``max_order``.
+    The package's own errors (a bad spec, a cap, an undefined graph, a
+    failed certificate) become a single failing row instead of aborting the
+    suite; any other exception is a bug and propagates.
     """
     name = entry.spec
     try:
@@ -318,7 +319,10 @@ def evaluate_entry(
         # the undefined-graph rule; any other order is read off the graph
         order = spec_order(entry.spec)
         if order is None or order > max_order or entry.order in (None, order):
-            graph = graph_for_spec(entry.spec, max_order, exact_cap)
+            if group is None:
+                graph = graph_for_spec(entry.spec, max_order, exact_cap)
+            else:
+                graph = build(group, max_order)
             order = graph.parent_order
         if entry.order not in (None, order):
             return [
@@ -395,20 +399,26 @@ def load_catalog(path: str | Path | None = None) -> list[CatalogEntry]:
     return out
 
 
-def _entry_order(entry: CatalogEntry, max_order: int) -> int | None:
-    """The declared order, else the one the spec fixes, else the built one.
+def _entry_order(
+    entry: CatalogEntry, max_order: int
+) -> tuple[int | None, FiniteGroup | None]:
+    """The declared order, else the one the spec fixes, else the built one,
+    with the group if it was built.
 
     Only a spec whose order its text does not fix (a named group or a PERM
     closure) is built, under ``max_order``; an entry that cannot be built
-    gives None and is left to ``evaluate_entry`` to report.
+    gives (None, None) and is left to ``evaluate_entry`` to report.
     """
     if entry.order is not None:
-        return entry.order
+        return entry.order, None
     try:
         order = spec_order(entry.spec)
-        return order if order is not None else parse_group_spec(entry.spec, max_order).order
+        if order is not None:
+            return order, None
+        group = parse_group_spec(entry.spec, max_order)
+        return group.order, group
     except CoprimeGraphError:
-        return None
+        return None, None
 
 
 def run_catalog(
@@ -421,6 +431,9 @@ def run_catalog(
 
     Entries are built under the larger of ``max_order`` and the package's
     default order bound, the same bound ``_entry_order`` reads orders under.
+    Without ``jobs`` each entry is checked as soon as its order is read, on
+    the group built to read it, if any.  With ``jobs`` every entry is built
+    again where it is checked, so no table is sent to a worker.
     """
     if catalog is None or isinstance(catalog, (str, Path)):
         entries = load_catalog(catalog)
@@ -429,14 +442,16 @@ def run_catalog(
     build_order = max(max_order, DEFAULT_MAX_ORDER)
     selected: list[CatalogEntry] = []
     skipped: list[str] = []
+    rows: list[CheckRow] = []
     for entry in entries:
-        order = _entry_order(entry, build_order)
+        order, group = _entry_order(entry, build_order)
         if order is not None and order > max_order:
             skipped.append(entry.spec)
-        else:
+        elif jobs > 1:
             selected.append(entry)
-    rows: list[CheckRow] = []
-    if jobs > 1 and len(selected) > 1:
+        else:
+            rows.extend(evaluate_entry(entry, build_order, exact_cap, group))
+    if len(selected) > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
             futures = [
                 pool.submit(evaluate_entry, entry, build_order, exact_cap)

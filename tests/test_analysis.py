@@ -359,20 +359,38 @@ def test_support_family_search_is_not_bounded_by_the_recursion_limit():
     assert all(s & t for s, t in combinations(family, 2))
 
 
-def assert_k_colorable_matches_the_rescanning_search(g):
-    # chromatic_number hands the search its rows' member lists, not the sets
-    masks = analysis._adjacency(g).masks
+def assert_k_colorable_matches_the_rescanning_search(g, chi=None):
+    # chromatic_number hands the search its twin quotient's member lists.
+    # Each k answer on them, on the full rows' lists and on the sets must be
+    # the rescanning search's on the full sets; chromatic_number must be the
+    # first k that succeeds, and the exhaustive oracle's ``chi`` if given
+    adj = analysis._adjacency(g)
+    masks = adj.masks
     lists = list(map(members, masks))
     omega = analysis._max_clique_masks(masks, len(masks)).bit_count()
     sets = neighbour_sets(masks)
+    successes = []
     for k in range(omega, dsatur_color_count(sets) + 1):
-        assert analysis._k_colorable(sets, k) == rescanning_k_colorable(sets, k), k
-        assert analysis._k_colorable(lists, k) == rescanning_k_colorable(sets, k), k
+        want = rescanning_k_colorable(sets, k)
+        assert analysis._k_colorable(sets, k) == want, k
+        assert analysis._k_colorable(lists, k) == want, k
+        assert analysis._k_colorable(adj.quotient, k) == want, k
+        if want:
+            successes.append(k)
+    assert chromatic_number(adj, len(masks)) == successes[0]
+    if chi is not None:
+        assert successes[0] == chi
+
+
+# the exhaustive oracle's 3^n subset pairs stay under a second up to here
+CHI_ORACLE_MAX_VERTICES = 12
 
 
 def test_k_colorable_matches_the_rescanning_search_on_the_catalog(catalog_graphs):
     for spec, g in catalog_graphs.items():
-        assert_k_colorable_matches_the_rescanning_search(g)
+        sets = neighbour_sets(g.masks)
+        chi = chi_oracle(sets) if len(sets) <= CHI_ORACLE_MAX_VERTICES else None
+        assert_k_colorable_matches_the_rescanning_search(g, chi)
 
 
 @pytest.mark.parametrize("n", CYCLIC_EXACT_MODULI)
@@ -381,8 +399,9 @@ def test_k_colorable_matches_the_rescanning_search_on_cyclic_moduli(n):
 
 
 def test_vertex_report_reads_one_unchanged_member_list_per_graph(monkeypatch, catalog_graphs):
-    # the colouring search and the planarity test, the Kuratowski search on
-    # Z_900 among them, all get the adjacency's lists, and leave them as built
+    # the planarity test, the Kuratowski search on Z_900 among them, gets the
+    # adjacency's lists and the colouring search its twin quotient's, each
+    # built once per adjacency and left as built
     readers = {
         (analysis, "_k_colorable"): [],
         (planarity, "rotation_system"): [],
@@ -394,17 +413,47 @@ def test_vertex_report_reads_one_unchanged_member_list_per_graph(monkeypatch, ca
             return reader(lists, *args)
 
         monkeypatch.setattr(module, name, recording)
+    planar_tests = 0
     for g in [*catalog_graphs.values(), build_cyclic(900)]:
         for calls in readers.values():
             calls.clear()
         adj = analysis._adjacency(g)
-        lists = adj.lists
+        lists, quotient = adj.lists, adj.quotient
         vertex_report(adj, g.n_vertices)
         assert lists == list(map(members, g.masks)), g.source
-        got = [c for calls in readers.values() for c in calls]
-        assert got and all(c is lists for c in got), g.source
+        assert quotient == twin_quotient_lists(g.masks), g.source
+        colourings = readers[analysis, "_k_colorable"]
+        planar = readers[planarity, "rotation_system"] + readers[planarity, "kuratowski_edges"]
+        assert colourings and all(c is quotient for c in colourings), g.source
+        assert all(c is lists for c in planar), g.source
+        planar_tests += len(planar)
+    assert planar_tests
     # Z_900, the last graph, took the Kuratowski search
     assert readers[planarity, "kuratowski_edges"]
+
+
+def twin_quotient_lists(masks):
+    """The graph induced on the least vertex of each distinct row, renumbered
+    in vertex order, as neighbour lists built from pairs."""
+    reps = [v for v, m in enumerate(masks) if masks.index(m) == v]
+    return [[j for j, w in enumerate(reps) if masks[v] >> w & 1] for v in reps]
+
+
+def test_lists_build_one_member_list_per_distinct_row(monkeypatch, catalog_graphs):
+    calls = []
+
+    def counting(mask):
+        calls.append(mask)
+        return members(mask)
+
+    monkeypatch.setattr(analysis, "members", counting)
+    for g in [*catalog_graphs.values(), build_cyclic(900), graph_for_spec("X(S3,S4)", 4096)]:
+        calls.clear()
+        lists = analysis._adjacency(g).lists
+        assert sorted(calls) == sorted(set(g.masks)), g.source
+        assert lists == list(map(members, g.masks)), g.source
+        # vertices with equal rows share the one list
+        assert len({id(row) for row in lists}) == len(set(g.masks)), g.source
 
 
 @st.composite
@@ -1143,10 +1192,11 @@ def test_sweep_matches_the_set_sweep_on_random_graphs(adj):
 
 
 @st.composite
-def false_twin_blowups(draw):
-    """A random small graph with each vertex replaced by 1-3 pairwise
-    non-adjacent copies of it, the copies spread over shuffled ids."""
-    base = draw(small_graphs(min_vertices=1, max_vertices=8))
+def false_twin_blowups(draw, max_base=8):
+    """A random graph of at most ``max_base`` vertices with each vertex
+    replaced by 1-3 pairwise non-adjacent copies of it, the copies spread
+    over shuffled ids."""
+    base = draw(small_graphs(min_vertices=1, max_vertices=max_base))
     copies = draw(st.lists(st.integers(1, 3), min_size=len(base), max_size=len(base)))
     origin = [v for v, c in enumerate(copies) for _ in range(c)]
     ids = draw(st.permutations(range(len(origin))))
@@ -1162,6 +1212,28 @@ def false_twin_blowups(draw):
 @given(false_twin_blowups())
 def test_sweep_matches_the_set_sweep_on_false_twin_blowups(adj):
     assert_sweep_matches_the_set_sweep(adj)
+
+
+def test_sweep_matches_the_set_sweep_when_false_twins_lie_on_the_only_cycle():
+    # the path 0-1-2 hangs on the 4-cycle 2-3-4-5, the only cycle; 3 and 5
+    # have equal rows, so the sweep roots 3 and not 5
+    adj = adj_of([(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 2)], 6)
+    assert list(analysis._adjacency(adj).rows.values()) == [0, 1, 2, 3, 4]
+    assert_sweep_matches_the_set_sweep(adj)
+    assert (girth(adj), analysis._adjacency(adj).structure.diameters) == (4, (4,))
+
+
+@settings(max_examples=150, deadline=None)
+@given(false_twin_blowups())
+def test_k_colorable_matches_the_rescanning_search_on_false_twin_blowups(adj):
+    assert_k_colorable_matches_the_rescanning_search(adj)
+
+
+@settings(max_examples=150, deadline=None)
+@given(false_twin_blowups(max_base=4))
+def test_chromatic_number_matches_the_oracle_on_small_false_twin_blowups(adj):
+    assert len(adj) <= CHI_ORACLE_MAX_VERTICES
+    assert_k_colorable_matches_the_rescanning_search(adj, chi_oracle(adj))
 
 
 # forbidden subgraphs

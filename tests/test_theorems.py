@@ -179,7 +179,9 @@ class _InlinePool:
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_run_catalog_builds_entries_under_its_max_order(monkeypatch, jobs):
     seen = []
-    monkeypatch.setattr(theorems, "evaluate_entry", lambda entry, *args: seen.append(args) or [])
+    # the build bound and the exact cap; the serial path also hands over the
+    # group it built to read an order, None for these declared entries
+    monkeypatch.setattr(theorems, "evaluate_entry", lambda entry, *args: seen.append(args[:2]) or [])
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
     entries = [CatalogEntry("D:1100", order=2200), CatalogEntry("Z:6", order=6)]
     report = run_catalog(max_order=4096, catalog=entries, exact_cap=80, jobs=jobs)
@@ -188,6 +190,23 @@ def test_run_catalog_builds_entries_under_its_max_order(monkeypatch, jobs):
     seen.clear()
     run_catalog(max_order=200, catalog=entries[1:], jobs=jobs)
     assert seen == [(2048, 96)]
+
+
+def test_run_catalog_builds_an_order_less_perm_entry_once(monkeypatch):
+    # the group built to read the entry's order is the one its checks run on
+    calls = []
+    for module in (theorems, coprime):
+        def counting(*args, parse=module.parse_group_spec):
+            calls.append(args[0])
+            return parse(*args)
+
+        monkeypatch.setattr(module, "parse_group_spec", counting)
+    spec = "PERM:4:[0 1 2 3],[0 1]"
+    report = run_catalog(max_order=24, catalog=[CatalogEntry(spec)])
+    assert calls == [spec]
+    assert report.skipped == []
+    assert len(report.rows) == len(AUTO_CHECKS)
+    assert all(r.passed for r in report.rows), [r for r in report.rows if not r.passed]
 
 
 def test_parallel_jobs_match_serial():
@@ -438,7 +457,7 @@ def test_forbidden_pattern_keys_follow_the_analysis_patterns():
 
 def test_an_undeclared_entry_whose_spec_does_not_parse_is_one_build_row():
     entry = CatalogEntry("Y:30")
-    assert _entry_order(entry, DEFAULT_MAX_ORDER) is None
+    assert _entry_order(entry, DEFAULT_MAX_ORDER) == (None, None)
     report = run_catalog(catalog=[entry])
     assert report.skipped == []
     [row] = report.rows
