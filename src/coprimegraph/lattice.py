@@ -4,9 +4,10 @@ helpers that build a graph's rows and list their members."""
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Iterable
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import compress
+from functools import cached_property, lru_cache
+from itertools import chain, compress
 
 from .errors import OrderCapExceeded, clip
 from .groups import DEFAULT_MAX_ORDER, FiniteGroup, _check_order
@@ -133,13 +134,31 @@ class Subgroup:
     order: int
 
 
-@dataclass
 class SubgroupList:
     """All subgroups of a group, sorted by (order, elements), and how many
-    there are of each order, sorted by order."""
+    there are of each order, sorted by order.
 
-    all: list[Subgroup]
-    counts_by_order: dict[int, int]
+    ``all_subgroups`` hands over the subgroups' element sets as ``sets``
+    instead of ``all``, and the sorted list is built when first read: the
+    graph reads only the counts.
+    """
+
+    def __init__(
+        self,
+        all: list[Subgroup] | None,
+        counts_by_order: dict[int, int],
+        sets: Iterable[frozenset[int]] = (),
+    ):
+        if all is not None:
+            self.all = all
+        self.counts_by_order = counts_by_order
+        self._sets = sets
+
+    @cached_property
+    def all(self) -> list[Subgroup]:
+        subs = [Subgroup(tuple(sorted(fs)), len(fs)) for fs in self._sets]
+        subs.sort(key=lambda s: (s.order, s.elements))
+        return subs
 
 
 def _generate(table, gens, order: int) -> frozenset[int] | None:
@@ -169,10 +188,14 @@ def _generate(table, gens, order: int) -> frozenset[int] | None:
 def all_subgroups(group: FiniteGroup, max_order: int = DEFAULT_MAX_ORDER) -> SubgroupList:
     """Enumerate every subgroup of the group, one conjugacy class at a time.
 
-    Only one representative K per class is searched from; the rest of its
-    class is written down as gKg^-1, one g per coset of the normaliser
-    N_G(K), and every member is recorded so that a later search landing on
-    any conjugate is recognised.
+    Only one representative K per class is searched from.  The rest of its
+    class is K's orbit under conjugation by a few generators of G, each the
+    least id outside the subgroup the earlier ones generate: products of
+    them reach every conjugate, so a breadth-first orbit writes the class
+    down with no walk over G.  Every member is recorded so that a later
+    search landing on any conjugate is recognised, and |N_G(K)| is
+    n / |class|, so the scan for N_G(K), one generator test per coset xK,
+    stops at its |N_G(K)|/|K|-th coset and tests nothing when K is normal.
 
     Cyclic extension (Neubüser): every solvable H != 1 has a normal subgroup
     K' of prime index p, and then H = K'<x> = union of x^i K' for i < p, for
@@ -183,14 +206,20 @@ def all_subgroups(group: FiniteGroup, max_order: int = DEFAULT_MAX_ORDER) -> Sub
     prime p exactly when x^p is in K for a prime p dividing ord(x).  This
     reaches every solvable subgroup's class, and so G itself exactly when G
     is solvable.  Otherwise the join loop completes the lattice: each
-    representative is joined with cyclic subgroups until nothing new
-    appears.  That adds the non-solvable classes, since any
-    H = <M, a> for a maximal subgroup M of H, so a conjugate of H is
-    <rep(M), a conjugate of a>.  For n in N_G(K), <K, nan^-1> = n<K, a>n^-1,
-    so K is joined with the first cyclic subgroup of each N_G(K)-orbit
-    only: every later one would land on a class already seen.  Each
-    representative carries the generators that built it.  S6 takes 1957
-    closures (19,028 joining every cyclic subgroup), A7 2199 and S7 10,108.
+    representative is joined with the cyclic subgroups of odd prime-power
+    order, and every class the joins find is extended too, until nothing
+    new appears.  A perfect group P is generated by its elements of odd
+    prime-power order (those of odd order generate a normal subgroup whose
+    quotient is a perfect 2-group, so trivial), so P = <M, a> for any
+    maximal M < P and some such a outside M, and a conjugate of P is
+    <rep(M), a conjugate of a>.  Every non-solvable H climbs from its
+    perfect residue by prime-index normal steps, which extension follows.
+    For n in N_G(K), <K, nan^-1> = n<K, a>n^-1, so K is joined with the
+    first cyclic subgroup of each N_G(K)-orbit only: every later one would
+    land on a class already seen.  Each representative carries the
+    generators that built it.  S6 takes 413 closures (1957 joining every
+    cyclic subgroup per normaliser orbit, 19,028 joining every one), A7 1023
+    (2199) and S7 1971 (10,108).
     """
     n = group.order
     _check_order(n, group.name, max_order)
@@ -208,41 +237,68 @@ def all_subgroups(group: FiniteGroup, max_order: int = DEFAULT_MAX_ORDER) -> Sub
         powers.append(x_pows)
     order_primes = {o: [p for p, _ in factorize(o)] for o in {len(p) for p in powers}}
 
+    # conjugations[i][x] = s x s^-1 for the i-th generator s of G, each the
+    # least id outside the subgroup the earlier ones generate
+    conjugations = []
+    span = {0}
+    gens_of_g: list[int] = []
+    for s in range(n):
+        if len(span) == n:
+            break
+        if s in span:
+            continue
+        gens_of_g.append(s)
+        row_s, inv_s = table[s], powers[s][-1]
+        conjugations.append([table[y][inv_s] for y in row_s])
+        frontier = list(span)
+        while frontier:
+            new = []
+            for x in frontier:
+                row = table[x]
+                for g in gens_of_g:
+                    y = row[g]
+                    if y not in span:
+                        span.add(y)
+                        new.append(y)
+            frontier = new
+
     seen: set[frozenset[int]] = set()
+    counts: Counter[int] = Counter()
     # (K, generators of K, one x per coset xK in N_G(K)) per class
     reps: list[tuple[frozenset[int], tuple[int, ...], list[int]]] = []
 
     def add_class(rep: frozenset[int], gens: tuple[int, ...]) -> None:
         """Record the class of a new representative K and queue K for search."""
-        # x normalises K iff x g x^-1 is in K for each generator g of K
-        normal = []
+        # no member of K's class is in seen yet: classes are disjoint
+        orbit = [rep]
+        seen.add(rep)
+        for k in orbit:
+            for conj in conjugations:
+                conjugate = frozenset(map(conj.__getitem__, k))
+                if conjugate not in seen:
+                    seen.add(conjugate)
+                    orbit.append(conjugate)
+        counts[len(rep)] += len(orbit)
+        # x normalises K iff x g x^-1 is in K for each generator g of K;
+        # N_G(K) is the union of n / (|class| |K|) cosets xK
+        cosets = n // (len(orbit) * len(rep))
+        normal: list[int] = []
         done: set[int] = set()
         for x in range(n):
             if x in done:
                 continue
             row_x = table[x]
             inv_x = powers[x][-1]
-            if all(table[row_x[g]][inv_x] in rep for g in gens):
+            if len(orbit) == 1 or all(table[row_x[g]][inv_x] in rep for g in gens):
                 normal.append(x)
+                if len(normal) == cosets:
+                    break
             # every element of the coset xK gets the same answer as x
             done.update(map(row_x.__getitem__, rep))
         reps.append((rep, gens, normal))
-        if len(normal) * len(rep) == n:
-            seen.add(rep)
-            return
-        # one conjugate gKg^-1 per coset gN_G(K)
-        normaliser = [table[x][k] for x in normal for k in rep]
-        done = set()
-        for g in range(n):
-            if g in done:
-                continue
-            row_g = table[g]
-            inv_g = powers[g][-1]
-            seen.add(frozenset(table[y][inv_g] for y in map(row_g.__getitem__, rep)))
-            done.update(map(row_g.__getitem__, normaliser))
 
-    add_class(frozenset([0]), ())
-    for current, gens, normal in reps:
+    def extend(current: frozenset[int], gens: tuple[int, ...], normal: list[int]) -> None:
+        """Add the class of each K<x> with x in N_G(K) of prime index over K."""
         done = set(current)
         for x in normal:
             if x in done:
@@ -252,12 +308,18 @@ def all_subgroups(group: FiniteGroup, max_order: int = DEFAULT_MAX_ORDER) -> Sub
             o = len(x_pows)
             p = next((p for p in order_primes[o] if x_pows[p % o] in current), 0)
             if p:
-                bigger = frozenset(table[x_pows[i]][k] for i in range(p) for k in current)
+                bigger = frozenset(
+                    chain.from_iterable(map(table[y].__getitem__, current) for y in x_pows[:p])
+                )
                 done |= bigger
                 if bigger not in seen:
                     add_class(bigger, gens + (x,))
             else:
                 done.update(map(table[x].__getitem__, current))
+
+    add_class(frozenset([0]), ())
+    for current, gens, normal in reps:
+        extend(current, gens, normal)
 
     if whole not in seen:
         # cyclic subgroups, deduplicated, each with its first generator;
@@ -267,7 +329,17 @@ def all_subgroups(group: FiniteGroup, max_order: int = DEFAULT_MAX_ORDER) -> Sub
         atom_gens = [0] * len(atom_ids)
         for x in reversed(range(n)):
             atom_gens[atom_of[x]] = x
-        for current, gens, normal in reps:
+        # only the atoms of odd prime-power order are joined
+        odd_prime_powers = {o for o, ps in order_primes.items() if len(ps) == 1 and o % 2}
+        odd_atoms = [
+            (atom, atom_gen)
+            for atom, atom_gen in enumerate(atom_gens)
+            if len(powers[atom_gen]) in odd_prime_powers
+        ]
+        extended = len(reps)
+        for i, (current, gens, normal) in enumerate(reps):
+            if i >= extended:
+                extend(current, gens, normal)
             if current == whole:
                 continue
             # (row of n, n^-1) for each n in N_G(K)
@@ -275,7 +347,7 @@ def all_subgroups(group: FiniteGroup, max_order: int = DEFAULT_MAX_ORDER) -> Sub
                 (table[y], powers[y][-1]) for y in (table[x][k] for x in normal for k in current)
             ]
             tried = set()
-            for atom, atom_gen in enumerate(atom_gens):
+            for atom, atom_gen in odd_atoms:
                 if atom in tried or atom_gen in current:
                     continue
                 # <K, n a n^-1> = n <K, a> n^-1 lands in the class of <K, a>
@@ -285,7 +357,4 @@ def all_subgroups(group: FiniteGroup, max_order: int = DEFAULT_MAX_ORDER) -> Sub
                 if fs not in seen:
                     add_class(fs, gens + (atom_gen,))
 
-    subs = [Subgroup(tuple(sorted(fs)), len(fs)) for fs in seen]
-    subs.sort(key=lambda s: (s.order, s.elements))
-    counts = Counter(s.order for s in subs)
-    return SubgroupList(subs, dict(sorted(counts.items())))
+    return SubgroupList(None, dict(sorted(counts.items())), sets=seen)

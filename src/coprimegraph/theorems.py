@@ -431,16 +431,17 @@ def run_catalog(
 
     Entries are built under the larger of ``max_order`` and the package's
     default order bound, the same bound ``_entry_order`` reads orders under.
-    Without ``jobs`` each entry is checked as soon as its order is read, on
-    the group built to read it, if any.  With ``jobs`` every entry is built
-    again where it is checked, so no table is sent to a worker.
+    An entry checked in this process is checked on the group built to read
+    its order, if any: without ``jobs`` as soon as its order is read, and
+    with ``jobs`` when it is the only entry selected.  Otherwise every entry
+    is built again in a worker, so no table is sent to one.
     """
     if catalog is None or isinstance(catalog, (str, Path)):
         entries = load_catalog(catalog)
     else:
         entries = list(catalog)
     build_order = max(max_order, DEFAULT_MAX_ORDER)
-    selected: list[CatalogEntry] = []
+    selected: list[tuple[CatalogEntry, FiniteGroup | None]] = []
     skipped: list[str] = []
     rows: list[CheckRow] = []
     for entry in entries:
@@ -448,19 +449,19 @@ def run_catalog(
         if order is not None and order > max_order:
             skipped.append(entry.spec)
         elif jobs > 1:
-            selected.append(entry)
+            selected.append((entry, group))
         else:
             rows.extend(evaluate_entry(entry, build_order, exact_cap, group))
     if len(selected) > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
             futures = [
                 pool.submit(evaluate_entry, entry, build_order, exact_cap)
-                for entry in selected
+                for entry, _ in selected
             ]
             for fut in futures:
                 rows.extend(fut.result())
     else:
-        for entry in selected:
-            rows.extend(evaluate_entry(entry, build_order, exact_cap))
+        for entry, group in selected:
+            rows.extend(evaluate_entry(entry, build_order, exact_cap, group))
     return VerificationReport(rows=rows, skipped=skipped)
 

@@ -841,6 +841,141 @@ def all_subgroups_joining_every_atom(
     return SubgroupList(subs, dict(sorted(counts.items())))
 
 
+# The enumerator the lattice module used before its join loop took only the
+# cyclic subgroups of odd prime-power order: each class is written down by a
+# walk over the cosets of its normaliser, and each representative is joined
+# with one cyclic subgroup per normaliser orbit.  Its closures go through
+# lattice._generate, so a test can record them.
+
+
+def all_subgroups_per_orbit(
+    group: FiniteGroup, max_order: int = DEFAULT_MAX_ORDER
+) -> SubgroupList:
+    """Enumerate every subgroup of the group, one conjugacy class at a time.
+
+    Only one representative K per class is searched from; the rest of its
+    class is written down as gKg^-1, one g per coset of the normaliser
+    N_G(K), and every member is recorded so that a later search landing on
+    any conjugate is recognised.
+
+    Cyclic extension (Neubüser): every solvable H != 1 has a normal subgroup
+    K' of prime index p, and then H = K'<x> = union of x^i K' for i < p, for
+    any x in H outside K'.  If K' = g^-1 K g for the representative K, then
+    gHg^-1 extends K the same way.  So each representative K is extended by
+    every x in N_G(K) whose least power in K is a prime p; no closure is
+    needed.  That least exponent divides every d with x^d in K, so it is a
+    prime p exactly when x^p is in K for a prime p dividing ord(x).  This
+    reaches every solvable subgroup's class, and so G itself exactly when G
+    is solvable.  Otherwise the join loop completes the lattice: each
+    representative is joined with cyclic subgroups until nothing new
+    appears.  That adds the non-solvable classes, since any
+    H = <M, a> for a maximal subgroup M of H, so a conjugate of H is
+    <rep(M), a conjugate of a>.  For n in N_G(K), <K, nan^-1> = n<K, a>n^-1,
+    so K is joined with the first cyclic subgroup of each N_G(K)-orbit
+    only: every later one would land on a class already seen.  Each
+    representative carries the generators that built it.  S6 takes 1957
+    closures (19,028 joining every cyclic subgroup), A7 2199 and S7 10,108.
+    """
+    n = group.order
+    if n > max_order:
+        raise OrderCapExceeded(f"group order {n} exceeds the bound {max_order}")
+    table = group.table
+    whole = frozenset(range(n))
+
+    # powers[x] = [1, x, x^2, ..., x^(ord x - 1)]; the last one is x^-1
+    powers = []
+    for x in range(n):
+        x_pows = [0]
+        y = x
+        while y != 0:
+            x_pows.append(y)
+            y = table[y][x]
+        powers.append(x_pows)
+    order_primes = {o: [p for p, _ in factorize(o)] for o in {len(p) for p in powers}}
+
+    seen: set[frozenset[int]] = set()
+    # (K, generators of K, one x per coset xK in N_G(K)) per class
+    reps: list[tuple[frozenset[int], tuple[int, ...], list[int]]] = []
+
+    def add_class(rep: frozenset[int], gens: tuple[int, ...]) -> None:
+        """Record the class of a new representative K and queue K for search."""
+        # x normalises K iff x g x^-1 is in K for each generator g of K
+        normal = []
+        done: set[int] = set()
+        for x in range(n):
+            if x in done:
+                continue
+            row_x = table[x]
+            inv_x = powers[x][-1]
+            if all(table[row_x[g]][inv_x] in rep for g in gens):
+                normal.append(x)
+            # every element of the coset xK gets the same answer as x
+            done.update(map(row_x.__getitem__, rep))
+        reps.append((rep, gens, normal))
+        if len(normal) * len(rep) == n:
+            seen.add(rep)
+            return
+        # one conjugate gKg^-1 per coset gN_G(K)
+        normaliser = [table[x][k] for x in normal for k in rep]
+        done = set()
+        for g in range(n):
+            if g in done:
+                continue
+            row_g = table[g]
+            inv_g = powers[g][-1]
+            seen.add(frozenset(table[y][inv_g] for y in map(row_g.__getitem__, rep)))
+            done.update(map(row_g.__getitem__, normaliser))
+
+    add_class(frozenset([0]), ())
+    for current, gens, normal in reps:
+        done = set(current)
+        for x in normal:
+            if x in done:
+                continue
+            x_pows = powers[x]
+            # as x is not in K, at most one prime p of ord(x) has x^p in K
+            o = len(x_pows)
+            p = next((p for p in order_primes[o] if x_pows[p % o] in current), 0)
+            if p:
+                bigger = frozenset(table[x_pows[i]][k] for i in range(p) for k in current)
+                done |= bigger
+                if bigger not in seen:
+                    add_class(bigger, gens + (x,))
+            else:
+                done.update(map(table[x].__getitem__, current))
+
+    if whole not in seen:
+        # cyclic subgroups, deduplicated, each with its first generator;
+        # atom_of[x] is the index of <x> among them
+        atom_ids: dict[frozenset[int], int] = {}
+        atom_of = [atom_ids.setdefault(frozenset(x_pows), len(atom_ids)) for x_pows in powers]
+        atom_gens = [0] * len(atom_ids)
+        for x in reversed(range(n)):
+            atom_gens[atom_of[x]] = x
+        for current, gens, normal in reps:
+            if current == whole:
+                continue
+            # (row of n, n^-1) for each n in N_G(K)
+            conjugators = [
+                (table[y], powers[y][-1]) for y in (table[x][k] for x in normal for k in current)
+            ]
+            tried = set()
+            for atom, atom_gen in enumerate(atom_gens):
+                if atom in tried or atom_gen in current:
+                    continue
+                # <K, n a n^-1> = n <K, a> n^-1 lands in the class of <K, a>
+                tried.update([atom_of[table[row[atom_gen]][inv]] for row, inv in conjugators])
+                joined = lattice._generate(table, gens + (atom_gen,), n)
+                fs = whole if joined is None else joined
+                if fs not in seen:
+                    add_class(fs, gens + (atom_gen,))
+
+    subs = [Subgroup(tuple(sorted(fs)), len(fs)) for fs in seen]
+    subs.sort(key=lambda s: (s.order, s.elements))
+    counts = Counter(s.order for s in subs)
+    return SubgroupList(subs, dict(sorted(counts.items())))
+
+
 def brute_force_maximal_independent_sets(g: SimpleGraph) -> list[tuple[int, ...]]:
     """Every maximal independent set, by scanning all 2^n vertex subsets."""
     n = g.n_vertices

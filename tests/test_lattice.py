@@ -2,6 +2,7 @@
 
 import json
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings
@@ -13,6 +14,7 @@ from coprimegraph.groups import (
     OrderCapExceeded,
     make_cyclic,
     make_dihedral,
+    make_direct_product,
     make_permutation_group,
     make_semidirect_cyclic,
     parse_group_spec,
@@ -30,6 +32,7 @@ from helpers import (
     all_subgroups_by_extension,
     all_subgroups_joining_every_atom,
     all_subgroups_oracle,
+    all_subgroups_per_orbit,
     brute_force_subgroups,
     counts_json,
     factorize_oracle,
@@ -274,10 +277,11 @@ def test_class_expansion_matches_the_per_subgroup_enumerator(closures, spec):
 def test_s5_joins_one_representative_per_class(closures):
     # S5 has 156 subgroups in 19 conjugacy classes; joining each subgroup with
     # each cyclic subgroup ran 9561 closures, one representative per class with
-    # each cyclic subgroup 1079, and with one per normaliser orbit 205
+    # each cyclic subgroup 1079, with one per normaliser orbit 205, and with
+    # one odd prime-power cyclic subgroup per normaliser orbit 54
     sl = all_subgroups(parse_group_spec("PERM:5:[0 1 2 3 4],[0 1]"))
     assert len(sl.all) == 156
-    assert len(closures) == 205
+    assert len(closures) == 54
 
 
 A5 = "PERM:5:[0 1 2],[2 3 4]"
@@ -287,6 +291,20 @@ S6 = "PERM:6:[0 1 2 3 4 5],[0 1]"
 # PSL(2,7) = GL(3,2), of order 168, with 179 subgroups
 PSL27 = "PERM:7:[0 1 2 3 4 5 6],[2 4]x[5 6]"
 A7 = "PERM:7:[0 1 2],[0 1 2 3 4 5 6]"
+S7 = "PERM:7:[0 1 2 3 4 5 6],[0 1]"
+
+
+def has_odd_prime_power_order(group, x: int) -> bool:
+    k, y = 1, x
+    while y != 0:
+        y = group.table[y][x]
+        k += 1
+    return k % 2 == 1 and len(factorize_oracle(k)) == 1
+
+
+# the closures of the join loop that takes only the cyclic subgroups of odd
+# prime-power order and extends every class the joins find
+ODD_PRIME_POWER_JOINS = {A5: 28, S5: 54, PSL27: 64, A6: 210, S6: 413}
 
 
 @pytest.mark.parametrize(
@@ -300,17 +318,26 @@ def test_join_loop_runs_one_closure_per_normaliser_orbit(
     want = all_subgroups_joining_every_atom(g)
     oracle_closures = list(closures)
     closures.clear()
+    per_orbit_lattice = all_subgroups_per_orbit(g)
+    per_orbit_closures = list(closures)
+    closures.clear()
     got = all_subgroups(g)
-    assert got.all == want.all
-    assert got.counts_by_order == want.counts_by_order
-    assert (len(oracle_closures), len(closures)) == (joining_every_atom, per_orbit)
-    # the closures run are some of the oracle's, in its order, and each
-    # representative is joined from the same generators
+    assert got.all == want.all == per_orbit_lattice.all
+    assert got.counts_by_order == want.counts_by_order == per_orbit_lattice.counts_by_order
+    assert (len(oracle_closures), len(per_orbit_closures), len(closures)) == (
+        joining_every_atom,
+        per_orbit,
+        ODD_PRIME_POWER_JOINS[spec],
+    )
+    # the per-orbit loop's closures are some of the oracle's, in its order,
+    # and each representative is joined from the same generators
     remaining = iter(oracle_closures)
-    assert all(gens in remaining for gens in closures)
-    assert list(dict.fromkeys(gens[:-1] for gens in closures)) == list(
+    assert all(gens in remaining for gens in per_orbit_closures)
+    assert list(dict.fromkeys(gens[:-1] for gens in per_orbit_closures)) == list(
         dict.fromkeys(gens[:-1] for gens in oracle_closures)
     )
+    # every join is with a cyclic subgroup of odd prime-power order
+    assert all(has_odd_prime_power_order(g, gens[-1]) for gens in closures)
 
 
 def test_s6_has_1455_subgroups():
@@ -339,7 +366,39 @@ def test_a7_has_3786_subgroups(closures):
         12: 455, 18: 70, 20: 126, 21: 120, 24: 525, 36: 105, 60: 63, 72: 35, 120: 21,
         168: 30, 360: 7, 2520: 1,
     }
-    assert len(closures) == 2199
+    assert list(sl.counts_by_order.items()) == order_tally(sl)
+    assert len(closures) == 1023
+
+
+def test_s7_has_11300_subgroups(closures):
+    # OEIS A005432
+    sl = all_subgroups(parse_group_spec(S7, 5040), 5040)
+    assert len(sl.all) == 11300
+    assert sl.counts_by_order == {
+        1: 1, 2: 231, 3: 175, 4: 1295, 5: 126, 6: 1645, 7: 120, 8: 1575, 9: 70, 10: 378,
+        12: 1715, 14: 120, 16: 315, 18: 350, 20: 378, 21: 120, 24: 1435, 36: 245, 40: 126,
+        42: 120, 48: 315, 60: 63, 72: 175, 120: 105, 144: 35, 168: 30, 240: 21, 360: 7,
+        720: 7, 2520: 1, 5040: 1,
+    }
+    assert list(sl.counts_by_order.items()) == order_tally(sl)
+    assert len(closures) == 1971
+
+
+def order_tally(sl) -> list[tuple[int, int]]:
+    """How many of ``sl.all`` have each order, sorted by order."""
+    return sorted(Counter(s.order for s in sl.all).items())
+
+
+@pytest.mark.parametrize(
+    "spec",
+    sorted(
+        set(CATALOG_SPECS + LATTICE_EXPORT_SPECS + NON_SOLVABLE_SPECS)
+        | {"D:60", "D:128", "D:210", "D:256", "D:1000", A6, S6, PSL27}
+    ),
+)
+def test_counts_by_order_tally_the_subgroups(spec):
+    sl = all_subgroups(parse_group_spec(spec, 4096), 4096)
+    assert list(sl.counts_by_order.items()) == order_tally(sl)
 
 
 @st.composite
@@ -357,8 +416,11 @@ def test_random_permutation_groups_match_the_oracle(closures):
     @example(make_permutation_group(5, [(1, 2, 3, 4, 0), (1, 0, 2, 3, 4)]))
     def check(group):
         joining_every_atom = all_subgroups_joining_every_atom(group)
+        per_orbit = all_subgroups_per_orbit(group)
         closures.clear()
         got = all_subgroups(group)
+        assert got.all == per_orbit.all
+        assert got.counts_by_order == per_orbit.counts_by_order
         assert got.all == all_subgroups_oracle(group).all
         by_extension = all_subgroups_by_extension(group)
         assert got.all == by_extension.all
@@ -372,6 +434,35 @@ def test_random_permutation_groups_match_the_oracle(closures):
 
     check()
     assert any(completed)
+
+
+@st.composite
+def products_with_small_cyclic_or_dihedral_groups(draw):
+    degree = draw(st.integers(min_value=1, max_value=4))
+    gens = draw(st.lists(st.permutations(range(degree)), min_size=1, max_size=2))
+    factor = draw(
+        st.one_of(
+            st.integers(min_value=1, max_value=6).map(make_cyclic),
+            st.integers(min_value=2, max_value=4).map(make_dihedral),
+        )
+    )
+    return make_direct_product(make_permutation_group(degree, [tuple(p) for p in gens]), factor)
+
+
+@settings(max_examples=25, deadline=None)
+@given(products_with_small_cyclic_or_dihedral_groups())
+@example(make_direct_product(make_permutation_group(4, [(1, 2, 3, 0), (1, 0, 2, 3)]), make_dihedral(4)))
+def test_products_of_small_groups_match_every_oracle(group):
+    got = all_subgroups(group)
+    for oracle in (
+        all_subgroups_oracle,
+        all_subgroups_by_extension,
+        all_subgroups_joining_every_atom,
+        all_subgroups_per_orbit,
+    ):
+        want = oracle(group)
+        assert got.all == want.all, oracle.__name__
+        assert got.counts_by_order == want.counts_by_order, oracle.__name__
 
 
 @pytest.mark.parametrize("n", [60, 128, 210, 256, 1000])

@@ -209,6 +209,23 @@ def test_run_catalog_builds_an_order_less_perm_entry_once(monkeypatch):
     assert all(r.passed for r in report.rows), [r for r in report.rows if not r.passed]
 
 
+def test_run_catalog_with_jobs_builds_a_lone_order_less_entry_once(monkeypatch):
+    # with one entry selected the check runs in this process, on the group
+    # built to read its order
+    calls = []
+    for module in (theorems, coprime):
+        def counting(*args, parse=module.parse_group_spec):
+            calls.append(args[0])
+            return parse(*args)
+
+        monkeypatch.setattr(module, "parse_group_spec", counting)
+    spec = "PERM:4:[0 1 2 3],[0 1]"
+    report = run_catalog(catalog=[CatalogEntry(spec)], jobs=2)
+    assert calls == [spec]
+    assert len(report.rows) == len(AUTO_CHECKS)
+    assert all(r.passed for r in report.rows), [r for r in report.rows if not r.passed]
+
+
 def test_parallel_jobs_match_serial():
     entries = load_catalog()[:8]
     serial = run_catalog(catalog=entries)
