@@ -123,8 +123,11 @@ def maximal_independent_sets(g: SimpleGraph, cap: int = DEFAULT_MIS_CAP) -> list
             out.append(r)
             continue
         # the first vertex of p | x with the most candidates among its
-        # non-neighbours
+        # non-neighbours, or the first whose count reaches its own bound:
+        # |p| - 1 for a vertex of p, |p| for one of x.  Any pivot in p | x
+        # lists the same sets, and the listing is sorted.
         pool = p | x
+        size = p.bit_count()
         best = -1
         while pool:
             low = pool & -pool
@@ -132,6 +135,8 @@ def maximal_independent_sets(g: SimpleGraph, cap: int = DEFAULT_MIS_CAP) -> list
             count = (p & non[v]).bit_count()
             if count > best:
                 best, pivot = count, v
+                if count == size - (p & low != 0):
+                    break
             pool ^= low
         cand = p & ~non[pivot]
         while cand:

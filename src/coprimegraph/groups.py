@@ -63,10 +63,12 @@ def make_semidirect_cyclic(m: int, k: int, i: int) -> FiniteGroup:
     (a1, b1)*(a2, b2) = (a1 + a2*i^b1 mod m, b1 + b2 mod k).
     Requires gcd(i, m) = 1 and i^k = 1 mod m, else the action is ill-defined.
 
-    Row (a1, b1) is m blocks of k entries, one per a2, and block a2 is the
-    segment a*k + (b1 + b2 mod k) over b2 for a = a1 + a2*i^b1 mod m.  So
-    the m*k blocks are built once, and each row is joined from the b1
-    blocks in C; the rows share the blocks' int objects.
+    Row (0, b1) is m blocks of k entries, one per a2: block a2 is the
+    segment a*k + (b1 + b2 mod k) over b2 for a = a2*i^b1 mod m.  Row
+    (a1, b1) takes at a2 the block row (0, b1) has at a2 + s, for
+    s = a1*i^-b1 mod m, so it is row (0, b1) rotated left by s*k entries:
+    one slice and concatenation in C per row, and the rows share row
+    (0, b1)'s int objects.
     """
     if m < 2 or k < 2:
         raise GroupConstructionError(
@@ -78,19 +80,19 @@ def make_semidirect_cyclic(m: int, k: int, i: int) -> FiniteGroup:
     if pow(i, k, m) != 1:
         raise GroupConstructionError(f"i^k = {pow(i, k, m)} != 1 mod {m}: action not well defined")
     cyc = list(range(k))
-    # blocks[b1][a] is the row segment of (a, b1 + b2 mod k) over b2, listed
-    # twice so that the m blocks from a1 on are the list rotated by a1
-    blocks = [
-        [tuple(map((a * k).__add__, cyc[b1:] + cyc[:b1])) for a in range(m)] * 2
-        for b1 in range(k)
-    ]
-    # row (a1, b1) takes the blocks at a1 + a2*i^b1 mod m, for a2 in 0..m-1
-    picks = [[a2 * pow(i, b1, m) % m for a2 in range(m)] for b1 in range(k)]
-    table = tuple(
-        tuple(chain.from_iterable(map(blocks[b1][a1:a1 + m].__getitem__, picks[b1])))
-        for a1 in range(m) for b1 in range(k)
-    )
-    return FiniteGroup(name=f"Z{m}:Z{k}(i={i})", order=m * k, table=table)
+    bases = []  # bases[b1] is row (0, b1)
+    for b1 in range(k):
+        segment, unit = cyc[b1:] + cyc[:b1], pow(i, b1, m)
+        blocks = (map((a2 * unit % m * k).__add__, segment) for a2 in range(m))
+        bases.append(tuple(chain.from_iterable(blocks)))
+    # i^-b1 = i^(k - b1), as i^k = 1 mod m
+    units = [pow(i, k - b1, m) for b1 in range(k)]
+    table = []
+    for a1 in range(m):
+        for base, unit in zip(bases, units):
+            s = a1 * unit % m * k
+            table.append(base[s:] + base[:s])
+    return FiniteGroup(name=f"Z{m}:Z{k}(i={i})", order=m * k, table=tuple(table))
 
 
 def make_direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:

@@ -8,6 +8,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import chain, compress
+from math import gcd
 
 from .errors import OrderCapExceeded, clip
 from .groups import DEFAULT_MAX_ORDER, FiniteGroup, _check_order
@@ -185,6 +186,29 @@ def _generate(table, gens, order: int) -> frozenset[int] | None:
     return frozenset(elems)
 
 
+def _orders_and_inverses(table) -> tuple[list[int], list[int]]:
+    """Each element's order and inverse, from one walk x, x^2, ... along row
+    x for each x that no earlier walk reached: for o = ord(x), x^k has order
+    o / gcd(k, o) and inverse x^(o-k)."""
+    n = len(table)
+    order = [1] + [0] * (n - 1)  # 0 until a walk reaches the element
+    inverse = [0] * n
+    for x in range(1, n):
+        if order[x]:
+            continue
+        row = table[x]
+        walk = [x]  # walk[k - 1] = x^k
+        y = row[x]
+        while y:
+            walk.append(y)
+            y = row[y]
+        o = len(walk) + 1
+        for k, y, y_inv in zip(range(1, o), walk, reversed(walk)):
+            order[y] = o // gcd(k, o)
+            inverse[y] = y_inv
+    return order, inverse
+
+
 def all_subgroups(group: FiniteGroup, max_order: int = DEFAULT_MAX_ORDER) -> SubgroupList:
     """Enumerate every subgroup of the group, one conjugacy class at a time.
 
@@ -195,7 +219,10 @@ def all_subgroups(group: FiniteGroup, max_order: int = DEFAULT_MAX_ORDER) -> Sub
     down with no walk over G.  Every member is recorded so that a later
     search landing on any conjugate is recognised, and |N_G(K)| is
     n / |class|, so the scan for N_G(K), one generator test per coset xK,
-    stops at its |N_G(K)|/|K|-th coset and tests nothing when K is normal.
+    stops at its |N_G(K)|/|K|-th coset.  A class of one is normal, so it is
+    not scanned: extension walks the cosets of K in G itself.  Orders and
+    inverses come from one walk per cyclic subgroup (``_orders_and_inverses``),
+    and extension by x reads x^i for i <= p along row x.
 
     Cyclic extension (Neubüser): every solvable H != 1 has a normal subgroup
     K' of prime index p, and then H = K'<x> = union of x^i K' for i < p, for
@@ -226,16 +253,8 @@ def all_subgroups(group: FiniteGroup, max_order: int = DEFAULT_MAX_ORDER) -> Sub
     table = group.table
     whole = frozenset(range(n))
 
-    # powers[x] = [1, x, x^2, ..., x^(ord x - 1)]; the last one is x^-1
-    powers = []
-    for x in range(n):
-        x_pows = [0]
-        y = x
-        while y != 0:
-            x_pows.append(y)
-            y = table[y][x]
-        powers.append(x_pows)
-    order_primes = {o: [p for p, _ in factorize(o)] for o in {len(p) for p in powers}}
+    order, inverse = _orders_and_inverses(table)
+    order_primes = {o: [p for p, _ in factorize(o)] for o in set(order)}
 
     # conjugations[i][x] = s x s^-1 for the i-th generator s of G, each the
     # least id outside the subgroup the earlier ones generate
@@ -248,7 +267,7 @@ def all_subgroups(group: FiniteGroup, max_order: int = DEFAULT_MAX_ORDER) -> Sub
         if s in span:
             continue
         gens_of_g.append(s)
-        row_s, inv_s = table[s], powers[s][-1]
+        row_s, inv_s = table[s], inverse[s]
         conjugations.append([table[y][inv_s] for y in row_s])
         frontier = list(span)
         while frontier:
@@ -264,8 +283,9 @@ def all_subgroups(group: FiniteGroup, max_order: int = DEFAULT_MAX_ORDER) -> Sub
 
     seen: set[frozenset[int]] = set()
     counts: Counter[int] = Counter()
-    # (K, generators of K, one x per coset xK in N_G(K)) per class
-    reps: list[tuple[frozenset[int], tuple[int, ...], list[int]]] = []
+    # (K, generators of K, one x per coset xK in N_G(K) or None if K is
+    # normal) per class
+    reps: list[tuple[frozenset[int], tuple[int, ...], list[int] | None]] = []
 
     def add_class(rep: frozenset[int], gens: tuple[int, ...]) -> None:
         """Record the class of a new representative K and queue K for search."""
@@ -279,6 +299,10 @@ def all_subgroups(group: FiniteGroup, max_order: int = DEFAULT_MAX_ORDER) -> Sub
                     seen.add(conjugate)
                     orbit.append(conjugate)
         counts[len(rep)] += len(orbit)
+        if len(orbit) == 1:
+            # K is normal: N_G(K) = G, whose cosets extend walks itself
+            reps.append((rep, gens, None))
+            return
         # x normalises K iff x g x^-1 is in K for each generator g of K;
         # N_G(K) is the union of n / (|class| |K|) cosets xK
         cosets = n // (len(orbit) * len(rep))
@@ -288,8 +312,8 @@ def all_subgroups(group: FiniteGroup, max_order: int = DEFAULT_MAX_ORDER) -> Sub
             if x in done:
                 continue
             row_x = table[x]
-            inv_x = powers[x][-1]
-            if len(orbit) == 1 or all(table[row_x[g]][inv_x] in rep for g in gens):
+            inv_x = inverse[x]
+            if all(table[row_x[g]][inv_x] in rep for g in gens):
                 normal.append(x)
                 if len(normal) == cosets:
                     break
@@ -297,58 +321,68 @@ def all_subgroups(group: FiniteGroup, max_order: int = DEFAULT_MAX_ORDER) -> Sub
             done.update(map(row_x.__getitem__, rep))
         reps.append((rep, gens, normal))
 
-    def extend(current: frozenset[int], gens: tuple[int, ...], normal: list[int]) -> None:
+    def extend(current: frozenset[int], gens: tuple[int, ...], normal: list[int] | None) -> None:
         """Add the class of each K<x> with x in N_G(K) of prime index over K."""
         done = set(current)
-        for x in normal:
+        for x in range(n) if normal is None else normal:
             if x in done:
                 continue
-            x_pows = powers[x]
-            # as x is not in K, at most one prime p of ord(x) has x^p in K
-            o = len(x_pows)
-            p = next((p for p in order_primes[o] if x_pows[p % o] in current), 0)
-            if p:
-                bigger = frozenset(
-                    chain.from_iterable(map(table[y].__getitem__, current) for y in x_pows[:p])
-                )
-                done |= bigger
-                if bigger not in seen:
-                    add_class(bigger, gens + (x,))
+            row_x = table[x]
+            # x_pows = [x^0, ..., x^(p-1)] and y = x^p; as x is not in K, at
+            # most one prime p of ord(x) has x^p in K
+            x_pows: list[int] = []
+            y = 0
+            for p in order_primes[order[x]]:
+                for _ in range(len(x_pows), p):
+                    x_pows.append(y)
+                    y = row_x[y]
+                if y in current:
+                    bigger = frozenset(
+                        chain.from_iterable(map(table[xi].__getitem__, current) for xi in x_pows)
+                    )
+                    done |= bigger
+                    if bigger not in seen:
+                        add_class(bigger, gens + (x,))
+                    break
             else:
-                done.update(map(table[x].__getitem__, current))
+                done.update(map(row_x.__getitem__, current))
 
     add_class(frozenset([0]), ())
     for current, gens, normal in reps:
         extend(current, gens, normal)
 
     if whole not in seen:
-        # cyclic subgroups, deduplicated, each with its first generator;
-        # atom_of[x] is the index of <x> among them
-        atom_ids: dict[frozenset[int], int] = {}
-        atom_of = [atom_ids.setdefault(frozenset(x_pows), len(atom_ids)) for x_pows in powers]
-        atom_gens = [0] * len(atom_ids)
-        for x in reversed(range(n)):
-            atom_gens[atom_of[x]] = x
-        # only the atoms of odd prime-power order are joined
-        odd_prime_powers = {o for o, ps in order_primes.items() if len(ps) == 1 and o % 2}
-        odd_atoms = [
-            (atom, atom_gen)
-            for atom, atom_gen in enumerate(atom_gens)
-            if len(powers[atom_gen]) in odd_prime_powers
-        ]
+        # the cyclic subgroups of odd prime-power order p^a, the only ones
+        # joined, each named by its least generator: atom_of[x] for every x
+        # of such an order, from one walk of <x> per subgroup, which meets
+        # its generators at the exponents prime to p
+        odd_prime_powers = {o: ps[0] for o, ps in order_primes.items() if len(ps) == 1 and o % 2}
+        atom_of: dict[int, int] = {}
+        for x in range(n):
+            p = odd_prime_powers.get(order[x])
+            if p is None or x in atom_of:
+                continue
+            row_x = table[x]
+            y, k = x, 1
+            while y:
+                if k % p:
+                    atom_of[y] = x
+                y, k = row_x[y], k + 1
+        odd_atoms = sorted(set(atom_of.values()))
         extended = len(reps)
         for i, (current, gens, normal) in enumerate(reps):
             if i >= extended:
                 extend(current, gens, normal)
             if current == whole:
                 continue
-            # (row of n, n^-1) for each n in N_G(K)
-            conjugators = [
-                (table[y], powers[y][-1]) for y in (table[x][k] for x in normal for k in current)
-            ]
+            # (row of y, y^-1) for each y in N_G(K)
+            normaliser = (
+                range(n) if normal is None else (table[x][k] for x in normal for k in current)
+            )
+            conjugators = [(table[y], inverse[y]) for y in normaliser]
             tried = set()
-            for atom, atom_gen in odd_atoms:
-                if atom in tried or atom_gen in current:
+            for atom_gen in odd_atoms:
+                if atom_gen in tried or atom_gen in current:
                     continue
                 # <K, n a n^-1> = n <K, a> n^-1 lands in the class of <K, a>
                 tried.update([atom_of[table[row[atom_gen]][inv]] for row, inv in conjugators])

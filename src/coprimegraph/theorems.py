@@ -421,6 +421,18 @@ def _entry_order(
         return None, None
 
 
+def _checked_entry(
+    entry: CatalogEntry, max_order: int, build_order: int, exact_cap: int
+) -> tuple[int | None, list[CheckRow]]:
+    """The entry's order, and its check rows unless that order is above
+    ``max_order``: the group built to read an order-less entry's order,
+    under ``build_order``, is the one its checks run on."""
+    order, group = _entry_order(entry, build_order)
+    if order is not None and order > max_order:
+        return order, []
+    return order, evaluate_entry(entry, build_order, exact_cap, group)
+
+
 def run_catalog(
     max_order: int = DEFAULT_CATALOG_MAX_ORDER,
     catalog: list[CatalogEntry] | str | Path | None = None,
@@ -431,37 +443,28 @@ def run_catalog(
 
     Entries are built under the larger of ``max_order`` and the package's
     default order bound, the same bound ``_entry_order`` reads orders under.
-    An entry checked in this process is checked on the group built to read
-    its order, if any: without ``jobs`` as soon as its order is read, and
-    with ``jobs`` when it is the only entry selected.  Otherwise every entry
-    is built again in a worker, so no table is sent to one.
+    Each entry is built once, where it is checked: in this process, or in
+    a worker when ``jobs`` is above 1 and the catalog has more than one
+    entry.  There an order-less entry's order is read off the group built
+    for its checks, so the worker decides whether the entry is skipped and
+    returns its order with its rows; no table is sent to a worker.
     """
     if catalog is None or isinstance(catalog, (str, Path)):
         entries = load_catalog(catalog)
     else:
         entries = list(catalog)
     build_order = max(max_order, DEFAULT_MAX_ORDER)
-    selected: list[tuple[CatalogEntry, FiniteGroup | None]] = []
+    args = (max_order, build_order, exact_cap)
+    if jobs > 1 and len(entries) > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+            futures = [pool.submit(_checked_entry, entry, *args) for entry in entries]
+            checked = [fut.result() for fut in futures]
+    else:
+        checked = (_checked_entry(entry, *args) for entry in entries)
     skipped: list[str] = []
     rows: list[CheckRow] = []
-    for entry in entries:
-        order, group = _entry_order(entry, build_order)
+    for entry, (order, entry_rows) in zip(entries, checked):
         if order is not None and order > max_order:
             skipped.append(entry.spec)
-        elif jobs > 1:
-            selected.append((entry, group))
-        else:
-            rows.extend(evaluate_entry(entry, build_order, exact_cap, group))
-    if len(selected) > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [
-                pool.submit(evaluate_entry, entry, build_order, exact_cap)
-                for entry, _ in selected
-            ]
-            for fut in futures:
-                rows.extend(fut.result())
-    else:
-        for entry, group in selected:
-            rows.extend(evaluate_entry(entry, build_order, exact_cap, group))
+        rows.extend(entry_rows)
     return VerificationReport(rows=rows, skipped=skipped)
-

@@ -594,6 +594,21 @@ def _generate(table, identity: int, gens, order: int) -> frozenset[int] | None:
     return frozenset(elems)
 
 
+def power_lists(table) -> list[list[int]]:
+    """powers[x] = [1, x, x^2, ..., x^(ord x - 1)] for each element x, each
+    list built on its own by right multiplication: its length is ord(x) and
+    its last entry x^-1."""
+    powers = []
+    for x in range(len(table)):
+        x_pows = [0]
+        y = x
+        while y != 0:
+            x_pows.append(y)
+            y = table[y][x]
+        powers.append(x_pows)
+    return powers
+
+
 def all_subgroups_oracle(group, max_order: int = DEFAULT_MAX_ORDER) -> SubgroupList:
     """Enumerate every subgroup of the group by join saturation.
 
@@ -678,15 +693,7 @@ def all_subgroups_by_extension(
     identity = 0
     whole = frozenset(range(n))
 
-    # powers[x] = [1, x, x^2, ..., x^(ord x - 1)]; the last one is x^-1
-    powers = []
-    for x in range(n):
-        x_pows = [identity]
-        y = x
-        while y != identity:
-            x_pows.append(y)
-            y = table[y][x]
-        powers.append(x_pows)
+    powers = power_lists(table)
     exponents = {o: [d for d in divisors(o) if d > 1] for o in {len(p) for p in powers}}
 
     trivial = frozenset([identity])
@@ -758,15 +765,7 @@ def all_subgroups_joining_every_atom(
     table = group.table
     whole = frozenset(range(n))
 
-    # powers[x] = [1, x, x^2, ..., x^(ord x - 1)]; the last one is x^-1
-    powers = []
-    for x in range(n):
-        x_pows = [0]
-        y = x
-        while y != 0:
-            x_pows.append(y)
-            y = table[y][x]
-        powers.append(x_pows)
+    powers = power_lists(table)
     order_primes = {o: [p for p, _ in factorize(o)] for o in {len(p) for p in powers}}
 
     seen: set[frozenset[int]] = set()
@@ -882,15 +881,7 @@ def all_subgroups_per_orbit(
     table = group.table
     whole = frozenset(range(n))
 
-    # powers[x] = [1, x, x^2, ..., x^(ord x - 1)]; the last one is x^-1
-    powers = []
-    for x in range(n):
-        x_pows = [0]
-        y = x
-        while y != 0:
-            x_pows.append(y)
-            y = table[y][x]
-        powers.append(x_pows)
+    powers = power_lists(table)
     order_primes = {o: [p for p, _ in factorize(o)] for o in {len(p) for p in powers}}
 
     seen: set[frozenset[int]] = set()
@@ -1075,6 +1066,55 @@ def recursive_maximal_independent_sets(g: SimpleGraph, cap: int = 20) -> list[tu
     expand(0, full, 0)
     sets = [tuple(v for v in range(n) if m >> v & 1) for m in out]
     return sorted(sets)
+
+
+# The listing as it was before its pivot scan stopped at a vertex whose
+# count reaches that vertex's bound: every vertex of P | X is scanned.
+
+
+def full_scan_maximal_independent_sets(
+    g: SimpleGraph, cap: int = 20
+) -> list[tuple[int, ...]]:
+    """All maximal independent sets, sorted lexicographically.
+
+    Bron-Kerbosch with pivoting on the complement graph; the count can be
+    exponential, hence the vertex cap.
+    """
+    n = g.n_vertices
+    if n > cap:
+        raise MisCapExceeded(f"{clip(n)} vertices exceed the enumeration cap {cap}")
+    if n == 0:
+        return []
+    full = (1 << n) - 1
+    # non-adjacency masks: cliques there are independent sets here
+    non = [full ^ row ^ 1 << v for v, row in enumerate(g.masks)]
+    out: list[int] = []
+    stack = [(0, full, 0)]
+    while stack:
+        r, p, x = stack.pop()
+        if p == 0 and x == 0:
+            out.append(r)
+            continue
+        # the first vertex of p | x with the most candidates among its
+        # non-neighbours
+        pool = p | x
+        best = -1
+        while pool:
+            low = pool & -pool
+            v = low.bit_length() - 1
+            count = (p & non[v]).bit_count()
+            if count > best:
+                best, pivot = count, v
+            pool ^= low
+        cand = p & ~non[pivot]
+        while cand:
+            bit = cand & -cand
+            v = bit.bit_length() - 1
+            stack.append((r | bit, p & non[v], x & non[v]))
+            p &= ~bit
+            x |= bit
+            cand ^= bit
+    return sorted(map(tuple, map(members, out)))
 
 
 def embed_oracle(g: SimpleGraph, cap: int = 20) -> EmbeddingCertificate:

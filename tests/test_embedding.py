@@ -30,6 +30,7 @@ from helpers import (
     brute_force_maximal_independent_sets,
     embed_oracle,
     from_edges_oracle,
+    full_scan_maximal_independent_sets,
     neighbour_sets,
     parse_edge_list_oracle,
     recursive_maximal_independent_sets,
@@ -258,6 +259,35 @@ def test_mis_matches_the_recursive_and_brute_force_oracles(g):
     assert sets == recursive_maximal_independent_sets(g)
     if g.n_vertices <= 12:
         assert sets == brute_force_maximal_independent_sets(g)
+
+
+@given(
+    st.builds(
+        _graph,
+        st.integers(0, 16),
+        st.sampled_from([0.0, 0.1, 0.3, 0.5, 0.7, 0.9, 1.0]),
+        st.integers(0, 2**32),
+    )
+)
+@settings(max_examples=300, deadline=None)
+def test_mis_matches_the_listing_that_scans_every_pivot(g):
+    assert maximal_independent_sets(g) == full_scan_maximal_independent_sets(g)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 16])
+@pytest.mark.parametrize(
+    "edges",
+    [
+        lambda n: [],
+        lambda n: combinations(range(n), 2),
+        lambda n: [(0, v) for v in range(1, n)],
+        lambda n: [(n - 1, v) for v in range(n - 1)],
+    ],
+    ids=["edgeless", "complete", "star", "star-last-centre"],
+)
+def test_mis_of_edgeless_complete_and_star_graphs_matches_the_full_scan(n, edges):
+    g = SimpleGraph.from_edges(n, edges(n))
+    assert maximal_independent_sets(g) == full_scan_maximal_independent_sets(g)
 
 
 @given(GRAPHS)

@@ -37,6 +37,7 @@ from helpers import (
     counts_json,
     factorize_oracle,
     is_closed_subgroup,
+    power_lists,
     proper_nontrivial,
 )
 
@@ -399,6 +400,17 @@ def order_tally(sl) -> list[tuple[int, int]]:
 def test_counts_by_order_tally_the_subgroups(spec):
     sl = all_subgroups(parse_group_spec(spec, 4096), 4096)
     assert list(sl.counts_by_order.items()) == order_tally(sl)
+
+
+@pytest.mark.parametrize(
+    "spec", sorted(set(CATALOG_SPECS + LATTICE_EXPORT_SPECS) | {"D:1000", S6, A7})
+)
+def test_orders_and_inverses_match_the_power_lists(spec):
+    table = parse_group_spec(spec, 4096).table
+    powers = power_lists(table)
+    order, inverse = lattice._orders_and_inverses(table)
+    assert order == [len(x_pows) for x_pows in powers]
+    assert inverse == [x_pows[-1] for x_pows in powers]
 
 
 @st.composite

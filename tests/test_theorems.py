@@ -226,6 +226,41 @@ def test_run_catalog_with_jobs_builds_a_lone_order_less_entry_once(monkeypatch):
     assert all(r.passed for r in report.rows), [r for r in report.rows if not r.passed]
 
 
+def test_run_catalog_with_jobs_builds_each_order_less_entry_once_in_its_worker(monkeypatch):
+    # the worker builds the group, reads its order and checks it; the parent
+    # builds nothing
+    calls = []
+    for module in (theorems, coprime):
+        def counting(*args, parse=module.parse_group_spec):
+            calls.append(args[0])
+            return parse(*args)
+
+        monkeypatch.setattr(module, "parse_group_spec", counting)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
+    spec = "PERM:4:[0 1 2 3],[0 1]"
+    report = run_catalog(catalog=[CatalogEntry(spec), CatalogEntry("S3")], jobs=2)
+    assert calls == [spec, "S3"]
+    assert report.skipped == []
+    assert len(report.rows) == 2 * len(AUTO_CHECKS)
+    assert all(r.passed for r in report.rows), [r for r in report.rows if not r.passed]
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_run_catalog_keeps_skipped_entries_and_rows_in_catalog_order(monkeypatch, jobs):
+    # S4 is skipped by the order its build reads, D:1100 by its declared one
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
+    entries = [
+        CatalogEntry("Z:6"),
+        CatalogEntry("PERM:4:[0 1 2 3],[0 1]"),
+        CatalogEntry("S3"),
+        CatalogEntry("D:1100", order=2200),
+        CatalogEntry("Z:10"),
+    ]
+    report = run_catalog(max_order=10, catalog=entries, jobs=jobs)
+    assert report.skipped == ["PERM:4:[0 1 2 3],[0 1]", "D:1100"]
+    assert list(dict.fromkeys(r.group for r in report.rows)) == ["Z:6", "S3", "Z:10"]
+
+
 def test_parallel_jobs_match_serial():
     entries = load_catalog()[:8]
     serial = run_catalog(catalog=entries)
