@@ -23,7 +23,7 @@ from pathlib import Path
 from .analysis import FORBIDDEN_PATTERNS, INFINITE, AnalysisReport, vertex_report
 from .coprime import CoprimeGraph, graph_for_spec
 from .coprime import build
-from .errors import CatalogError, CoprimeGraphError, ExactCapExceeded
+from .errors import CatalogError, CoprimeGraphError, ExactCapExceeded, OrderCapExceeded
 from .groups import DEFAULT_MAX_ORDER, FiniteGroup, parse_group_spec, spec_order
 from .lattice import pi
 
@@ -399,62 +399,50 @@ def load_catalog(path: str | Path | None = None) -> list[CatalogEntry]:
     return out
 
 
-def _entry_order(
-    entry: CatalogEntry, max_order: int
-) -> tuple[int | None, FiniteGroup | None]:
-    """The declared order, else the one the spec fixes, else the built one,
-    with the group if it was built.
-
-    Only a spec whose order its text does not fix (a named group or a PERM
-    closure) is built, under ``max_order``; an entry that cannot be built
-    gives (None, None) and is left to ``evaluate_entry`` to report.
-    """
-    if entry.order is not None:
-        return entry.order, None
-    try:
-        order = spec_order(entry.spec)
-        if order is not None:
-            return order, None
-        group = parse_group_spec(entry.spec, max_order)
-        return group.order, group
-    except CoprimeGraphError:
-        return None, None
-
-
 def _checked_entry(
-    entry: CatalogEntry, max_order: int, build_order: int, exact_cap: int
-) -> tuple[int | None, list[CheckRow]]:
-    """The entry's order, and its check rows unless that order is above
-    ``max_order``: the group built to read an order-less entry's order,
-    under ``build_order``, is the one its checks run on."""
-    order, group = _entry_order(entry, build_order)
+    entry: CatalogEntry, max_order: int, exact_cap: int
+) -> list[CheckRow] | None:
+    """The entry's check rows, or None if its order is above ``max_order``.
+
+    The order is the declared one, else the one the spec's text fixes, else
+    that of the group built under the larger of ``max_order`` and the
+    package's default bound; that group is the one the checks run on.  A
+    build that passes the bound counts as above ``max_order``.  An entry that
+    cannot be built otherwise is left to ``evaluate_entry`` to report.
+    """
+    build_order = max(max_order, DEFAULT_MAX_ORDER)
+    order, group = entry.order, None
+    try:
+        if order is None:
+            order = spec_order(entry.spec)
+        if order is None:
+            group = parse_group_spec(entry.spec, build_order)
+            order = group.order
+    except OrderCapExceeded:
+        return None
+    except CoprimeGraphError:
+        pass
     if order is not None and order > max_order:
-        return order, []
-    return order, evaluate_entry(entry, build_order, exact_cap, group)
+        return None
+    return evaluate_entry(entry, build_order, exact_cap, group)
 
 
 def run_catalog(
     max_order: int = DEFAULT_CATALOG_MAX_ORDER,
-    catalog: list[CatalogEntry] | str | Path | None = None,
+    catalog: list[CatalogEntry] | None = None,
     exact_cap: int = DEFAULT_CATALOG_EXACT_CAP,
     jobs: int = 1,
 ) -> VerificationReport:
-    """Verify every catalog entry of order <= max_order.
+    """Verify every entry of ``catalog`` (the shipped one if None) of order
+    <= max_order.
 
-    Entries are built under the larger of ``max_order`` and the package's
-    default order bound, the same bound ``_entry_order`` reads orders under.
-    Each entry is built once, where it is checked: in this process, or in
-    a worker when ``jobs`` is above 1 and the catalog has more than one
-    entry.  There an order-less entry's order is read off the group built
-    for its checks, so the worker decides whether the entry is skipped and
-    returns its order with its rows; no table is sent to a worker.
+    Each entry is built once, where ``_checked_entry`` decides it: in this
+    process, or in a worker when ``jobs`` is above 1 and the catalog has
+    more than one entry.  A worker returns the entry's rows, or None when
+    it is skipped; no table is sent to a worker.
     """
-    if catalog is None or isinstance(catalog, (str, Path)):
-        entries = load_catalog(catalog)
-    else:
-        entries = list(catalog)
-    build_order = max(max_order, DEFAULT_MAX_ORDER)
-    args = (max_order, build_order, exact_cap)
+    entries = load_catalog() if catalog is None else list(catalog)
+    args = (max_order, exact_cap)
     if jobs > 1 and len(entries) > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
             futures = [pool.submit(_checked_entry, entry, *args) for entry in entries]
@@ -463,8 +451,9 @@ def run_catalog(
         checked = (_checked_entry(entry, *args) for entry in entries)
     skipped: list[str] = []
     rows: list[CheckRow] = []
-    for entry, (order, entry_rows) in zip(entries, checked):
-        if order is not None and order > max_order:
+    for entry, entry_rows in zip(entries, checked):
+        if entry_rows is None:
             skipped.append(entry.spec)
-        rows.extend(entry_rows)
+        else:
+            rows.extend(entry_rows)
     return VerificationReport(rows=rows, skipped=skipped)

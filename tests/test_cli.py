@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from coprimegraph import cli, theorems
+from coprimegraph import cli, groups, theorems
 from coprimegraph.cli import _json_text, main
 from coprimegraph.errors import InputError
 from coprimegraph.groups import DEFAULT_MAX_ORDER
@@ -260,6 +260,29 @@ def test_catalog_json(capsys):
     assert code == 0
     payload = json.loads(out)
     assert any(e["spec"] == "A4" for e in payload)
+
+
+def test_grammar_help_names_every_named_group():
+    # "names" is the help text's last item; its value runs to the end
+    names = cli.GRAMMAR_HELP.split("\n  names ", 1)[1].split()
+    assert names == list(groups.NAMED_GROUPS)
+
+
+def test_verify_skips_an_undeclared_entry_whose_build_passes_the_bound(tmp_path, capsys):
+    path = tmp_path / "s7.json"
+    path.write_text('[{"spec": "PERM:7:[0 1 2 3 4 5 6],[0 1]"}]')
+    code, out, err = run(capsys, "verify", "--catalog", str(path))
+    assert code == 0
+    assert err == ""
+    assert json.loads(out) == {
+        "rows": [],
+        "summary": {
+            "checks": 0,
+            "failed": 0,
+            "passed": 0,
+            "skipped_entries": ["PERM:7:[0 1 2 3 4 5 6],[0 1]"],
+        },
+    }
 
 
 def test_env_var_cap_overrides(capsys, monkeypatch):

@@ -13,17 +13,19 @@ from hypothesis import strategies as st
 from coprimegraph import coprime, groups, theorems
 from coprimegraph.analysis import FORBIDDEN_PATTERNS, analyze, vertex_report
 from coprimegraph.coprime import CoprimeGraph, build, build_cyclic, graph_for_spec
-from coprimegraph.groups import DEFAULT_MAX_ORDER, make_cyclic, parse_group_spec
+from coprimegraph.groups import make_cyclic, parse_group_spec
 from coprimegraph.errors import OrderCapExceeded
 from coprimegraph.lattice import is_prime, pi
 from coprimegraph.theorems import (
     AUTO_CHECKS,
+    DEFAULT_CATALOG_EXACT_CAP,
+    DEFAULT_CATALOG_MAX_ORDER,
     MAX_ALPHA_SUPPORTS,
     CatalogEntry,
     CheckRow,
     EXPECTATION_KEYS,
     VerificationReport,
-    _entry_order,
+    _checked_entry,
     _max_intersecting_support_weight,
     _max_weight_clique,
     default_catalog_path,
@@ -176,6 +178,19 @@ class _InlinePool:
         return future
 
 
+def _count_parses(monkeypatch):
+    """The specs ``parse_group_spec`` is called with from now on, in
+    ``theorems`` and in ``coprime``, in call order."""
+    calls = []
+    for module in (theorems, coprime):
+        def counting(*args, parse=module.parse_group_spec):
+            calls.append(args[0])
+            return parse(*args)
+
+        monkeypatch.setattr(module, "parse_group_spec", counting)
+    return calls
+
+
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_run_catalog_builds_entries_under_its_max_order(monkeypatch, jobs):
     seen = []
@@ -194,13 +209,7 @@ def test_run_catalog_builds_entries_under_its_max_order(monkeypatch, jobs):
 
 def test_run_catalog_builds_an_order_less_perm_entry_once(monkeypatch):
     # the group built to read the entry's order is the one its checks run on
-    calls = []
-    for module in (theorems, coprime):
-        def counting(*args, parse=module.parse_group_spec):
-            calls.append(args[0])
-            return parse(*args)
-
-        monkeypatch.setattr(module, "parse_group_spec", counting)
+    calls = _count_parses(monkeypatch)
     spec = "PERM:4:[0 1 2 3],[0 1]"
     report = run_catalog(max_order=24, catalog=[CatalogEntry(spec)])
     assert calls == [spec]
@@ -212,13 +221,7 @@ def test_run_catalog_builds_an_order_less_perm_entry_once(monkeypatch):
 def test_run_catalog_with_jobs_builds_a_lone_order_less_entry_once(monkeypatch):
     # with one entry selected the check runs in this process, on the group
     # built to read its order
-    calls = []
-    for module in (theorems, coprime):
-        def counting(*args, parse=module.parse_group_spec):
-            calls.append(args[0])
-            return parse(*args)
-
-        monkeypatch.setattr(module, "parse_group_spec", counting)
+    calls = _count_parses(monkeypatch)
     spec = "PERM:4:[0 1 2 3],[0 1]"
     report = run_catalog(catalog=[CatalogEntry(spec)], jobs=2)
     assert calls == [spec]
@@ -229,19 +232,40 @@ def test_run_catalog_with_jobs_builds_a_lone_order_less_entry_once(monkeypatch):
 def test_run_catalog_with_jobs_builds_each_order_less_entry_once_in_its_worker(monkeypatch):
     # the worker builds the group, reads its order and checks it; the parent
     # builds nothing
-    calls = []
-    for module in (theorems, coprime):
-        def counting(*args, parse=module.parse_group_spec):
-            calls.append(args[0])
-            return parse(*args)
-
-        monkeypatch.setattr(module, "parse_group_spec", counting)
+    calls = _count_parses(monkeypatch)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
     spec = "PERM:4:[0 1 2 3],[0 1]"
     report = run_catalog(catalog=[CatalogEntry(spec), CatalogEntry("S3")], jobs=2)
     assert calls == [spec, "S3"]
     assert report.skipped == []
     assert len(report.rows) == 2 * len(AUTO_CHECKS)
+    assert all(r.passed for r in report.rows), [r for r in report.rows if not r.passed]
+
+
+S7 = "PERM:7:[0 1 2 3 4 5 6],[0 1]"
+
+
+@pytest.mark.parametrize("max_order", [DEFAULT_CATALOG_MAX_ORDER, 4096])
+def test_an_undeclared_entry_whose_build_passes_the_bound_is_skipped(monkeypatch, max_order):
+    # S7's closure passes the build bound, max(max_order, 2048), so its order
+    # is above max_order: the entry is skipped after that one closure
+    calls = _count_parses(monkeypatch)
+    report = run_catalog(max_order=max_order, catalog=[CatalogEntry(S7)])
+    assert report.skipped == [S7]
+    assert report.rows == []
+    assert calls == [S7]
+
+
+def test_an_undeclared_entry_whose_build_passes_the_bound_is_skipped_in_its_worker(
+    monkeypatch,
+):
+    calls = _count_parses(monkeypatch)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
+    report = run_catalog(catalog=[CatalogEntry(S7), CatalogEntry("S3")], jobs=2)
+    assert calls == [S7, "S3"]
+    assert report.skipped == [S7]
+    assert {r.group for r in report.rows} == {"S3"}
+    assert len(report.rows) == len(AUTO_CHECKS)
     assert all(r.passed for r in report.rows), [r for r in report.rows if not r.passed]
 
 
@@ -509,7 +533,8 @@ def test_forbidden_pattern_keys_follow_the_analysis_patterns():
 
 def test_an_undeclared_entry_whose_spec_does_not_parse_is_one_build_row():
     entry = CatalogEntry("Y:30")
-    assert _entry_order(entry, DEFAULT_MAX_ORDER) == (None, None)
+    [row] = _checked_entry(entry, DEFAULT_CATALOG_MAX_ORDER, DEFAULT_CATALOG_EXACT_CAP)
+    assert (row.check_id, row.passed) == ("build", False)
     report = run_catalog(catalog=[entry])
     assert report.skipped == []
     [row] = report.rows
