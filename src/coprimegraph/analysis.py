@@ -11,14 +11,13 @@ adjacency, which every solver reads, and computes its sweep, its maximum
 clique and the member lists of its rows once each.  It groups the vertices by
 equal row once: such vertices are false twins, and the sweep, the member lists
 and the colouring search each work once per distinct row.  A coprime graph
-built from its orders carries each vertex's prime support, and the adjacency
-groups the vertices by them once.
-Its independence number is searched over those supports, at most 2^k - 1 for
-k primes, however many vertices share them.  ``analyze`` reads every other
-invariant of P(G) but planarity off the support weights too, with the paper's
-theorems as closed forms; ``vertex_report`` runs the vertex-level solvers
-instead, for any other graph (one made from adjacency alone among them) and as
-the oracle.  ``--exact-cap`` bounds the vertex count before either runs.
+carries each vertex's prime support, and the adjacency groups the vertices by
+them once.  Its independence number is searched over those supports, at most
+2^k - 1 for k primes, however many vertices share them.  ``analyze`` reads
+every other invariant of P(G) but planarity off the support weights too, with
+the paper's theorems as closed forms; ``vertex_report`` runs the vertex-level
+solvers instead, for any other graph and as the oracle.  ``--exact-cap``
+bounds the vertex count before either runs.
 """
 
 from __future__ import annotations
@@ -66,14 +65,13 @@ class _Adjacency:
     """One graph's adjacency: its bitmask rows, the graph's own ``masks`` (a
     raw list's derived once), which every solver here reads.
 
-    A coprime graph also brings its vertex orders and its name.  One
-    built from its orders brings the primes of their lcm, each vertex's
-    support over them and ``inside[X]``, from which ``independence_number``
-    and ``analyze`` work on prime supports; one made from adjacency alone
-    brings none.  The ``structure`` sweep, the support ``classes``, the
-    maximum ``clique``, the ``rows`` grouping, the rows' member ``lists`` and
-    the twin ``quotient`` are computed on first use and kept with the
-    adjacency.
+    A coprime graph also brings its vertex orders, its name, the primes of
+    their lcm, each vertex's support over them and ``inside[X]``, from which
+    ``independence_number`` and ``analyze`` work on prime supports; a
+    ``SimpleGraph`` or a raw list brings none.  The ``structure`` sweep, the
+    support ``classes``, the maximum ``clique``, the ``rows`` grouping, the
+    rows' member ``lists`` and the twin ``quotient`` are computed on first
+    use and kept with the adjacency.
 
     Vertices with equal rows are false twins: neither row holds its own
     vertex, so they are not adjacent, and every other vertex is joined to
@@ -972,13 +970,12 @@ def _order_report(adj: _Adjacency, classes: dict[int, int], exact_cap: int) -> A
 def analyze(g, exact_cap: int = DEFAULT_EXACT_CAP) -> AnalysisReport:
     """Compute every invariant exactly; no heuristics, caps raise instead.
 
-    The exact-solver cap is checked first.  A coprime graph built from its
-    orders, with a vertex of support {p} for each of the k primes of their
-    lcm and at most 4n subsets of them for n vertices, gets
-    ``_order_report``.  P(G) has the vertices of order p by Cauchy's
-    theorem, and for a solvable G a Hall subgroup for every proper set of
-    its primes, so n >= 2^k - 2.  Any other graph, one made from adjacency
-    alone among them, gets ``vertex_report``.
+    The exact-solver cap is checked first.  A coprime graph with a vertex
+    of support {p} for each of the k primes of its orders' lcm and at most
+    4n subsets of them for n vertices gets ``_order_report``.  P(G) has the
+    vertices of order p by Cauchy's theorem, and for a solvable G a Hall
+    subgroup for every proper set of its primes, so n >= 2^k - 2.  Any other
+    graph gets ``vertex_report``.
     """
     adj = _adjacency(g)
     n = len(adj.masks)

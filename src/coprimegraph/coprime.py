@@ -3,10 +3,10 @@
 Vertices are the nontrivial proper subgroups of a group; two vertices are
 adjacent exactly when their orders are coprime: when their prime supports are
 disjoint.  Adjacency depends only on the orders, which makes the divisor fast
-path for cyclic groups possible, and the build takes no gcd.  A graph is its
-``orders`` and its ``masks``, both indexed by vertex: vertex i is position i,
-with order ``orders[i]`` and bitmask row ``masks[i]``.  Its edges are listed
-from the rows.
+path for cyclic groups possible, and the build takes no gcd.  A graph is
+made from its ``orders`` alone and derives its ``masks`` from them, both
+indexed by vertex: vertex i is position i, with order ``orders[i]`` and
+bitmask row ``masks[i]``.  Its edges are listed from the rows.
 """
 
 from __future__ import annotations
@@ -22,25 +22,31 @@ from .lattice import members, subset_sums
 
 class CoprimeGraph:
     """Immutable graph on subgroup vertices with coprime-order adjacency:
-    vertex i has order ``orders[i]`` and bitmask row ``masks[i]``."""
+    vertex i has order ``orders[i]`` and bitmask row ``masks[i]``.
 
-    def __init__(
-        self,
-        source: str,
-        parent_order: int,
-        orders: list[int],
-        masks: list[int],
-        supports: list[int] | None = None,
-        inside: list[int] | None = None,
-        primes: tuple[int, ...] | None = None,
-    ):
+    The rows are derived from the orders, never given.  A vertex of support
+    S, the primes of lcm(orders) dividing its order, is joined to the other
+    vertices of ``inside[~S]``, those supported in ~S.  The graph keeps
+    ``primes``, each vertex's support over them and ``inside``.
+    """
+
+    def __init__(self, source: str, parent_order: int, orders: list[int]):
         self.source = source
         self.parent_order = parent_order
         self.orders = tuple(orders)
+        distinct = list(dict.fromkeys(self.orders))
+        self.primes = primes = tuple(sorted(pi(lcm(*distinct))))
+        support_of = dict(zip(distinct, prime_supports(distinct, primes)))
+        self.supports = supports = [support_of[order] for order in self.orders]
+        full = (1 << len(primes)) - 1
+        inside = [0] * (full + 1)
+        for v, s in enumerate(supports):
+            inside[s] |= 1 << v
+        self.inside = inside = subset_sums(inside, len(primes))
+        masks = [inside[full ^ s] for s in supports]  # one row object per support
+        for v in members(inside[0]):  # only a vertex of support 0 is in its own row
+            masks[v] &= ~(1 << v)
         self.masks = tuple(masks)
-        # what _graph_from_orders built the rows from, else None: each
-        # vertex's support over ``primes``, those of lcm(orders), and inside[X]
-        self.supports, self.inside, self.primes = supports, inside, primes
         self.n_vertices = len(self.orders)
         self.n_edges = sum(m.bit_count() for m in self.masks) // 2
 
@@ -55,24 +61,6 @@ class CoprimeGraph:
 
     def parent_primes(self) -> frozenset[int]:
         return pi(self.parent_order)
-
-
-def _graph_from_orders(source: str, parent_order: int, orders: list[int]) -> CoprimeGraph:
-    """A vertex of support S, the primes of lcm(orders) dividing its order, is
-    joined to the other vertices of ``inside[~S]``, those supported in ~S."""
-    distinct = list(dict.fromkeys(orders))
-    primes = tuple(sorted(pi(lcm(*distinct))))
-    support_of = dict(zip(distinct, prime_supports(distinct, primes)))
-    supports = [support_of[order] for order in orders]
-    full = (1 << len(primes)) - 1
-    inside = [0] * (full + 1)
-    for v, s in enumerate(supports):
-        inside[s] |= 1 << v
-    inside = subset_sums(inside, len(primes))
-    masks = [inside[full ^ s] for s in supports]  # one row object per support
-    for v in members(inside[0]):  # only a vertex of support 0 is in its own row
-        masks[v] &= ~(1 << v)
-    return CoprimeGraph(source, parent_order, orders, masks, supports, inside, primes)
 
 
 def _require_defined(name: str, order: int) -> None:
@@ -95,7 +83,7 @@ def build(group: FiniteGroup, max_order: int = DEFAULT_MAX_ORDER) -> CoprimeGrap
     _require_defined(group.name, n)
     counts = all_subgroups(group, max_order).counts_by_order
     orders = [order for order, count in counts.items() if 1 < order < n for _ in range(count)]
-    return _graph_from_orders(group.name, n, orders)
+    return CoprimeGraph(group.name, n, orders)
 
 
 def build_cyclic(n: int, exact_cap: int | None = None) -> CoprimeGraph:
@@ -110,7 +98,7 @@ def build_cyclic(n: int, exact_cap: int | None = None) -> CoprimeGraph:
     if exact_cap is not None:
         check_exact_cap(prod(e + 1 for _, e in factorize(n)) - 2, exact_cap)
     labels = [d for d in divisors(n) if 1 < d < n]
-    return _graph_from_orders(f"Z{n}", n, labels)
+    return CoprimeGraph(f"Z{n}", n, labels)
 
 
 def graph_for_spec(spec: str, max_order: int, exact_cap: int | None = None) -> CoprimeGraph:

@@ -23,13 +23,17 @@ MAX_PRODUCT_DEPTH = 100
 class FiniteGroup:
     """A finite group on ids 0..order-1 with a full multiplication table.
 
-    ``table[a][b]`` is the product a*b, and id 0 is the identity.  Instances
-    are immutable and safe to share across workers.
+    ``table[a][b]`` is the product a*b, and id 0 is the identity.  The order
+    is the table's length, so the two cannot disagree.  Instances are
+    immutable and safe to share across workers.
     """
 
     name: str
-    order: int
     table: tuple[tuple[int, ...], ...]
+
+    @property
+    def order(self) -> int:
+        return len(self.table)
 
 
 def make_cyclic(n: int) -> FiniteGroup:
@@ -38,7 +42,7 @@ def make_cyclic(n: int) -> FiniteGroup:
         raise GroupConstructionError(f"cyclic order must be positive, got {n}")
     base = list(range(n))
     table = tuple(tuple(base[a:] + base[:a]) for a in range(n))
-    return FiniteGroup(name=f"Z{n}", order=n, table=table)
+    return FiniteGroup(name=f"Z{n}", table=table)
 
 
 def make_dihedral(n: int) -> FiniteGroup:
@@ -53,7 +57,7 @@ def make_dihedral(n: int) -> FiniteGroup:
     # r^i * r^j s^f = r^(i+j) s^f and r^i s * r^j s^f = r^(i-j) s^(1-f)
     table = [tuple(rot[i:] + rot[:i] + refl[i:] + refl[:i]) for i in range(n)]
     table += [tuple(refl[i::-1] + refl[:i:-1] + rot[i::-1] + rot[:i:-1]) for i in range(n)]
-    return FiniteGroup(name=f"D{order}", order=order, table=tuple(table))
+    return FiniteGroup(name=f"D{order}", table=tuple(table))
 
 
 def make_semidirect_cyclic(m: int, k: int, i: int) -> FiniteGroup:
@@ -92,7 +96,7 @@ def make_semidirect_cyclic(m: int, k: int, i: int) -> FiniteGroup:
         for base, unit in zip(bases, units):
             s = a1 * unit % m * k
             table.append(base[s:] + base[:s])
-    return FiniteGroup(name=f"Z{m}:Z{k}(i={i})", order=m * k, table=tuple(table))
+    return FiniteGroup(name=f"Z{m}:Z{k}(i={i})", table=tuple(table))
 
 
 def make_direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
@@ -109,7 +113,7 @@ def make_direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
         tuple(chain.from_iterable(map(h_blocks.__getitem__, g_row)))
         for g_row in g.table for h_blocks in blocks
     )
-    return FiniteGroup(name=f"{g.name}x{h.name}", order=g.order * hn, table=table)
+    return FiniteGroup(name=f"{g.name}x{h.name}", table=table)
 
 
 def _compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
@@ -169,7 +173,7 @@ def make_permutation_group(
     for y in range(1, order):
         cols.append(list(map(right[via[y]].__getitem__, cols[parent[y]])))
     table = tuple(zip(*cols))
-    return FiniteGroup(name=f"Perm{degree}<{order}>", order=order, table=table)
+    return FiniteGroup(name=f"Perm{degree}<{order}>", table=table)
 
 
 # Each named group is a spec of the grammar and the name it is shown under.

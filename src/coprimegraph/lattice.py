@@ -139,19 +139,12 @@ class SubgroupList:
     """All subgroups of a group, sorted by (order, elements), and how many
     there are of each order, sorted by order.
 
-    ``all_subgroups`` hands over the subgroups' element sets as ``sets``
-    instead of ``all``, and the sorted list is built when first read: the
-    graph reads only the counts.
+    It is made from the counts and the subgroups' element sets, and the
+    sorted list is built from the sets when first read: the graph reads only
+    the counts.
     """
 
-    def __init__(
-        self,
-        all: list[Subgroup] | None,
-        counts_by_order: dict[int, int],
-        sets: Iterable[frozenset[int]] = (),
-    ):
-        if all is not None:
-            self.all = all
+    def __init__(self, counts_by_order: dict[int, int], sets: Iterable[frozenset[int]]):
         self.counts_by_order = counts_by_order
         self._sets = sets
 
@@ -391,4 +384,4 @@ def all_subgroups(group: FiniteGroup, max_order: int = DEFAULT_MAX_ORDER) -> Sub
                 if fs not in seen:
                     add_class(fs, gens + (atom_gen,))
 
-    return SubgroupList(None, dict(sorted(counts.items())), sets=seen)
+    return SubgroupList(dict(sorted(counts.items())), seen)

@@ -20,7 +20,6 @@ from coprimegraph import analysis, groups, lattice
 from coprimegraph.analysis import INFINITE, _Adjacency, _adjacency, _Structure, vertex_report
 from coprimegraph.coprime import (
     CoprimeGraph,
-    _graph_from_orders,
     _require_defined,
     build,
     build_cyclic,
@@ -242,13 +241,11 @@ def counted_degrees(graph) -> dict[int, int]:
 
 # The builder the coprime module used before it built P(G) from prime-support
 # masks: one gcd per pair of distinct orders.  Kept verbatim as the oracle for
-# the adjacency; the graph it returns is built on the rows of the neighbour
-# sets it returns alongside, which it fills edge by edge and never from rows.
+# the adjacency; it returns each vertex's row and its neighbour set, which it
+# fills edge by edge and never from rows.
 
 
-def gcd_graph_from_orders(
-    source: str, parent_order: int, orders: list[int]
-) -> tuple[CoprimeGraph, list[frozenset[int]]]:
+def gcd_rows_from_orders(orders: list[int]) -> tuple[list[int], list[frozenset[int]]]:
     n = len(orders)
     # vertices of one order are twins: one gcd per pair of distinct orders
     classes: dict[int, list[int]] = {}
@@ -270,7 +267,7 @@ def gcd_graph_from_orders(
         for v in ids:
             adjacency[v] = shared - {v} if v in shared else shared
             rows[v] = row & ~(1 << v)
-    return CoprimeGraph(source, parent_order, orders, rows), adjacency
+    return rows, adjacency
 
 
 # The neighbour sets as the coprime module built them eagerly before a graph
@@ -309,6 +306,30 @@ def members_by_lowest_bit(mask: int) -> list[int]:
     return out
 
 
+# What the theorem checks read of a coprime graph, on rows given by hand: a
+# CoprimeGraph derives its rows from its orders, so a check that must refuse
+# adjacency no coprime graph has is run on one of these.
+
+
+class HandGraph:
+    """Vertex orders under a parent order, and rows that need not agree with them."""
+
+    def __init__(self, parent_order: int, orders: list[int], edges: list[tuple[int, int]]):
+        self.parent_order = parent_order
+        self.orders = tuple(orders)
+        rows = [0] * len(orders)
+        for u, v in edges:
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+        self.masks = tuple(rows)
+
+    def degree(self, v: int) -> int:
+        return self.masks[v].bit_count()
+
+    def parent_primes(self) -> frozenset[int]:
+        return pi(self.parent_order)
+
+
 # A graph's only adjacency is its bitmask rows; the tests read them as sets.
 
 
@@ -335,12 +356,12 @@ def build_from_subgroup_list(
 ) -> CoprimeGraph:
     _require_defined(group.name, group.order)
     verts = proper_nontrivial(all_subgroups(group, max_order))
-    return _graph_from_orders(group.name, group.order, [s.order for s in verts])
+    return CoprimeGraph(group.name, group.order, [s.order for s in verts])
 
 
-# The class finder analysis used before a graph built from its orders carried
-# its supports: it derives them over the parent's primes and compares every
-# row with support disjointness.  Kept verbatim as the oracle for
+# The class finder analysis used before a coprime graph carried its supports:
+# it derives them over the parent's primes and compares every row with
+# support disjointness.  Kept verbatim as the oracle for
 # ``_Adjacency.classes``; ``parent_support_classes`` hands it the parent's primes.
 
 
@@ -351,9 +372,8 @@ def _support_classes(adj: _Adjacency) -> dict[int, int] | None:
 
     A vertex's support is the bitmask of the parent's primes dividing its
     order.  The vertices whose support misses S are those outside the
-    classes of S's primes, so the comparison takes k unions per support.  A
-    coprime graph built from its orders always passes it; a hand-made one
-    need not.
+    classes of S's primes, so the comparison takes k unions per support.
+    Every coprime graph passes it, as its rows are derived from its orders.
     """
     supports = prime_supports(adj.orders, adj.primes)
     classes: dict[int, int] = {}
@@ -661,10 +681,8 @@ def all_subgroups_oracle(group, max_order: int = DEFAULT_MAX_ORDER) -> SubgroupL
     if whole not in found:
         found[whole] = tuple(range(n))
 
-    subs = [Subgroup(elements=tuple(sorted(fs)), order=len(fs)) for fs in found]
-    subs.sort(key=lambda s: (s.order, s.elements))
-    counts = Counter(s.order for s in subs)
-    return SubgroupList(all=subs, counts_by_order=dict(sorted(counts.items())))
+    counts = Counter(map(len, found))
+    return SubgroupList(dict(sorted(counts.items())), found)
 
 
 # The enumerator the lattice module used before it searched one subgroup per
@@ -738,10 +756,8 @@ def all_subgroups_by_extension(
                     found[fs] = gens + (atom_gen,)
                     worklist.append(fs)
 
-    subs = [Subgroup(elements=tuple(sorted(fs)), order=len(fs)) for fs in found]
-    subs.sort(key=lambda s: (s.order, s.elements))
-    counts = Counter(s.order for s in subs)
-    return SubgroupList(all=subs, counts_by_order=dict(sorted(counts.items())))
+    counts = Counter(map(len, found))
+    return SubgroupList(dict(sorted(counts.items())), found)
 
 
 # The enumerator the lattice module used before its join loop took one cyclic
@@ -834,10 +850,8 @@ def all_subgroups_joining_every_atom(
                 if fs not in seen:
                     add_class(fs, gens + (atom_gen,))
 
-    subs = [Subgroup(tuple(sorted(fs)), len(fs)) for fs in seen]
-    subs.sort(key=lambda s: (s.order, s.elements))
-    counts = Counter(s.order for s in subs)
-    return SubgroupList(subs, dict(sorted(counts.items())))
+    counts = Counter(map(len, seen))
+    return SubgroupList(dict(sorted(counts.items())), seen)
 
 
 # The enumerator the lattice module used before its join loop took only the
@@ -961,10 +975,8 @@ def all_subgroups_per_orbit(
                 if fs not in seen:
                     add_class(fs, gens + (atom_gen,))
 
-    subs = [Subgroup(tuple(sorted(fs)), len(fs)) for fs in seen]
-    subs.sort(key=lambda s: (s.order, s.elements))
-    counts = Counter(s.order for s in subs)
-    return SubgroupList(subs, dict(sorted(counts.items())))
+    counts = Counter(map(len, seen))
+    return SubgroupList(dict(sorted(counts.items())), seen)
 
 
 def brute_force_maximal_independent_sets(g: SimpleGraph) -> list[tuple[int, ...]]:
@@ -1228,7 +1240,7 @@ def cell_by_cell_dihedral(n: int) -> FiniteGroup:
             k = (i + j) % n if e == 0 else (i - j) % n
             row.append(k + n * (e ^ f))
         table.append(tuple(row))
-    return FiniteGroup(name=f"D{order}", order=order, table=tuple(table))
+    return FiniteGroup(name=f"D{order}", table=tuple(table))
 
 
 def cell_by_cell_semidirect_cyclic(m: int, k: int, i: int) -> FiniteGroup:
@@ -1256,7 +1268,7 @@ def cell_by_cell_semidirect_cyclic(m: int, k: int, i: int) -> FiniteGroup:
             a2, b2 = divmod(y, k)
             row.append(((a1 + a2 * twist) % m) * k + (b1 + b2) % k)
         table.append(tuple(row))
-    return FiniteGroup(name=f"Z{m}:Z{k}(i={i})", order=order, table=tuple(table))
+    return FiniteGroup(name=f"Z{m}:Z{k}(i={i})", table=tuple(table))
 
 
 def cell_by_cell_direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
@@ -1272,7 +1284,7 @@ def cell_by_cell_direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
             a2, b2 = divmod(y, hn)
             row.append(grow[a2] * hn + hrow[b2])
         table.append(tuple(row))
-    return FiniteGroup(name=f"{g.name}x{h.name}", order=order, table=tuple(table))
+    return FiniteGroup(name=f"{g.name}x{h.name}", table=tuple(table))
 
 
 # The permutation-group builder the groups module used before it read each
@@ -1321,7 +1333,7 @@ def cell_by_cell_permutation_group(
         tuple(index[_compose(elements[a], elements[b])] for b in range(order))
         for a in range(order)
     )
-    return FiniteGroup(name=name or f"Perm{degree}<{order}>", order=order, table=table)
+    return FiniteGroup(name=name or f"Perm{degree}<{order}>", table=table)
 
 
 # The k-colourability search analysis used before it kept per-vertex colour

@@ -35,7 +35,6 @@ from coprimegraph.analysis import (
 )
 from coprimegraph.coprime import (
     CoprimeGraph,
-    _graph_from_orders,
     build,
     build_cyclic,
     graph_for_spec,
@@ -296,7 +295,7 @@ def order_multisets(draw):
 @given(order_multisets())
 def test_support_alpha_matches_vertex_search_on_order_multisets(case):
     parent_order, orders = case
-    g = _graph_from_orders("orders", parent_order, orders)
+    g = CoprimeGraph("orders", parent_order, orders)
     assert support_alpha(g) == vertex_alpha(g)
 
 
@@ -307,13 +306,6 @@ def test_squarefree_cyclic_alpha_closed_form(k):
     g = build_cyclic(math.prod((2, 3, 5, 7, 11, 13, 17, 19)[:k]))
     assert g.n_vertices == 2**k - 2
     assert support_alpha(g) == 2 ** (k - 1) - 1
-
-
-def test_hand_made_coprime_graph_falls_back_to_the_vertex_search():
-    # orders 30, 2 and 3 with no edges: by their supports 2 -- 3 would be one
-    g = CoprimeGraph("hand", 30, [30, 2, 3], [0] * 3)
-    assert analysis._adjacency(g).classes is None
-    assert independence_number(g) == 3
 
 
 # the support classes a built graph carries, against the previous class
@@ -336,7 +328,7 @@ def test_support_classes_match_the_previous_finder_on_cyclic_moduli(n):
 def test_support_classes_match_the_previous_finder_on_order_multisets(case):
     parent_order, orders = case
     assume(pi(parent_order) == pi(math.lcm(*orders)))
-    g = _graph_from_orders("orders", parent_order, orders)
+    g = CoprimeGraph("orders", parent_order, orders)
     assert analysis._adjacency(g).classes == parent_support_classes(g)
 
 
@@ -577,7 +569,7 @@ def test_order_report_matches_vertex_report_on_order_multisets(case, left_out):
     # a vertex of order p joins for every prime p of the parent but one
     parent_order, orders = case
     orders = orders + [p for p in SMALL_PRIMES if parent_order % p == 0 and p != left_out]
-    fast, slow, sweeps = both_reports(_graph_from_orders("orders", parent_order, orders))
+    fast, slow, sweeps = both_reports(CoprimeGraph("orders", parent_order, orders))
     assert fast == slow
     # the order-level path needs a prime-power vertex for every prime of the
     # orders' lcm, and at most 4n sets of those primes for n vertices
@@ -587,23 +579,26 @@ def test_order_report_matches_vertex_report_on_order_multisets(case, left_out):
     assert sweeps == (0 if order_level else 1)
 
 
-def test_hand_made_coprime_graph_takes_the_vertex_level_report():
-    # orders 30, 2 and 3 with no edges: by their supports 2 -- 3 would be one
-    fast, slow, sweeps = both_reports(CoprimeGraph("hand", 30, [30, 2, 3], [0] * 3))
+def test_an_edgeless_simple_graph_takes_the_vertex_level_search():
+    # three vertices and no edges, with no supports to group them by
+    g = SimpleGraph.from_edges(3, [])
+    assert analysis._adjacency(g).classes is None
+    assert independence_number(g) == 3
+    fast, slow, sweeps = both_reports(g)
     assert fast == slow
     assert sweeps == 1
 
 
 def test_a_parent_prime_dividing_no_order_takes_the_order_level_report():
     # the parent's 2 divides no order; the orders' only prime is 3
-    fast, slow, sweeps = both_reports(_graph_from_orders("orders", 6, [3, 3]))
+    fast, slow, sweeps = both_reports(CoprimeGraph("orders", 6, [3, 3]))
     assert fast == slow
     assert sweeps == 0
 
 
 def test_an_order_1_vertex_takes_the_vertex_level_report():
     # support 0: the vertex of order 1 is joined to every other one
-    g = _graph_from_orders("orders", 12, [1, 2, 3])
+    g = CoprimeGraph("orders", 12, [1, 2, 3])
     assert analysis._adjacency(g).classes is None
     fast, slow, sweeps = both_reports(g)
     assert fast == slow
@@ -611,13 +606,17 @@ def test_an_order_1_vertex_takes_the_vertex_level_report():
     assert independence_number(g) == vertex_alpha(g)
 
 
-def test_coprime_graph_from_adjacency_alone_takes_the_vertex_level_report():
-    # the edges are the coprime pairs, but the graph carries no supports
+def test_a_simple_graph_of_coprime_edges_takes_the_vertex_level_report():
+    # the edges are P(Z_360)'s, but a SimpleGraph carries no supports
     built = build_cyclic(360)
-    g = CoprimeGraph("Z360", 360, list(built.orders), list(built.masks))
+    g = SimpleGraph.from_edges(built.n_vertices, built.edges())
     fast, slow, sweeps = both_reports(g)
-    assert fast == slow == both_reports(built)[0]
+    assert fast == slow
     assert sweeps == 1
+    # every invariant but the name and the vertex orders is P(Z_360)'s
+    want = both_reports(built)[0]
+    assert (fast["source"], fast["vertex_orders"]) == ("graph", None)
+    assert {**fast, "source": want["source"], "vertex_orders": want["vertex_orders"]} == want
 
 
 # one adjacency per graph

@@ -75,7 +75,7 @@ def test_cyclic_exact_cap_is_checked_before_the_gcds(capsys, monkeypatch):
     def no_gcds(*_args, **_kwargs):
         raise AssertionError("the pairwise gcds ran before the exact cap was checked")
 
-    monkeypatch.setattr("coprimegraph.coprime._graph_from_orders", no_gcds)
+    monkeypatch.setattr("coprimegraph.coprime.CoprimeGraph", no_gcds)
     code, _, err = run(capsys, "analyze", "Z:963761198400")
     assert (code, err) == (4, "error: 6718 vertices exceed the exact-solver cap 64\n")
     code, _, err = run(capsys, "analyze", "Z:7")

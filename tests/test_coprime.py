@@ -1,5 +1,6 @@
 """Coprime graph construction, the cyclic fast path, and the degree formula."""
 
+import inspect
 from math import gcd, prod
 
 import pytest
@@ -11,7 +12,6 @@ from coprimegraph.analysis import analyze
 from coprimegraph.coprime import (
     CoprimeGraph,
     UndefinedCoprimeGraphError,
-    _graph_from_orders,
     build,
     build_cyclic,
     graph_for_spec,
@@ -34,7 +34,7 @@ from helpers import (
     counted_degrees,
     degree_formula,
     eager_support_adjacency,
-    gcd_graph_from_orders,
+    gcd_rows_from_orders,
     members_by_lowest_bit,
     neighbour_sets,
     small_graph_isomorphic,
@@ -192,10 +192,19 @@ def test_json_export_shape():
     assert payload["edges"] == [(0, 1), (1, 2)]
 
 
+def test_a_coprime_graph_is_made_from_its_orders_alone():
+    assert list(inspect.signature(CoprimeGraph).parameters) == ["source", "parent_order", "orders"]
+    with pytest.raises(TypeError):
+        CoprimeGraph("hand", 30, [30, 2, 3], [0] * 3)
+    # the orders 2 and 3 are coprime, so their vertices are joined
+    assert CoprimeGraph("hand", 30, [30, 2, 3]).edges() == [(1, 2)]
+
+
 def test_a_hand_built_graph_exports_vertex_i_at_position_i():
     # no vertex carries an id of its own, so the exports cannot relabel the
     # rows: the order-3 vertex's edges go to orders 2 and 4, both coprime to 3
-    g = CoprimeGraph("hand", 12, [2, 3, 4], [0b010, 0b101, 0b010])
+    g = CoprimeGraph("hand", 12, [2, 3, 4])
+    assert g.masks == (0b010, 0b101, 0b010)
     assert to_dot(g).splitlines()[1:-1] == [
         '  v0 [label="2"];',
         '  v1 [label="3"];',
@@ -212,7 +221,7 @@ def test_a_hand_built_graph_exports_vertex_i_at_position_i():
 @given(st.lists(st.integers(min_value=1, max_value=60), max_size=25))
 @settings(max_examples=200, deadline=None)
 def test_twin_classes_give_the_pairwise_gcd_adjacency(orders):
-    g = _graph_from_orders("orders", 1, orders)
+    g = CoprimeGraph("orders", 1, orders)
     sets = neighbour_sets(g.masks)
     for u in range(len(orders)):
         assert sets[u] == {
@@ -237,11 +246,17 @@ def test_one_support_per_distinct_order_and_no_gcd(monkeypatch, spec):
 
 def gcd_build_json(g) -> str:
     """The JSON export of the gcd build on g's orders, after checking that g
-    has its rows and that they hold the gcd build's own neighbour sets."""
-    oracle, sets = gcd_graph_from_orders(g.source, g.parent_order, g.orders)
-    assert g.masks == oracle.masks
+    has its rows and that they hold the gcd build's own neighbour sets: its
+    edges are read off those sets, not off g."""
+    rows, sets = gcd_rows_from_orders(g.orders)
+    assert g.masks == tuple(rows)
     assert neighbour_sets(g.masks) == tuple(sets)
-    return cli._json_text(graph_json(oracle))
+    return cli._json_text({
+        "source": g.source,
+        "parent_order": g.parent_order,
+        "vertices": [{"id": v, "order": order} for v, order in enumerate(g.orders)],
+        "edges": [(u, v) for u, near in enumerate(sets) for v in sorted(near) if v > u],
+    })
 
 
 def assert_same_as_gcd_build(capsys, g, export_args):
@@ -311,36 +326,21 @@ def divisor_lists(draw):
     return n, sorted(orders)
 
 
-@st.composite
-def symmetric_rows(draw):
-    """A CoprimeGraph made straight from the rows of a random simple graph,
-    every vertex of order 1: ``edges()`` reads the rows alone."""
-    n = draw(st.integers(min_value=0, max_value=30))
-    ids = st.integers(min_value=0, max_value=max(n - 1, 0))
-    rows = [0] * n
-    for u, v in draw(st.lists(st.tuples(ids, ids), max_size=120)):
-        if u != v:
-            rows[u] |= 1 << v
-            rows[v] |= 1 << u
-    return CoprimeGraph("rows", 1, [1] * n, rows)
-
-
 def divisor_graph(case):
     n, orders = case
-    return _graph_from_orders("orders", n, orders)
+    return CoprimeGraph("orders", n, orders)
 
 
-@given(st.one_of(divisor_lists().map(divisor_graph), symmetric_rows()))
+@given(divisor_lists().map(divisor_graph))
 # README's hand-built graph, and one whose order-1 vertex is the only one
 # with its own bit cleared from its row
-@example(CoprimeGraph("hand", 6, [2, 3], [0b10, 0b01]))
-@example(_graph_from_orders("orders", 6, [1, 2, 3, 6]))
+@example(CoprimeGraph("hand", 6, [2, 3]))
+@example(CoprimeGraph("orders", 6, [1, 2, 3, 6]))
 @settings(max_examples=400, deadline=None)
 def test_support_build_matches_the_gcd_build_on_divisor_lists(g):
     sets = neighbour_sets(g.masks)
     assert g.edges() == [(u, v) for u in range(g.n_vertices) for v in sorted(sets[u]) if u < v]
-    if g.supports is not None:  # built from its orders
-        assert cli._json_text(graph_json(g)) == gcd_build_json(g)
+    assert cli._json_text(graph_json(g)) == gcd_build_json(g)
 
 
 # the catalog, the benchmark's lattice-export groups, D_256, S6, and the

@@ -3,6 +3,7 @@
 import hashlib
 import re
 import tracemalloc
+from dataclasses import fields
 from math import gcd
 from unittest import mock
 
@@ -27,6 +28,7 @@ from coprimegraph.groups import (
     parse_group_spec,
     spec_order,
 )
+from coprimegraph.lattice import all_subgroups
 from coprimegraph.theorems import load_catalog
 from helpers import (
     LATTICE_EXPORT_SPECS,
@@ -212,8 +214,19 @@ def test_constructed_tables_satisfy_axioms(builder):
     check_group_axioms(builder())
 
 
+def test_a_groups_order_is_its_tables_length():
+    # the Klein four-group: no order is stored beside the table to disagree with it
+    table = ((0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0))
+    group = FiniteGroup(name="V4", table=table)
+    assert group.order == len(table) == 4
+    assert [f.name for f in fields(FiniteGroup)] == ["name", "table"]
+    with pytest.raises(TypeError):
+        FiniteGroup("bad", 3, table)
+    assert all_subgroups(group).counts_by_order == {1: 1, 2: 3, 4: 1}
+
+
 def test_axiom_checker_rejects_broken_table():
-    broken = FiniteGroup(name="bad", order=2, table=((0, 1), (1, 1)))
+    broken = FiniteGroup(name="bad", table=((0, 1), (1, 1)))
     with pytest.raises(GroupConstructionError):
         check_group_axioms(broken)
 
@@ -227,7 +240,7 @@ def test_axiom_checker_rejects_nonassociative_latin_square():
         (3, 2, 4, 0, 1),
         (4, 3, 1, 2, 0),
     )
-    loop = FiniteGroup(name="loop", order=5, table=table)
+    loop = FiniteGroup(name="loop", table=table)
     with pytest.raises(GroupConstructionError):
         check_group_axioms(loop)
 

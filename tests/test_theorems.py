@@ -15,7 +15,7 @@ from coprimegraph.analysis import FORBIDDEN_PATTERNS, analyze, vertex_report
 from coprimegraph.coprime import CoprimeGraph, build, build_cyclic, graph_for_spec
 from coprimegraph.groups import make_cyclic, parse_group_spec
 from coprimegraph.errors import OrderCapExceeded
-from coprimegraph.lattice import is_prime, pi
+from coprimegraph.lattice import is_prime, members, pi
 from coprimegraph.theorems import (
     AUTO_CHECKS,
     DEFAULT_CATALOG_EXACT_CAP,
@@ -34,10 +34,12 @@ from coprimegraph.theorems import (
     run_catalog,
 )
 from helpers import (
+    HandGraph,
     check_connectivity_criterion,
     check_degree_theorem,
     check_embedding_theorem,
     enumerated_intersecting_support_weight,
+    neighbour_sets,
 )
 
 
@@ -129,33 +131,28 @@ def _rest_is_one_block(graph) -> bool:
     full = {v for v, order in enumerate(graph.orders) if pi(order) == graph.parent_primes()}
     if any(graph.degree(v) for v in full):
         return False
-    rest = nx.Graph()
-    rest.add_nodes_from(v for v in range(graph.n_vertices) if v not in full)
-    rest.add_edges_from((u, v) for u, v in graph.edges() if u in rest and v in rest)
-    return nx.number_connected_components(rest) <= 1
-
-
-def _hand_graph(parent_order, orders, edges):
-    adj = [set() for _ in orders]
-    for u, v in edges:
-        adj[u].add(v)
-        adj[v].add(u)
-    return CoprimeGraph("hand", parent_order, orders, [sum(1 << w for w in s) for s in adj])
+    rest = [v for v in range(len(graph.orders)) if v not in full]
+    induced = nx.Graph()
+    induced.add_nodes_from(rest)
+    induced.add_edges_from((u, v) for u in rest for v in members(graph.masks[u]) if v not in full)
+    return nx.number_connected_components(induced) <= 1
 
 
 def test_full_support_isolation_check_matches_induced_subgraph_oracle():
-    graphs = [build(parse_group_spec(spec)) for spec in ("Z:60", "Z:30", "S3xS3", "D:6", "Z:8")]
-    graphs += [
-        _hand_graph(30, [30, 2, 3], []),  # rest {2, 3} is two blocks
-        _hand_graph(30, [30, 2, 3], [(1, 2)]),
-        _hand_graph(30, [30, 2, 3, 6, 5], [(1, 2), (3, 4)]),  # two edges, two blocks
-        _hand_graph(30, [30, 5], [(0, 1)]),  # full-support vertex not isolated
-        _hand_graph(30, [30, 30], []),  # nothing but full-support vertices
+    built = [build(parse_group_spec(spec)) for spec in ("Z:60", "Z:30", "S3xS3", "D:6", "Z:8")]
+    # rows no coprime graph has, analysed as plain neighbour sets
+    hand = [
+        HandGraph(30, [30, 2, 3], []),  # rest {2, 3} is two blocks
+        HandGraph(30, [30, 2, 3], [(1, 2)]),
+        HandGraph(30, [30, 2, 3, 6, 5], [(1, 2), (3, 4)]),  # two edges, two blocks
+        HandGraph(30, [30, 5], [(0, 1)]),  # full-support vertex not isolated
+        HandGraph(30, [30, 30], []),  # nothing but full-support vertices
     ]
+    cases = [(g, analyze(g)) for g in built] + [(g, analyze(neighbour_sets(g.masks))) for g in hand]
     verdicts = []
-    for graph in graphs:
-        got = AUTO_CHECKS["full-support-vertices-isolated"](graph, analyze(graph))
-        assert got == _rest_is_one_block(graph), graph.source
+    for i, (graph, rep) in enumerate(cases):
+        got = AUTO_CHECKS["full-support-vertices-isolated"](graph, rep)
+        assert got == _rest_is_one_block(graph), i
         verdicts.append(got)
     assert verdicts == [True] * 5 + [False, True, False, False, True]
 
@@ -556,7 +553,7 @@ def test_render_table_prints_each_failing_check():
 
 def test_prime_coloring_check_refuses_a_colour_outside_the_group_primes():
     # a vertex of order 5 inside a group of order 6 takes colour 5
-    graph = CoprimeGraph("fake", 6, [5, 2], [0] * 2)
+    graph = CoprimeGraph("fake", 6, [5, 2])
     assert AUTO_CHECKS["smallest-prime-coloring-proper"](graph, None) is False
 
 
