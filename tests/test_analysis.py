@@ -579,12 +579,20 @@ def test_order_report_matches_vertex_report_on_order_multisets(case, left_out):
     assert sweeps == (0 if order_level else 1)
 
 
-def test_an_edgeless_simple_graph_takes_the_vertex_level_search():
-    # three vertices and no edges, with no supports to group them by
-    g = SimpleGraph.from_edges(3, [])
+def hand_made_coprime_graph():
+    """The coprime graph of orders 30, 2 and 3 drawn by hand: its one edge is
+    2 -- 3, and a SimpleGraph carries no supports to group the vertices by."""
+    return SimpleGraph.from_edges(3, [(1, 2)])
+
+
+def test_hand_made_coprime_graph_falls_back_to_the_vertex_search():
+    g = hand_made_coprime_graph()
     assert analysis._adjacency(g).classes is None
-    assert independence_number(g) == 3
-    fast, slow, sweeps = both_reports(g)
+    assert independence_number(g) == 2
+
+
+def test_hand_made_coprime_graph_takes_the_vertex_level_report():
+    fast, slow, sweeps = both_reports(hand_made_coprime_graph())
     assert fast == slow
     assert sweeps == 1
 
