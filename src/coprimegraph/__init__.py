@@ -21,7 +21,6 @@ from .analysis import (
     independence_number,
     is_bipartite,
     is_planar,
-    is_unicyclic,
     verify_kuratowski_witness,
     verify_rotation_system,
     vertex_report,
@@ -66,7 +65,6 @@ from .groups import (
     spec_order,
 )
 from .lattice import (
-    Subgroup,
     SubgroupList,
     all_subgroups,
     divisors,

@@ -10,14 +10,15 @@ returned.  Both come from a literal K33 or from the left-right test in
 adjacency, which every solver reads, and computes its sweep, its maximum
 clique and the member lists of its rows once each.  It groups the vertices by
 equal row once: such vertices are false twins, and the sweep, the member lists
-and the colouring search each work once per distinct row.  A coprime graph
-carries each vertex's prime support, and the adjacency groups the vertices by
-them once.  Its independence number is searched over those supports, at most
-2^k - 1 for k primes, however many vertices share them.  ``analyze`` reads
-every other invariant of P(G) but planarity off the support weights too, with
-the paper's theorems as closed forms; ``vertex_report`` runs the vertex-level
-solvers instead, for any other graph and as the oracle.  ``--exact-cap``
-bounds the vertex count before either runs.
+and the colouring search each work once per distinct row.  The adjacency of a
+coprime graph keeps the graph itself, which carries each vertex's prime
+support, and groups the vertices by them once.  Its independence number is
+searched over those supports, at most 2^k - 1 for k primes, however many
+vertices share them.  ``analyze`` reads every other invariant of P(G) but
+planarity off the support weights too, with the paper's theorems as closed
+forms; ``vertex_report`` runs the vertex-level solvers instead, for any other
+graph and as the oracle.  ``--exact-cap`` bounds the vertex count before
+either runs.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from functools import cached_property
 from itertools import combinations
 
 from . import planarity
+from .coprime import CoprimeGraph
 from .errors import CertificateError, EdgeListError, check_exact_cap, clip
 from .lattice import members, subset_sums
 # re-exported: callers have always caught the exact cap's error from here
@@ -65,13 +67,12 @@ class _Adjacency:
     """One graph's adjacency: its bitmask rows, the graph's own ``masks`` (a
     raw list's derived once), which every solver here reads.
 
-    A coprime graph also brings its vertex orders, its name, the primes of
-    their lcm, each vertex's support over them and ``inside[X]``, from which
-    ``independence_number`` and ``analyze`` work on prime supports; a
-    ``SimpleGraph`` or a raw list brings none.  The ``structure`` sweep, the
-    support ``classes``, the maximum ``clique``, the ``rows`` grouping, the
-    rows' member ``lists`` and the twin ``quotient`` are computed on first
-    use and kept with the adjacency.
+    A coprime graph is kept as ``graph``, whose vertex orders, name, primes,
+    supports and ``inside`` let ``independence_number`` and ``analyze`` work
+    on prime supports; a ``SimpleGraph`` or a raw list keeps None.  The
+    ``structure`` sweep, the support ``classes``, the maximum ``clique``, the
+    ``rows`` grouping, the rows' member ``lists`` and the twin ``quotient``
+    are computed on first use and kept with the adjacency.
 
     Vertices with equal rows are false twins: neither row holds its own
     vertex, so they are not adjacent, and every other vertex is joined to
@@ -81,11 +82,7 @@ class _Adjacency:
     """
 
     masks: tuple[int, ...]
-    orders: tuple[int, ...] | None = None
-    primes: tuple[int, ...] | None = None
-    supports: list[int] | None = None
-    inside: list[int] | None = None
-    source: str = "graph"
+    graph: CoprimeGraph | None = None
 
     @cached_property
     def structure(self) -> _Structure:
@@ -94,11 +91,12 @@ class _Adjacency:
     @cached_property
     def classes(self) -> dict[int, int] | None:
         """The vertices grouped by support, as support -> vertex bitmask in
-        vertex order, or None without supports or with a vertex of order 1."""
-        if self.supports is None or 0 in self.supports:
+        vertex order, or None without a coprime graph or with a vertex of
+        order 1."""
+        if self.graph is None or 0 in self.graph.supports:
             return None
         classes: dict[int, int] = {}
-        for v, s in enumerate(self.supports):
+        for v, s in enumerate(self.graph.supports):
             classes[s] = classes.get(s, 0) | 1 << v
         return classes
 
@@ -225,9 +223,7 @@ def _adjacency(g) -> _Adjacency:
         return g
     if isinstance(g, (list, tuple)):
         return _Adjacency(tuple(sum(1 << w for w in s) for s in adjacency_sets(g)))
-    if not hasattr(g, "orders"):  # a SimpleGraph
-        return _Adjacency(g.masks)
-    return _Adjacency(g.masks, g.orders, g.primes, g.supports, g.inside, g.source)
+    return _Adjacency(g.masks, g if isinstance(g, CoprimeGraph) else None)
 
 
 def connected_components(g) -> list[list[int]]:
@@ -365,7 +361,7 @@ def independence_number(g, cap: int = DEFAULT_EXACT_CAP) -> int:
         comp = [full & ~(1 << v) & ~m for v, m in enumerate(masks)]
         return _max_clique_masks(comp, n).bit_count()
     weight = Counter({s: m.bit_count() for s, m in classes.items()})
-    alpha, family = _max_support_family(weight, len(adj.primes))
+    alpha, family = _max_support_family(weight, len(adj.graph.primes))
     chosen = sum(classes[s] for s in family)
     if chosen.bit_count() != alpha or any(masks[v] & chosen for v in range(n) if chosen >> v & 1):
         raise CertificateError("support family does not give an independent set of its weight")
@@ -654,11 +650,6 @@ def _k3b_triple(masks, b: int) -> tuple[int, int, int, int] | None:
     return None
 
 
-def is_unicyclic(g) -> bool:
-    """Exactly one cycle overall: E - V + C = 1.  Connectivity not required."""
-    return shape_predicates(g)["unicyclic"]
-
-
 @dataclass(frozen=True)
 class ShapeDescriptor:
     """Most specific named pattern of the non-isolated core, plus the count of
@@ -857,11 +848,12 @@ def vertex_report(g, exact_cap: int = DEFAULT_EXACT_CAP) -> AnalysisReport:
     alpha = independence_number(adj, exact_cap)
     omega = clique_number(adj, exact_cap)
     chi = chromatic_number(adj, exact_cap)
+    graph = adj.graph
     return AnalysisReport(
-        source=adj.source,
+        source="graph" if graph is None else graph.source,
         n_vertices=n,
         n_edges=edges,
-        vertex_orders=None if adj.orders is None else list(adj.orders),
+        vertex_orders=None if graph is None else list(graph.orders),
         components=connected_components(adj),
         is_connected=connected,
         diameter=diam,
@@ -904,12 +896,12 @@ def _order_report(adj: _Adjacency, classes: dict[int, int], exact_cap: int) -> A
     the colouring by distance parity.  Alpha and planarity are computed as
     for any graph.
     """
-    masks = adj.masks
+    masks, graph = adj.masks, adj.graph
     n = len(masks)
-    k = len(adj.primes)
+    k = len(graph.primes)
     full = (1 << k) - 1
-    support = adj.supports
-    inside = [m.bit_count() for m in adj.inside]
+    support = graph.supports
+    inside = [m.bit_count() for m in graph.inside]
     degrees = [inside[full ^ s] for s in support]
     edges = sum(degrees) // 2
 
@@ -945,10 +937,10 @@ def _order_report(adj: _Adjacency, classes: dict[int, int], exact_cap: int) -> A
     coloring = [int(s not in (full, first)) for s in support] if k <= 2 else None
     preds = _predicates(degrees, len(components), coloring)
     return AnalysisReport(
-        source=adj.source,
+        source=graph.source,
         n_vertices=n,
         n_edges=edges,
-        vertex_orders=list(adj.orders),
+        vertex_orders=list(graph.orders),
         components=components,
         is_connected=preds["connected"],
         diameter=diameters[0] if preds["connected"] else INFINITE,
@@ -983,7 +975,7 @@ def analyze(g, exact_cap: int = DEFAULT_EXACT_CAP) -> AnalysisReport:
     classes = adj.classes
     if classes is None:
         return vertex_report(adj, exact_cap)
-    k = len(adj.primes)
+    k = len(adj.graph.primes)
     if 1 << k > 4 * n or any(1 << i not in classes for i in range(k)):
         return vertex_report(adj, exact_cap)
     return _order_report(adj, classes, exact_cap)

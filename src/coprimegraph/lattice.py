@@ -4,9 +4,8 @@ helpers that build a graph's rows and list their members."""
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Iterable
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import chain, compress
 from math import gcd
 
@@ -128,31 +127,13 @@ def is_prime(n: int) -> bool:
 
 
 @dataclass(frozen=True)
-class Subgroup:
-    """A subgroup as a sorted tuple of element ids of the parent group."""
-
-    elements: tuple[int, ...]
-    order: int
-
-
 class SubgroupList:
-    """All subgroups of a group, sorted by (order, elements), and how many
-    there are of each order, sorted by order.
-
-    It is made from the counts and the subgroups' element sets, and the
-    sorted list is built from the sets when first read: the graph reads only
-    the counts.
+    """How many subgroups a group has of each order, sorted by order, and
+    ``all``, the set of their element sets.  The graph reads only the counts.
     """
 
-    def __init__(self, counts_by_order: dict[int, int], sets: Iterable[frozenset[int]]):
-        self.counts_by_order = counts_by_order
-        self._sets = sets
-
-    @cached_property
-    def all(self) -> list[Subgroup]:
-        subs = [Subgroup(tuple(sorted(fs)), len(fs)) for fs in self._sets]
-        subs.sort(key=lambda s: (s.order, s.elements))
-        return subs
+    counts_by_order: dict[int, int]
+    all: set[frozenset[int]]
 
 
 def _generate(table, gens, order: int) -> frozenset[int] | None:

@@ -437,14 +437,15 @@ def run_catalog(
     <= max_order.
 
     Each entry is built once, where ``_checked_entry`` decides it: in this
-    process, or in a worker when ``jobs`` is above 1 and the catalog has
-    more than one entry.  A worker returns the entry's rows, or None when
-    it is skipped; no table is sent to a worker.
+    process, or in one of min(jobs, entries) workers when that is above 1,
+    so no worker starts without an entry.  A worker returns the entry's
+    rows, or None when it is skipped; no table is sent to a worker.
     """
     entries = load_catalog() if catalog is None else list(catalog)
     args = (max_order, exact_cap)
-    if jobs > 1 and len(entries) > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, len(entries))
+    if workers > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(_checked_entry, entry, *args) for entry in entries]
             checked = [fut.result() for fut in futures]
     else:

@@ -10,14 +10,13 @@ from __future__ import annotations
 import random
 from collections import Counter
 from collections.abc import Iterator
-from dataclasses import replace
 from functools import reduce
 from itertools import combinations, compress
 from math import gcd, lcm
 from operator import or_
 
 from coprimegraph import analysis, groups, lattice
-from coprimegraph.analysis import INFINITE, _Adjacency, _adjacency, _Structure, vertex_report
+from coprimegraph.analysis import INFINITE, _adjacency, _Structure, vertex_report
 from coprimegraph.coprime import (
     CoprimeGraph,
     _require_defined,
@@ -44,7 +43,6 @@ from coprimegraph.groups import (
     make_semidirect_cyclic,
 )
 from coprimegraph.lattice import (
-    Subgroup,
     SubgroupList,
     all_subgroups,
     divisors,
@@ -344,11 +342,12 @@ def neighbour_sets(masks) -> tuple[frozenset[int], ...]:
 # Kept as the oracle for coprime.build.
 
 
-def proper_nontrivial(subgroups: SubgroupList) -> list[Subgroup]:
-    """Subgroups H with 1 < |H| < |G|, in the list's deterministic order;
-    the list ends with G itself."""
-    parent_order = subgroups.all[-1].order
-    return [s for s in subgroups.all if 1 < s.order < parent_order]
+def proper_nontrivial(subgroups: SubgroupList) -> list[tuple[int, ...]]:
+    """The subgroups H with 1 < |H| < |G|, each as its sorted elements,
+    sorted by (order, elements); G is the largest."""
+    subs = sorted((len(fs), tuple(sorted(fs))) for fs in subgroups.all)
+    parent_order = subs[-1][0]
+    return [elements for order, elements in subs if 1 < order < parent_order]
 
 
 def build_from_subgroup_list(
@@ -356,16 +355,16 @@ def build_from_subgroup_list(
 ) -> CoprimeGraph:
     _require_defined(group.name, group.order)
     verts = proper_nontrivial(all_subgroups(group, max_order))
-    return CoprimeGraph(group.name, group.order, [s.order for s in verts])
+    return CoprimeGraph(group.name, group.order, list(map(len, verts)))
 
 
 # The class finder analysis used before a coprime graph carried its supports:
 # it derives them over the parent's primes and compares every row with
-# support disjointness.  Kept verbatim as the oracle for
-# ``_Adjacency.classes``; ``parent_support_classes`` hands it the parent's primes.
+# support disjointness.  Kept as the oracle for ``_Adjacency.classes``;
+# ``parent_support_classes`` hands it the parent's primes.
 
 
-def _support_classes(adj: _Adjacency) -> dict[int, int] | None:
+def _support_classes(orders, primes, masks) -> dict[int, int] | None:
     """The graph's vertices grouped by prime support, as support -> vertex
     bitmask, or None unless two vertices are adjacent exactly when their
     supports are disjoint.
@@ -375,25 +374,25 @@ def _support_classes(adj: _Adjacency) -> dict[int, int] | None:
     classes of S's primes, so the comparison takes k unions per support.
     Every coprime graph passes it, as its rows are derived from its orders.
     """
-    supports = prime_supports(adj.orders, adj.primes)
+    supports = prime_supports(orders, primes)
     classes: dict[int, int] = {}
     for v, s in enumerate(supports):
         classes[s] = classes.get(s, 0) | 1 << v
     divisible = [reduce(or_, (m for s, m in classes.items() if s >> i & 1), 0)
-                 for i in range(len(adj.primes))]
+                 for i in range(len(primes))]
     everyone = (1 << len(supports)) - 1
     disjoint = {
         s: everyone & ~reduce(or_, (m for i, m in enumerate(divisible) if s >> i & 1), 0)
         for s in classes
     }
-    if any(adj.masks[v] != disjoint[s] for v, s in enumerate(supports)):
+    if any(masks[v] != disjoint[s] for v, s in enumerate(supports)):
         return None
     return classes
 
 
 def parent_support_classes(g: CoprimeGraph) -> dict[int, int] | None:
     """The previous class finder on g, over its parent's primes."""
-    return _support_classes(replace(_adjacency(g), primes=tuple(sorted(g.parent_primes()))))
+    return _support_classes(g.orders, sorted(g.parent_primes()), g.masks)
 
 
 def element_order_census(group) -> dict[int, int]:
@@ -682,7 +681,7 @@ def all_subgroups_oracle(group, max_order: int = DEFAULT_MAX_ORDER) -> SubgroupL
         found[whole] = tuple(range(n))
 
     counts = Counter(map(len, found))
-    return SubgroupList(dict(sorted(counts.items())), found)
+    return SubgroupList(dict(sorted(counts.items())), set(found))
 
 
 # The enumerator the lattice module used before it searched one subgroup per
@@ -757,7 +756,7 @@ def all_subgroups_by_extension(
                     worklist.append(fs)
 
     counts = Counter(map(len, found))
-    return SubgroupList(dict(sorted(counts.items())), found)
+    return SubgroupList(dict(sorted(counts.items())), set(found))
 
 
 # The enumerator the lattice module used before its join loop took one cyclic

@@ -23,6 +23,7 @@ from gcds rather than taken from the library's own verdict:
 """
 
 import time
+from collections import Counter
 from itertools import combinations
 from math import gcd
 
@@ -279,8 +280,8 @@ def test_criterion_12_oracle_equivalence(catalog_reports):
     if len(small) < 10:
         failures.append("fewer than 10 catalog groups of order <= 24")
     for spec, (group, lattice, _, _) in small.items():
-        got = {frozenset(s.elements) for s in lattice.all}
-        if got != brute_force_subgroups(group):
+        want = brute_force_subgroups(group)
+        if lattice.all != want or lattice.counts_by_order != Counter(map(len, want)):
             failures.append(f"{spec}: lattice differs from brute-force closure")
     graphs = []
     for n in (4, 8, 12, 16, 30, 36, 60):

@@ -4,6 +4,7 @@ import math
 import random
 import sys
 from collections import Counter
+from dataclasses import fields
 from itertools import combinations
 from unittest import mock
 
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import coprimegraph
 from coprimegraph import analysis, planarity
 from coprimegraph.analysis import (
     INFINITE,
@@ -26,7 +28,6 @@ from coprimegraph.analysis import (
     independence_number,
     is_bipartite,
     is_planar,
-    is_unicyclic,
     maximum_clique,
     shape_predicates,
     verify_kuratowski_witness,
@@ -651,6 +652,20 @@ def test_analyze_builds_the_adjacency_once(adjacencies, n):
     analyze(g)
     assert len(adjacencies) == 1
     assert adjacencies[0].masks is g.masks
+    assert adjacencies[0].graph is g
+
+
+def test_each_fact_is_kept_once():
+    # an adjacency reads the orders, primes, supports and name off its graph
+    assert [f.name for f in fields(analysis._Adjacency)] == ["masks", "graph"]
+    assert analysis._adjacency(SimpleGraph.from_edges(2, [(0, 1)])).graph is None
+    assert analysis._adjacency(adj_of([(0, 1)], 2)).graph is None
+    # a lattice is its counts and its element sets, and unicyclicity is a
+    # key of shape_predicates
+    assert not hasattr(coprimegraph, "Subgroup")
+    assert not hasattr(coprimegraph.lattice, "Subgroup")
+    assert not hasattr(coprimegraph, "is_unicyclic")
+    assert not hasattr(analysis, "is_unicyclic")
 
 
 def test_catalog_entry_builds_the_adjacency_once(adjacencies):
@@ -745,7 +760,6 @@ INVARIANTS = {
     "independence_number": independence_number,
     "chromatic_number": chromatic_number,
     "is_planar": is_planar,
-    "is_unicyclic": is_unicyclic,
     "classify_shape": classify_shape,
     "shape_predicates": shape_predicates,
     "contains_complete_bipartite": lambda g: [
@@ -1277,10 +1291,10 @@ def test_contains_rejects_bad_sizes():
 
 
 def test_unicyclic_examples():
-    assert is_unicyclic(build_cyclic(30))
-    assert is_unicyclic(build_cyclic(36))  # one 4-cycle plus isolated vertices
-    assert not is_unicyclic(build_cyclic(60))
-    assert not is_unicyclic(adj_of([], 3))
+    assert shape_predicates(build_cyclic(30))["unicyclic"]
+    assert shape_predicates(build_cyclic(36))["unicyclic"]  # one 4-cycle plus isolated vertices
+    assert not shape_predicates(build_cyclic(60))["unicyclic"]
+    assert not shape_predicates(adj_of([], 3))["unicyclic"]
 
 
 def test_shape_examples():

@@ -584,6 +584,15 @@ def test_zero_jobs_runs_the_catalog_serially(tmp_path, capsys, monkeypatch):
     assert run(capsys, "verify", "--catalog", str(path), "--jobs", "0")[0] == 0
 
 
+def test_jobs_beyond_the_entry_count_start_one_worker_per_entry(tmp_path, capsys):
+    # a pool as large as --jobs overflowed its semaphore at 2**31
+    path = tmp_path / "catalog.json"
+    path.write_text('[{"spec": "Z:30"}, {"spec": "S3"}]')
+    code, out, err = run(capsys, "verify", "--catalog", str(path), "--jobs", "2147483648")
+    assert (code, err) == (0, "")
+    assert out == run(capsys, "verify", "--catalog", str(path))[1]
+
+
 @pytest.mark.parametrize("spec", ["A4", "X(A4,Z:1)"])
 def test_a_named_group_over_the_cap_is_named_in_the_refusal(capsys, spec):
     code, _, err = run(capsys, "analyze", spec, "--max-order", "10")

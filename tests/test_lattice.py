@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from coprimegraph import lattice
 from coprimegraph.errors import clip
 from coprimegraph.groups import (
+    DEFAULT_MAX_ORDER,
     OrderCapExceeded,
     make_cyclic,
     make_dihedral,
@@ -21,7 +22,6 @@ from coprimegraph.groups import (
 )
 from coprimegraph.lattice import (
     _passes_miller_rabin,
-    all_subgroups,
     divisors,
     factorize,
     pi,
@@ -40,6 +40,14 @@ from helpers import (
     power_lists,
     proper_nontrivial,
 )
+
+
+def all_subgroups(group, max_order: int = DEFAULT_MAX_ORDER):
+    """``lattice.all_subgroups``, checked on every group these tests
+    enumerate: its counts by order tally its element sets."""
+    sl = lattice.all_subgroups(group, max_order)
+    assert Counter(map(len, sl.all)) == sl.counts_by_order
+    return sl
 
 
 def test_pi_examples():
@@ -121,7 +129,7 @@ def test_cyclic_subgroups_match_divisors(n):
 
 def test_quaternion_proper_subgroup_orders():
     sl = all_subgroups(parse_group_spec("Q8"))
-    assert sorted(s.order for s in proper_nontrivial(sl)) == [2, 4, 4, 4]
+    assert sorted(map(len, proper_nontrivial(sl))) == [2, 4, 4, 4]
 
 
 def test_a4_has_ten_subgroups():
@@ -132,7 +140,7 @@ def test_a4_has_ten_subgroups():
 
 def test_proper_nontrivial_examples():
     assert len(proper_nontrivial(all_subgroups(make_cyclic(6)))) == 2
-    assert [s.order for s in proper_nontrivial(all_subgroups(make_cyclic(32)))] == [
+    assert list(map(len, proper_nontrivial(all_subgroups(make_cyclic(32))))) == [
         2,
         4,
         8,
@@ -148,13 +156,11 @@ def test_trivial_group_lattice():
     assert proper_nontrivial(sl) == []
 
 
-def test_subgroups_are_closed_and_sorted():
+def test_subgroups_are_closed_and_divide_the_order():
     g = make_dihedral(6)
     sl = all_subgroups(g)
-    assert all(is_closed_subgroup(g, frozenset(s.elements)) for s in sl.all)
-    keys = [(s.order, s.elements) for s in sl.all]
-    assert keys == sorted(keys)
-    assert all(g.order % s.order == 0 for s in sl.all)
+    assert all(is_closed_subgroup(g, fs) for fs in sl.all)
+    assert all(g.order % len(fs) == 0 for fs in sl.all)
 
 
 def test_order_cap():
@@ -172,8 +178,10 @@ BRUTE_SPECS = [
 def test_join_saturation_matches_brute_force(spec):
     g = parse_group_spec(spec)
     assert g.order <= 24
-    got = {frozenset(s.elements) for s in all_subgroups(g).all}
-    assert got == brute_force_subgroups(g)
+    got = all_subgroups(g)
+    want = brute_force_subgroups(g)
+    assert got.all == want
+    assert got.counts_by_order == Counter(map(len, want))
 
 
 @pytest.mark.parametrize(
@@ -222,7 +230,7 @@ def test_semidirect_lattice_orders_divide(m, k):
     )
     g = make_semidirect_cyclic(m, k, i)
     sl = all_subgroups(g)
-    assert all(g.order % s.order == 0 for s in sl.all)
+    assert all(g.order % len(fs) == 0 for fs in sl.all)
     assert sl.counts_by_order[1] == 1
     assert sl.counts_by_order[g.order] == 1
 
@@ -387,7 +395,7 @@ def test_s7_has_11300_subgroups(closures):
 
 def order_tally(sl) -> list[tuple[int, int]]:
     """How many of ``sl.all`` have each order, sorted by order."""
-    return sorted(Counter(s.order for s in sl.all).items())
+    return sorted(Counter(map(len, sl.all)).items())
 
 
 @pytest.mark.parametrize(
@@ -433,7 +441,9 @@ def test_random_permutation_groups_match_the_oracle(closures):
         got = all_subgroups(group)
         assert got.all == per_orbit.all
         assert got.counts_by_order == per_orbit.counts_by_order
-        assert got.all == all_subgroups_oracle(group).all
+        oracle = all_subgroups_oracle(group)
+        assert got.all == oracle.all
+        assert got.counts_by_order == oracle.counts_by_order
         by_extension = all_subgroups_by_extension(group)
         assert got.all == by_extension.all
         assert got.counts_by_order == by_extension.counts_by_order

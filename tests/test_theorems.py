@@ -161,7 +161,7 @@ class _InlinePool:
     """A stand-in for ProcessPoolExecutor that runs each call in process."""
 
     def __init__(self, max_workers):
-        pass
+        self.max_workers = max_workers
 
     def __enter__(self):
         return self
@@ -237,6 +237,25 @@ def test_run_catalog_with_jobs_builds_each_order_less_entry_once_in_its_worker(m
     assert report.skipped == []
     assert len(report.rows) == 2 * len(AUTO_CHECKS)
     assert all(r.passed for r in report.rows), [r for r in report.rows if not r.passed]
+
+
+def test_run_catalog_starts_at_most_one_worker_per_entry(monkeypatch):
+    # a pool of 2**31 workers overflows the pool's semaphore, and a fork per
+    # worker would start them all
+    pools = []
+
+    def pool(max_workers):
+        pools.append(_InlinePool(max_workers))
+        return pools[-1]
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
+    entries = [CatalogEntry("Z:6"), CatalogEntry("S3")]
+    report = run_catalog(catalog=entries, jobs=2**31)
+    assert [p.max_workers for p in pools] == [2]
+    assert len(report.rows) == 2 * len(AUTO_CHECKS)
+    assert all(r.passed for r in report.rows), [r for r in report.rows if not r.passed]
+    run_catalog(catalog=entries[:1], jobs=2**31)
+    assert len(pools) == 1
 
 
 S7 = "PERM:7:[0 1 2 3 4 5 6],[0 1]"
