@@ -12,7 +12,7 @@ clique and the member lists of its rows once each.  It groups the vertices by
 equal row once: such vertices are false twins, and the sweep, the member lists
 and the colouring search each work once per distinct row.  The adjacency of a
 coprime graph keeps the graph itself, which carries each vertex's prime
-support, and groups the vertices by them once.  Its independence number is
+support and groups the vertices by them once.  Its independence number is
 searched over those supports, at most 2^k - 1 for k primes, however many
 vertices share them.  ``analyze`` reads every other invariant of P(G) but
 planarity off the support weights too, with the paper's theorems as closed
@@ -68,11 +68,11 @@ class _Adjacency:
     raw list's derived once), which every solver here reads.
 
     A coprime graph is kept as ``graph``, whose vertex orders, name, primes,
-    supports and ``inside`` let ``independence_number`` and ``analyze`` work
-    on prime supports; a ``SimpleGraph`` or a raw list keeps None.  The
-    ``structure`` sweep, the support ``classes``, the maximum ``clique``, the
-    ``rows`` grouping, the rows' member ``lists`` and the twin ``quotient``
-    are computed on first use and kept with the adjacency.
+    supports and support classes let ``independence_number`` and ``analyze``
+    work on prime supports; a ``SimpleGraph`` or a raw list keeps None.  The
+    ``structure`` sweep, the maximum ``clique``, the ``rows`` grouping, the
+    rows' member ``lists`` and the twin ``quotient`` are computed on first
+    use and kept with the adjacency.
 
     Vertices with equal rows are false twins: neither row holds its own
     vertex, so they are not adjacent, and every other vertex is joined to
@@ -88,17 +88,14 @@ class _Adjacency:
     def structure(self) -> _Structure:
         return _structure(self)
 
-    @cached_property
+    @property
     def classes(self) -> dict[int, int] | None:
-        """The vertices grouped by support, as support -> vertex bitmask in
-        vertex order, or None without a coprime graph or with a vertex of
-        order 1."""
-        if self.graph is None or 0 in self.graph.supports:
+        """The graph's own support classes, support -> vertex bitmask in
+        first-vertex order, or None without a coprime graph or with a vertex
+        of order 1 (support 0)."""
+        if self.graph is None or 0 in self.graph.classes:
             return None
-        classes: dict[int, int] = {}
-        for v, s in enumerate(self.graph.supports):
-            classes[s] = classes.get(s, 0) | 1 << v
-        return classes
+        return self.graph.classes
 
     @cached_property
     def clique(self) -> int:
@@ -686,37 +683,55 @@ def _patterns(degrees: list[int], n_components: int, coloring) -> dict[str, tupl
     return out
 
 
-def _summary(
-    degrees: list[int], n_components: int, coloring, core: bool
-) -> tuple[int, int, int, dict[str, tuple[int, ...]]]:
-    """Vertex, edge and component counts and named patterns of the graph with
-    these degrees, component count and 2-colouring, or of its core: the graph
-    without its isolated vertices, each of which is a component of its own."""
-    keep = [v for v, d in enumerate(degrees) if d or not core]
-    kept = [degrees[v] for v in keep]
-    n_components -= len(degrees) - len(keep)
-    colours = None if coloring is None else [coloring[v] for v in keep]
-    return len(keep), sum(kept) // 2, n_components, _patterns(kept, n_components, colours)
-
-
 def _profile(adj: _Adjacency) -> tuple[list[int], int, tuple[int, ...] | None]:
     """The degrees, component count and 2-colouring, from the sweep."""
     structure = adj.structure
     return [m.bit_count() for m in adj.masks], len(structure.components), structure.coloring
 
 
-def _core_shape(degrees: list[int], n_components: int, coloring) -> ShapeDescriptor:
-    n, edges, n_components, patterns = _summary(degrees, n_components, coloring, core=True)
-    isolated = len(degrees) - n
-    if n == 0:
-        return ShapeDescriptor("Null", (), isolated)
-    for kind, args in patterns.items():
-        return ShapeDescriptor(kind, args, isolated)
-    if n_components == 1 and edges == n - 1:
-        return ShapeDescriptor("Tree", (), isolated)
-    if n_components == 1 and edges == n:
-        return ShapeDescriptor("Unicyclic", (), isolated)
-    return ShapeDescriptor("Other", (), isolated)
+def _shape(
+    degrees: list[int], n_components: int, coloring
+) -> tuple[ShapeDescriptor, dict[str, bool]]:
+    """The core's shape and the whole graph's predicates, from the graph's
+    degrees, component count and 2-colouring (None on an odd cycle).
+
+    The core drops the isolated vertices, each a component of its own, and
+    its patterns are matched once.  They are the whole graph's when no vertex
+    is isolated; otherwise the graph matches none, as Complete needs minimum
+    degree n - 1, Star every other degree 1, and Path, CompleteBipartite and
+    Cycle a connected graph.
+    """
+    n, edges = len(degrees), sum(degrees) // 2
+    keep = [v for v, d in enumerate(degrees) if d]
+    isolated = n - len(keep)
+    core_components = n_components - isolated
+    colours = None if coloring is None else [coloring[v] for v in keep]
+    patterns = _patterns([degrees[v] for v in keep], core_components, colours)
+    if not keep:
+        kind, args = "Null", ()
+    elif patterns:
+        kind, args = next(iter(patterns.items()))
+    elif core_components == 1 and edges == len(keep) - 1:
+        kind, args = "Tree", ()
+    elif core_components == 1 and edges == len(keep):
+        kind, args = "Unicyclic", ()
+    else:
+        kind, args = "Other", ()
+    whole = {} if isolated else patterns
+    connected = n_components == 1 and edges >= 1
+    acyclic = edges - n + n_components == 0
+    return ShapeDescriptor(kind, args, isolated), {
+        "null": edges == 0,
+        "complete": "Complete" in whole,
+        "star": "Star" in whole,
+        "path": "Path" in whole,
+        "cycle": "Cycle" in whole,
+        "complete_bipartite": "CompleteBipartite" in whole,
+        "tree": connected and acyclic,
+        "forest": acyclic,
+        "unicyclic": edges - n + n_components == 1,
+        "connected": connected,
+    }
 
 
 def classify_shape(g) -> ShapeDescriptor:
@@ -727,25 +742,7 @@ def classify_shape(g) -> ShapeDescriptor:
     CompleteBipartite is tested before Cycle so that a four-cycle core reads
     as K_{2,2}; it is the only graph matching both patterns.
     """
-    return _core_shape(*_profile(_adjacency(g)))
-
-
-def _predicates(degrees: list[int], n_components: int, coloring) -> dict[str, bool]:
-    n, edges, n_components, patterns = _summary(degrees, n_components, coloring, core=False)
-    connected = n_components == 1 and edges >= 1
-    acyclic = edges - n + n_components == 0
-    return {
-        "null": edges == 0,
-        "complete": "Complete" in patterns,
-        "star": "Star" in patterns,
-        "path": "Path" in patterns,
-        "cycle": "Cycle" in patterns,
-        "complete_bipartite": "CompleteBipartite" in patterns,
-        "tree": connected and acyclic,
-        "forest": acyclic,
-        "unicyclic": edges - n + n_components == 1,
-        "connected": connected,
-    }
+    return _shape(*_profile(_adjacency(g)))[0]
 
 
 def shape_predicates(g) -> dict[str, bool]:
@@ -754,7 +751,7 @@ def shape_predicates(g) -> dict[str, bool]:
     A graph with vertices but no edges is the null graph and counts as
     disconnected, so the single-vertex graph is neither complete nor a tree.
     """
-    return _predicates(*_profile(_adjacency(g)))
+    return _shape(*_profile(_adjacency(g)))[1]
 
 
 @dataclass
@@ -870,12 +867,13 @@ def vertex_report(g, exact_cap: int = DEFAULT_EXACT_CAP) -> AnalysisReport:
     )
 
 
-def _order_report(adj: _Adjacency, classes: dict[int, int], exact_cap: int) -> AnalysisReport:
+def _order_report(adj: _Adjacency, exact_cap: int) -> AnalysisReport:
     """The report of a coprime graph with a vertex of support {p} for each of
     its k primes, read off the support weights.
 
-    w[S] counts the vertices of support S and W[X], their subset sums, those
-    whose support lies in X, so a vertex of support S has W[~S] neighbours.
+    w[S] counts the vertices of support S, the size of its class in
+    ``adj.classes``, and W[X], their subset sums, those whose support lies
+    in X, so a vertex of support S has W[~S] neighbours.
     - A full-support vertex is isolated.  Every other one is joined to the
       {p} vertices of the primes p it lacks, which are pairwise joined, so
       for k >= 2 they form one component.
@@ -896,12 +894,12 @@ def _order_report(adj: _Adjacency, classes: dict[int, int], exact_cap: int) -> A
     the colouring by distance parity.  Alpha and planarity are computed as
     for any graph.
     """
-    masks, graph = adj.masks, adj.graph
+    masks, graph, classes = adj.masks, adj.graph, adj.classes
     n = len(masks)
     k = len(graph.primes)
     full = (1 << k) - 1
     support = graph.supports
-    inside = [m.bit_count() for m in graph.inside]
+    inside = subset_sums([classes.get(s, 0).bit_count() for s in range(full + 1)], k)
     degrees = [inside[full ^ s] for s in support]
     edges = sum(degrees) // 2
 
@@ -935,7 +933,7 @@ def _order_report(adj: _Adjacency, classes: dict[int, int], exact_cap: int) -> A
             diameters.append(core_diameter)
     first = support[core[0]] if core else full
     coloring = [int(s not in (full, first)) for s in support] if k <= 2 else None
-    preds = _predicates(degrees, len(components), coloring)
+    shape, preds = _shape(degrees, len(components), coloring)
     return AnalysisReport(
         source=graph.source,
         n_vertices=n,
@@ -954,7 +952,7 @@ def _order_report(adj: _Adjacency, classes: dict[int, int], exact_cap: int) -> A
         forbidden=_forbidden(k, lambda a, b: any(
             inside[x] >= a and inside[full ^ x] >= b for x in range(full + 1)
         )),
-        shape=_core_shape(degrees, len(components), coloring),
+        shape=shape,
         predicates=preds,
     )
 
@@ -978,4 +976,4 @@ def analyze(g, exact_cap: int = DEFAULT_EXACT_CAP) -> AnalysisReport:
     k = len(adj.graph.primes)
     if 1 << k > 4 * n or any(1 << i not in classes for i in range(k)):
         return vertex_report(adj, exact_cap)
-    return _order_report(adj, classes, exact_cap)
+    return _order_report(adj, exact_cap)

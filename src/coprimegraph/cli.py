@@ -228,8 +228,6 @@ def cmd_verify(args) -> int:
     entries = theorems.load_catalog(args.catalog)
     if not entries:
         sys.stderr.write("warning: 0 entries in catalog\n")
-        _write_output("no catalog entries\n", args.out)
-        return EXIT_OK
     report = theorems.run_catalog(
         max_order=args.max_order,
         catalog=entries,

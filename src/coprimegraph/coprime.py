@@ -26,8 +26,9 @@ class CoprimeGraph:
 
     The rows are derived from the orders, never given.  A vertex of support
     S, the primes of lcm(orders) dividing its order, is joined to the other
-    vertices of ``inside[~S]``, those supported in ~S.  The graph keeps
-    ``primes``, each vertex's support over them and ``inside``.
+    vertices supported in ~S.  The graph keeps ``primes``, each vertex's
+    support over them and ``classes``, each support -> the bitmask of its
+    vertices, in first-vertex order.
     """
 
     def __init__(self, source: str, parent_order: int, orders: list[int]):
@@ -38,11 +39,12 @@ class CoprimeGraph:
         self.primes = primes = tuple(sorted(pi(lcm(*distinct))))
         support_of = dict(zip(distinct, prime_supports(distinct, primes)))
         self.supports = supports = [support_of[order] for order in self.orders]
-        full = (1 << len(primes)) - 1
-        inside = [0] * (full + 1)
+        self.classes = classes = {}
         for v, s in enumerate(supports):
-            inside[s] |= 1 << v
-        self.inside = inside = subset_sums(inside, len(primes))
+            classes[s] = classes.get(s, 0) | 1 << v
+        full = (1 << len(primes)) - 1
+        # inside[X]: the vertices whose support lies in X
+        inside = subset_sums([classes.get(x, 0) for x in range(full + 1)], len(primes))
         masks = [inside[full ^ s] for s in supports]  # one row object per support
         for v in members(inside[0]):  # only a vertex of support 0 is in its own row
             masks[v] &= ~(1 << v)

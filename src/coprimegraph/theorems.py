@@ -335,7 +335,7 @@ def evaluate_entry(
                     "declared order mismatch",
                 )
             ]
-        supports = len(set(map(pi, graph.orders)))
+        supports = len(graph.classes)
         if supports > MAX_ALPHA_SUPPORTS:
             raise ExactCapExceeded(
                 f"{supports} prime supports exceed the alpha check's bound {MAX_ALPHA_SUPPORTS}"

@@ -316,12 +316,14 @@ def test_squarefree_cyclic_alpha_closed_form(k):
 def test_support_classes_match_the_previous_finder_on_the_catalog(catalog_graphs):
     for spec, g in catalog_graphs.items():
         assert analysis._adjacency(g).classes == parent_support_classes(g), spec
+        assert analysis._adjacency(g).classes is g.classes, spec
 
 
 @pytest.mark.parametrize("n", CYCLIC_EXACT_MODULI + (900, 1800, 44100))
 def test_support_classes_match_the_previous_finder_on_cyclic_moduli(n):
     g = build_cyclic(n)
     assert analysis._adjacency(g).classes == parent_support_classes(g)
+    assert analysis._adjacency(g).classes is g.classes
 
 
 @settings(max_examples=200, deadline=None)
@@ -331,6 +333,7 @@ def test_support_classes_match_the_previous_finder_on_order_multisets(case):
     assume(pi(parent_order) == pi(math.lcm(*orders)))
     g = CoprimeGraph("orders", parent_order, orders)
     assert analysis._adjacency(g).classes == parent_support_classes(g)
+    assert analysis._adjacency(g).classes is g.classes
 
 
 @pytest.mark.parametrize("family", [(2, (0b001, 0b010)), (2, (0b001,))])
@@ -660,6 +663,12 @@ def test_each_fact_is_kept_once():
     assert [f.name for f in fields(analysis._Adjacency)] == ["masks", "graph"]
     assert analysis._adjacency(SimpleGraph.from_edges(2, [(0, 1)])).graph is None
     assert analysis._adjacency(adj_of([(0, 1)], 2)).graph is None
+    # a coprime graph keeps its support classes, not their subset unions; an
+    # adjacency hands them over only without a vertex of order 1
+    assert not hasattr(build_cyclic(30), "inside")
+    one = CoprimeGraph("one", 6, [1, 2, 3])
+    assert one.classes[0] == 0b001
+    assert analysis._adjacency(one).classes is None
     # a lattice is its counts and its element sets, and unicyclicity is a
     # key of shape_predicates
     assert not hasattr(coprimegraph, "Subgroup")
@@ -1180,6 +1189,56 @@ def test_structure_sweep_matches_networkx(adj):
         assert preds["connected"] == nx.is_connected(graph)
         assert preds["tree"] == nx.is_tree(graph)
         assert preds["forest"] == nx.is_forest(graph)
+
+
+def named_shapes_oracle(graph):
+    """Each named pattern of a NetworkX graph -> its args, or None where it
+    does not match, in the precedence classify_shape uses."""
+    n, e = graph.number_of_nodes(), graph.number_of_edges()
+    connected = n >= 2 and nx.is_connected(graph)
+    sides = None
+    if connected and nx.is_bipartite(graph):
+        sides = sorted(map(len, nx.bipartite.sets(graph)))
+    return {
+        "Complete": (n,) if n >= 2 and 2 * e == n * (n - 1) else None,
+        "Star": (n - 1,) if n >= 2 and nx.is_isomorphic(graph, nx.star_graph(n - 1)) else None,
+        "Path": (n - 1,) if n >= 2 and nx.is_isomorphic(graph, nx.path_graph(n)) else None,
+        "CompleteBipartite": tuple(sides) if sides and e == sides[0] * sides[1] else None,
+        "Cycle": (n,) if n >= 3 and nx.is_isomorphic(graph, nx.cycle_graph(n)) else None,
+    }
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_graphs(min_vertices=0, max_vertices=12))
+def test_shapes_match_networkx(adj):
+    graph = nx_graph(adj)
+    n, e = graph.number_of_nodes(), graph.number_of_edges()
+    c = nx.number_connected_components(graph)
+    named = named_shapes_oracle(graph)
+    connected = e >= 1 and nx.is_connected(graph)
+    assert shape_predicates(adj) == {
+        "null": e == 0,
+        "complete": named["Complete"] is not None,
+        "star": named["Star"] is not None,
+        "path": named["Path"] is not None,
+        "cycle": named["Cycle"] is not None,
+        "complete_bipartite": named["CompleteBipartite"] is not None,
+        "tree": connected and nx.is_tree(graph),
+        "forest": n == 0 or nx.is_forest(graph),
+        "unicyclic": e - n + c == 1,
+        "connected": connected,
+    }
+    core = graph.subgraph([v for v in graph if graph.degree(v)])
+    m = core.number_of_nodes()
+    kinds = [(kind, args) for kind, args in named_shapes_oracle(core).items() if args is not None]
+    if m == 0:
+        kinds.insert(0, ("Null", ()))
+    elif nx.is_connected(core) and e == m - 1:
+        kinds.append(("Tree", ()))
+    elif nx.is_connected(core) and e == m:
+        kinds.append(("Unicyclic", ()))
+    kind, args = (kinds + [("Other", ())])[0]
+    assert classify_shape(adj) == analysis.ShapeDescriptor(kind, args, n - m)
 
 
 # the sweep on rows against the sweep on neighbour sets

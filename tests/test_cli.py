@@ -160,9 +160,18 @@ def test_verify_wrong_expectation_exits_1(tmp_path, capsys):
 def test_verify_empty_catalog_warns_and_exits_0(tmp_path, capsys):
     catalog = tmp_path / "empty.json"
     catalog.write_text('{"entries": []}')
-    code, _, err = run(capsys, "verify", "--catalog", str(catalog))
+    code, out, err = run(capsys, "verify", "--catalog", str(catalog))
     assert code == 0
     assert "0 entries" in err
+    # the report is written in the format asked for, here the default JSON
+    assert json.loads(out)["summary"] == {
+        "checks": 0, "failed": 0, "passed": 0, "skipped_entries": []
+    }
+    assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+    code, out, err = run(capsys, "verify", "--catalog", str(catalog), "--format", "table")
+    assert code == 0
+    assert "0 entries" in err
+    assert out == "total: 0/0 checks passed, 0 entries skipped\n"
 
 
 MALFORMED_CATALOGS = {
