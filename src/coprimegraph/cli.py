@@ -151,8 +151,20 @@ def _json_text(payload) -> str:
     recurses over the containers itself.  It hands each container of scalars,
     and each list of such containers (its rows), to the C encoder of its
     depth in one call, and puts the newlines between rows in with one replace.
+
+    An ``embed`` certificate's integers can run to thousands of digits, past
+    the interpreter's limit on int-to-text conversion, so the limit is lifted
+    while encoding and restored after.  Readers keep it.
     """
-    return _encode(payload, 0) + "\n"
+    set_limit = getattr(sys, "set_int_max_str_digits", None)
+    if set_limit is None:  # a 3.10 build from before the limit
+        return _encode(payload, 0) + "\n"
+    limit = sys.get_int_max_str_digits()
+    set_limit(0)
+    try:
+        return _encode(payload, 0) + "\n"
+    finally:
+        set_limit(limit)
 
 
 def _write_output(text: str, out: str | None) -> None:

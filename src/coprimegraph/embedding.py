@@ -18,12 +18,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import takewhile
-from math import gcd, lcm, prod
+from math import gcd, lcm
 from operator import eq
 
 from .errors import CertificateError, EdgeListError, MisCapExceeded, clip
 from .groups import ascii_int
-from .lattice import members
 
 
 @dataclass(frozen=True)
@@ -105,7 +104,9 @@ def maximal_independent_sets(g: SimpleGraph, cap: int = DEFAULT_MIS_CAP) -> list
     """All maximal independent sets, sorted lexicographically.
 
     Bron-Kerbosch with pivoting on the complement graph; the count can be
-    exponential, hence the vertex cap.
+    exponential, hence the vertex cap.  P and X are bitmasks, and R is the
+    tuple of the vertices added on the way down, so a leaf is already its
+    set's members.
     """
     n = g.n_vertices
     if n > cap:
@@ -115,12 +116,12 @@ def maximal_independent_sets(g: SimpleGraph, cap: int = DEFAULT_MIS_CAP) -> list
     full = (1 << n) - 1
     # non-adjacency masks: cliques there are independent sets here
     non = [full ^ row ^ 1 << v for v, row in enumerate(g.masks)]
-    out: list[int] = []
-    stack = [(0, full, 0)]
+    out: list[tuple[int, ...]] = []
+    stack = [((), full, 0)]
     while stack:
         r, p, x = stack.pop()
         if p == 0 and x == 0:
-            out.append(r)
+            out.append(tuple(sorted(r)))
             continue
         # the first vertex of p | x with the most candidates among its
         # non-neighbours, or the first whose count reaches its own bound:
@@ -142,16 +143,20 @@ def maximal_independent_sets(g: SimpleGraph, cap: int = DEFAULT_MIS_CAP) -> list
         while cand:
             bit = cand & -cand
             v = bit.bit_length() - 1
-            stack.append((r | bit, p & non[v], x & non[v]))
+            stack.append((r + (v,), p & non[v], x & non[v]))
             p &= ~bit
             x |= bit
             cand ^= bit
-    return sorted(map(tuple, map(members, out)))
+    out.sort()
+    return out
 
 
 def embed(g: SimpleGraph, cap: int = DEFAULT_MIS_CAP) -> EmbeddingCertificate:
     """Build and self-verify an embedding certificate for a simple graph.
 
+    Each label starts as the product of the primes of the sets holding the
+    vertex, multiplied out one set at a time.  The primes are distinct, so
+    two vertices have the same support exactly when these products are equal.
     Vertices sharing the same set of maximal independent sets are told apart
     by exponents alone: the r-th such vertex (by id) raises every prime of its
     support to r+1.  Keeping supports intact is what preserves the
@@ -163,19 +168,18 @@ def embed(g: SimpleGraph, cap: int = DEFAULT_MIS_CAP) -> EmbeddingCertificate:
         raise ValueError("embedding needs at least one vertex")
     mis = maximal_independent_sets(g, cap)
     primes = first_primes(len(mis))
-    in_sets: list[list[int]] = [[] for _ in range(g.n_vertices)]  # v -> the sets holding v
-    for i, s in enumerate(mis):
+    labels = [1] * g.n_vertices  # each vertex's square-free product of its sets' primes
+    for p, s in zip(primes, mis):
         for v in s:
-            in_sets[v].append(i)
-    rank: dict[tuple[int, ...], int] = {}
-    labels = []
-    for v, sets in enumerate(in_sets):
-        if not sets:
+            labels[v] *= p
+    rank: dict[int, int] = {}
+    for v, label in enumerate(labels):
+        if label == 1:
             raise CertificateError(f"vertex {v} missed by all maximal independent sets")
-        support = tuple(sets)
-        r = rank.get(support, 0)
-        rank[support] = r + 1
-        labels.append(prod(map(primes.__getitem__, support)) ** (r + 1))
+        r = rank.get(label, 0)
+        rank[label] = r + 1
+        if r:
+            labels[v] = label ** (r + 1)
     modulus = lcm(*labels)
     if max(labels) == modulus:
         modulus *= primes[0]

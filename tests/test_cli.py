@@ -4,6 +4,7 @@ import argparse
 import io
 import json
 import math
+import sys
 from collections import Counter
 
 import pytest
@@ -12,9 +13,10 @@ from hypothesis import strategies as st
 
 from coprimegraph import cli, groups, theorems
 from coprimegraph.cli import _json_text, main
+from coprimegraph.embedding import parse_edge_list
 from coprimegraph.errors import InputError
 from coprimegraph.groups import DEFAULT_MAX_ORDER
-from helpers import nested_product
+from helpers import embed_oracle, nested_product
 
 
 def run(capsys, *argv):
@@ -255,6 +257,49 @@ def test_embed_output_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert json.loads(dst.read_text())["modulus"] == 6
+
+
+# six disjoint triangles and an edge: 3^6 * 2 = 1458 maximal independent
+# sets, a 5224-digit modulus and labels of up to 2613 digits
+TRIANGLES_20 = "n 20\n" + "".join(
+    f"{a} {b}\n" for t in range(0, 18, 3) for a, b in ((t, t + 1), (t, t + 2), (t + 1, t + 2))
+) + "18 19\n"
+
+
+def test_embed_prints_integers_past_the_digit_limit(tmp_path, capsys):
+    path = tmp_path / "triangles20.txt"
+    path.write_text(TRIANGLES_20)
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run(capsys, "embed", str(path))
+    assert (code, err) == (0, "")
+    assert sys.get_int_max_str_digits() == limit
+    sys.set_int_max_str_digits(0)
+    try:
+        payload = json.loads(out)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert payload == embed_oracle(parse_edge_list(TRIANGLES_20)).to_json_dict()
+    # the writer restores the limit when encoding fails too
+    with pytest.raises(TypeError):
+        _json_text({"x": object()})
+    assert sys.get_int_max_str_digits() == limit
+
+
+@pytest.mark.parametrize(
+    "argv, data, message",
+    [
+        (["embed", "{input}"], "9" * 4301 + " 0\n", "expected integers"),
+        (["analyze", "Z:" + "9" * 4301], None, "expected integer for cyclic order"),
+    ],
+    ids=["edge-id", "cyclic-order"],
+)
+def test_readers_keep_the_digit_limit(tmp_path, capsys, argv, data, message):
+    if data is not None:
+        (tmp_path / "input").write_text(data)
+    argv = [str(tmp_path / "input") if a == "{input}" else a for a in argv]
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert message in err and "Traceback" not in err
 
 
 def test_catalog_listing(capsys):

@@ -252,7 +252,22 @@ GRAPHS = st.builds(
 )
 
 
+# twin-rich graphs: 1458 sets and a 5224-digit modulus; all 20 vertices
+# twins, ranks up to 19; eight isolated twins over 64 sets
+TRIANGLES_20 = SimpleGraph.from_edges(
+    20,
+    [(a, b) for t in range(0, 18, 3) for a, b in ((t, t + 1), (t, t + 2), (t + 1, t + 2))]
+    + [(18, 19)],
+)
+EDGELESS_20 = SimpleGraph.from_edges(20, [])
+SIX_EDGES_20 = SimpleGraph.from_edges(20, [(2 * i, 2 * i + 1) for i in range(6)])
+TWIN_RICH = [TRIANGLES_20, EDGELESS_20, SIX_EDGES_20]
+
+
 @given(GRAPHS)
+@example(TRIANGLES_20)
+@example(EDGELESS_20)
+@example(SIX_EDGES_20)
 @settings(max_examples=150, deadline=None)
 def test_mis_matches_the_recursive_and_brute_force_oracles(g):
     sets = maximal_independent_sets(g)
@@ -297,6 +312,13 @@ def test_embed_json_is_byte_equal_to_the_oracle(g):
         return json.dumps(cert.to_json_dict(), indent=2, sort_keys=True)
 
     assert dump(embed(g)) == dump(embed_oracle(g))
+
+
+@pytest.mark.parametrize("g", TWIN_RICH, ids=["triangles", "edgeless", "six-edges"])
+def test_embed_equals_the_oracle_on_twin_rich_graphs(g):
+    # compared as certificates: json.dumps cannot print the triangles'
+    # 5224-digit modulus under the default limit on integer digits
+    assert embed(g) == embed_oracle(g)
 
 
 @given(GRAPHS)
